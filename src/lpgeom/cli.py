@@ -11,6 +11,7 @@ document read back reproduces the exact floats.  Exit codes: 0 all pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -42,13 +43,18 @@ class _UsageError(Exception):
     pass
 
 
-def _schema(name: str) -> dict:
+@functools.cache
+def _validator(name: str) -> jsonschema.Draft202012Validator:
+    # The package's own schemas are checked against the metaschema by the
+    # tests, not here, so each file is read and compiled once per process.
     text = resources.files("lpgeom.schemas").joinpath(name).read_text(encoding="utf-8")
-    return json.loads(text)
+    return jsonschema.Draft202012Validator(json.loads(text))
 
 
 def _validate(instance: dict, schema_name: str) -> None:
-    jsonschema.validate(instance, _schema(schema_name), cls=jsonschema.Draft202012Validator)
+    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(instance))
+    if error is not None:
+        raise error
 
 
 def _load_problem(path: str | None) -> dict:

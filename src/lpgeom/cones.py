@@ -27,7 +27,7 @@ from scipy.optimize import nnls
 
 from .polyhedra import intersect_cone_generators, polar_cone_generators
 from .projections import SolverOptions, metric_project, vi_residual_metric
-from .sets import FinitelyGeneratedCone, Ray
+from .sets import FinitelyGeneratedCone
 from .spaces import DualVec, PrimalVec, duality_map, norm, pair
 
 __all__ = [
@@ -48,7 +48,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConeWithVertex:
-    """Uniform (vertex, generators) view of a ray or finitely generated cone."""
+    """Uniform (vertex, generators) view of a set with one vertex, rays and no lineality."""
 
     vertex: PrimalVec
     generators: tuple[PrimalVec, ...]
@@ -57,11 +57,11 @@ class ConeWithVertex:
     def of(cls, K) -> "ConeWithVertex":
         if isinstance(K, ConeWithVertex):
             return K
-        if isinstance(K, Ray):
-            return cls(K.vertex, (K.direction,))
-        if isinstance(K, FinitelyGeneratedCone):
-            return cls(K.vertex, tuple(K.generators))
-        raise TypeError("expected a ray or a finitely generated cone")
+        V, R, L = (getattr(K, name, ()) for name in ("V", "R", "L"))
+        if len(V) != 1 or not len(R) or len(L):
+            raise TypeError("expected a ray or a finitely generated cone")
+        space = K.space
+        return cls(space.point(V[0]), tuple(space.point(r) for r in R))
 
     @property
     def space(self):
@@ -101,7 +101,8 @@ def member_metric_dual(K, x: PrimalVec, tol: float = 1e-9) -> bool:
     worst = max(pair(phi, g) for g in cone.generators)
     # same reduction through the projection certificate; must agree
     vi = vi_residual_metric(cone.to_set(), x, v)
-    assert abs(max(worst, 0.0) - max(vi, 0.0)) <= 1e-12 * (1.0 + abs(worst))
+    if abs(max(worst, 0.0) - max(vi, 0.0)) > 1e-12 * (1.0 + abs(worst)):
+        raise RuntimeError(f"metric dual routes disagree: generators {worst:.3e}, certificate {vi:.3e}")
     return worst <= tol
 
 

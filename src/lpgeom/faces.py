@@ -29,7 +29,7 @@ from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 from .projections import SolverOptions, generalized_project, metric_project
-from .sets import Ball, ConvexSet, FinitelyGeneratedCone, Line, Polytope, Ray, Segment, Subspace
+from .sets import Ball, ConvexSet
 from .spaces import DualVec, PrimalVec, duality_map, duality_map_inv, norm, pair
 
 __all__ = [
@@ -72,20 +72,6 @@ def _check_pairing(C: ConvexSet, psi: DualVec):
         raise ValueError("functional does not pair with this set's space")
 
 
-def _vertex_face(space, points, psi: DualVec, tol: float) -> FaceDescription:
-    vals = np.array([pair(psi, pt) for pt in points])
-    level = float(np.max(vals))
-    scale = tol * (1.0 + float(np.max(np.abs(vals))))
-    hits = [pt for pt, v in zip(points, vals) if level - v <= scale]
-    if len(hits) == len(points):
-        kind = "whole-set"
-    elif len(hits) == 1:
-        kind = "singleton"
-    else:
-        kind = "vertex-subset"
-    return FaceDescription(level, kind, tuple(hits), tuple(float(level - v) for v in vals))
-
-
 def _ball_face(C: Ball, psi: DualVec, tol: float) -> FaceDescription:
     space = C.space
     r = C.radius
@@ -119,53 +105,45 @@ def _ball_face(C: Ball, psi: DualVec, tol: float) -> FaceDescription:
 
 
 def face(C: ConvexSet, psi: DualVec, tol: float = 1e-9) -> FaceDescription:
-    """Describe the subset of C on which psi attains its supremum."""
+    """Describe the subset of C on which psi attains its supremum.
+
+    On conv(V) + cone(R) + span(L) the face is empty when a ray pairs
+    above ``tol`` or a lineality direction off zero (unit pairings);
+    otherwise it is the hull of the vertices at the level plus the flat
+    rays and the lineality.  ``gaps`` lists each vertex's slack below the
+    level when there is more than one vertex, then each direction's unit
+    pairing.
+    """
     _check_pairing(C, psi)
+    if isinstance(C, Ball):
+        return _ball_face(C, psi, tol)
     space = C.space
     npsi = float(np.linalg.norm(psi.coords))
 
-    def unit_pair(d: PrimalVec) -> float:
-        nd = float(np.linalg.norm(d.coords))
-        return pair(psi, d) / (npsi * nd) if npsi * nd > 0.0 else 0.0
+    def unit_pair(d: np.ndarray) -> float:
+        nd = float(np.linalg.norm(d))
+        return space.pairing(psi.coords, d) / (npsi * nd) if npsi * nd > 0.0 else 0.0
 
-    if isinstance(C, Segment):
-        return _vertex_face(space, [C.a, C.b], psi, tol)
-    if isinstance(C, Polytope):
-        return _vertex_face(space, list(C.vertices), psi, tol)
-    if isinstance(C, Ray):
-        d = unit_pair(C.direction)
-        if d > tol:
-            return FaceDescription(math.inf, "empty", (), (d,))
-        s = pair(psi, C.vertex)
-        if abs(d) <= tol:
-            return FaceDescription(s, "whole-set", (C.vertex, C.vertex + C.direction), (d,))
-        return FaceDescription(s, "singleton", (C.vertex,), (d,))
-    if isinstance(C, FinitelyGeneratedCone):
-        ds = [unit_pair(g) for g in C.generators]
-        if max(ds) > tol:
-            return FaceDescription(math.inf, "empty", (), tuple(ds))
-        s = pair(psi, C.vertex)
-        flat = [g for g, d in zip(C.generators, ds) if abs(d) <= tol]
-        if not flat:
-            return FaceDescription(s, "singleton", (C.vertex,), tuple(ds))
-        kind = "whole-set" if len(flat) == len(C.generators) else "vertex-subset"
-        reps = (C.vertex,) + tuple(C.vertex + g for g in flat)
-        return FaceDescription(s, kind, reps, tuple(ds))
-    if isinstance(C, Line):
-        d = unit_pair(C.direction)
-        if abs(d) <= tol:
-            s = pair(psi, C.point)
-            return FaceDescription(s, "whole-set", (C.point, C.point + C.direction), (d,))
-        return FaceDescription(math.inf, "empty", (), (d,))
-    if isinstance(C, Subspace):
-        ds = [unit_pair(b) for b in C.basis]
-        if all(abs(d) <= tol for d in ds):
-            reps = (space.zero(),) + tuple(C.basis)
-            return FaceDescription(0.0, "whole-set", reps, tuple(ds))
-        return FaceDescription(math.inf, "empty", (), tuple(ds))
-    if isinstance(C, Ball):
-        return _ball_face(C, psi, tol)
-    raise TypeError(f"unsupported set type {type(C).__name__}")
+    vals = np.array([space.pairing(psi.coords, v) for v in C.V])
+    level = float(np.max(vals))
+    ray_pairs = [unit_pair(r) for r in C.R]
+    line_pairs = [unit_pair(l) for l in C.L]
+    slack = [float(level - v) for v in vals] if len(vals) > 1 else []
+    gaps = tuple(slack + ray_pairs + line_pairs)
+    if any(d > tol for d in ray_pairs) or any(abs(d) > tol for d in line_pairs):
+        return FaceDescription(math.inf, "empty", (), gaps)
+
+    scale = tol * (1.0 + float(np.max(np.abs(vals))))
+    hits = [space.point(v) for v, val in zip(C.V, vals) if level - val <= scale]
+    flat = [d for d, pr in zip(C.R, ray_pairs) if abs(pr) <= tol] + list(C.L)
+    if len(hits) == len(vals) and len(flat) == len(C.R) + len(C.L):
+        kind = "whole-set"
+    elif len(hits) == 1 and not flat:
+        kind = "singleton"
+    else:
+        kind = "vertex-subset"
+    reps = tuple(hits) + tuple(space.point(hits[0].coords + d) for d in flat)
+    return FaceDescription(level, kind, reps, gaps)
 
 
 def face_membership(C: ConvexSet, psi: DualVec, y: PrimalVec, tol: float = 1e-9) -> bool:
@@ -209,26 +187,19 @@ class ClassifyResult:
 def _difference_rows(C: ConvexSet, y: PrimalVec) -> list[np.ndarray]:
     """Directions w with <psi, w> <= 0 required for psi to support C at y."""
     yc = y.coords
-    if isinstance(C, Segment):
-        rows = [C.a.coords - yc, C.b.coords - yc]
-    elif isinstance(C, Polytope):
-        rows = [v.coords - yc for v in C.vertices]
-    elif isinstance(C, Ray):
-        rows = [C.vertex.coords - yc, C.direction.coords]
-    elif isinstance(C, FinitelyGeneratedCone):
-        rows = [C.vertex.coords - yc] + [g.coords for g in C.generators]
-    elif isinstance(C, Line):
-        rows = [C.direction.coords, -C.direction.coords]
-    elif isinstance(C, Subspace):
-        rows = [s * b.coords for b in C.basis for s in (1.0, -1.0)]
-    else:
-        raise TypeError(f"unsupported set type {type(C).__name__}")
+    rows = [v - yc for v in C.V] + list(C.R) + [s * l for l in C.L for s in (1.0, -1.0)]
     kept = []
     for r in rows:
         nr = float(np.linalg.norm(r))
         if nr > 1e-12 * (1.0 + float(np.linalg.norm(yc))):
             kept.append(r / nr)
     return kept
+
+
+def _require_face_member(C: ConvexSet, psi: DualVec, y: PrimalVec, tol: float):
+    # second route: the witness must put y in its own face
+    if not face_membership(C, psi, y, max(tol, 1e-7)):
+        raise RuntimeError("classification witness does not support the set at the point")
 
 
 def classify_point(C: ConvexSet, y: PrimalVec, tol: float = 1e-9) -> ClassifyResult:
@@ -255,7 +226,7 @@ def classify_point(C: ConvexSet, y: PrimalVec, tol: float = 1e-9) -> ClassifyRes
             c = np.zeros(space.n)
             c[i] = math.copysign(1.0, y.coords[i]) / space.weights[i]
             psi = DualVec(space.dual(), c)
-        assert face_membership(C, psi, y, max(tol, 1e-7))
+        _require_face_member(C, psi, y, tol)
         return ClassifyResult("cuticle", psi, "closed-form")
 
     rows = _difference_rows(C, y)
@@ -269,7 +240,7 @@ def classify_point(C: ConvexSet, y: PrimalVec, tol: float = 1e-9) -> ClassifyRes
     def to_witness(c: np.ndarray, method: str) -> ClassifyResult:
         c = c / np.linalg.norm(c)
         psi = DualVec(space.dual(), c / space.weights)
-        assert face_membership(C, psi, y, max(tol, 1e-7))
+        _require_face_member(C, psi, y, tol)
         return ClassifyResult("cuticle", psi, method)
 
     N = null_space(W, rcond=1e-12)

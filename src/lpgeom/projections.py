@@ -27,20 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sets import (
-    NONNEGATIVE,
-    SIMPLEX,
-    UNIT_INTERVAL,
-    UNRESTRICTED,
-    Ball,
-    ConvexSet,
-    FinitelyGeneratedCone,
-    Line,
-    Polytope,
-    Ray,
-    Segment,
-    Subspace,
-)
+from .sets import NONNEGATIVE, SIMPLEX, UNIT_INTERVAL, UNRESTRICTED, Ball, ConvexSet
 from .spaces import DualVec, PrimalVec, duality_map, duality_map_inv, lyapunov, norm, pair
 
 __all__ = [
@@ -55,6 +42,12 @@ __all__ = [
 
 _BRACKET_BOUND = 1e8
 
+# Armijo backtracking of projected gradient: step shrink factor, sufficient
+# decrease slope, and the first trial step
+_ARMIJO_SHRINK = 0.5
+_ARMIJO_SLOPE = 1e-4
+_INITIAL_STEP = 1.0
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -63,20 +56,13 @@ class SolverOptions:
     max_iters: int = 10000
     grad_tol: float = 1e-10
     vi_tol: float = 1e-6
-    armijo_shrink: float = 0.5
-    armijo_slope: float = 1e-4
-    initial_step: float = 1.0
     polish: bool = True
     collect_trace: bool = False
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if not (0.0 < self.armijo_shrink < 1.0):
-            raise ValueError("armijo_shrink must lie in (0, 1)")
-        if not (0.0 < self.armijo_slope < 1.0):
-            raise ValueError("armijo_slope must lie in (0, 1)")
-        for name in ("grad_tol", "vi_tol", "initial_step"):
+        for name in ("grad_tol", "vi_tol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 
@@ -190,7 +176,7 @@ def _projected_gradient(f, grad, project, t0: np.ndarray, opts: SolverOptions):
     t = project(np.asarray(t0, dtype=float))
     fval = f(t)
     trace = [fval] if opts.collect_trace else None
-    step = opts.initial_step
+    step = _INITIAL_STEP
     iters = 0
     grad_ok = False
     flat_streak = 0
@@ -204,10 +190,10 @@ def _projected_gradient(f, grad, project, t0: np.ndarray, opts: SolverOptions):
         while step >= 1e-16:
             cand = project(t - step * g)
             delta = cand - t
-            if f(cand) <= fval + opts.armijo_slope * float(np.dot(g, delta)):
+            if f(cand) <= fval + _ARMIJO_SLOPE * float(np.dot(g, delta)):
                 accepted = True
                 break
-            step *= opts.armijo_shrink
+            step *= _ARMIJO_SHRINK
         if not accepted:
             break  # objective is flat at working precision
         fnew = f(cand)
@@ -384,6 +370,17 @@ def _solve_parameterized(C: ConvexSet, f_arr, dpair_arr, warm_target: np.ndarray
     return base + D @ t, fval, iters, grad_ok, trace, "projected-gradient"
 
 
+def _ball_projection(C: ConvexSet, y: PrimalVec, by) -> PrimalVec | None:
+    """Closed form onto a ball: y, pulled in radially when ``by`` is longer than the radius.
+
+    None when C is not a ball.
+    """
+    if not isinstance(C, Ball):
+        return None
+    level = norm(by)
+    return y if level <= C.radius else (C.radius / level) * y
+
+
 def metric_project(C: ConvexSet, x: PrimalVec, opts: SolverOptions | None = None) -> ProjectionResult:
     """Nearest point of C to x in the space's norm, with a VI certificate."""
     opts = opts or SolverOptions()
@@ -391,9 +388,8 @@ def metric_project(C: ConvexSet, x: PrimalVec, opts: SolverOptions | None = None
     _require_smooth(space)
     C._check_point(x)
 
-    if isinstance(C, Ball):
-        nx = norm(x)
-        u = x if nx <= C.radius else (C.radius / nx) * x
+    u = _ball_projection(C, x, x)
+    if u is not None:
         res = vi_residual_metric(C, x, u)
         return ProjectionResult(
             point=u,
@@ -445,11 +441,9 @@ def generalized_project(C: ConvexSet, psi: DualVec, opts: SolverOptions | None =
     if not psi.space.is_dual_of(space):
         raise ValueError("functional does not pair with this set's space")
 
-    if isinstance(C, Ball):
-        npsi = norm(psi)
-        y = duality_map_inv(psi)
-        if npsi > C.radius:
-            y = (C.radius / npsi) * y
+    inv = duality_map_inv(psi)
+    y = _ball_projection(C, inv, psi)
+    if y is not None:
         res = vi_residual_generalized(C, psi, y)
         return ProjectionResult(
             point=y,
@@ -461,7 +455,6 @@ def generalized_project(C: ConvexSet, psi: DualVec, opts: SolverOptions | None =
         )
 
     # when the inverse duality image lies in C the bracket bottoms out there
-    inv = duality_map_inv(psi)
     if C.contains(inv, 1e-12 * (1.0 + float(np.max(np.abs(inv.coords))))):
         res = vi_residual_generalized(C, psi, inv)
         if res <= opts.vi_tol:
@@ -485,8 +478,7 @@ def generalized_project(C: ConvexSet, psi: DualVec, opts: SolverOptions | None =
         # derivative of V(psi, u) along d is <2 J(u) - 2 psi, d>
         return 2.0 * (space.jmap(u) - psi_arr)
 
-    warm = duality_map_inv(psi).coords
-    u_arr, fval, iters, _, trace, method = _solve_parameterized(C, f_arr, dpair_arr, warm, opts)
+    u_arr, fval, iters, _, trace, method = _solve_parameterized(C, f_arr, dpair_arr, inv.coords, opts)
     y = space.point(u_arr)
     res = vi_residual_generalized(C, psi, y)
     return ProjectionResult(
@@ -503,32 +495,19 @@ def generalized_project(C: ConvexSet, psi: DualVec, opts: SolverOptions | None =
 def _vi_reduction(C: ConvexSet, phi: DualVec, u: PrimalVec) -> float:
     """Worst violation of <phi, u - z> >= 0 over z in C.
 
-    Bounded sets reduce to vertices.  For recession directions the
-    violation is reported per unit coefficient, so unbounded sets yield
-    finite certificates: max(<phi, d>) over generators replaces the
-    unbounded supremum.
+    The bounded part reduces to the vertices.  For recession directions
+    the violation is reported per unit coefficient, so unbounded sets
+    yield finite certificates: max(<phi, r>) over rays and |<phi, l>|
+    over lineality directions replace the unbounded supremum.
     """
-    if isinstance(C, Segment):
-        return max(pair(phi, C.a - u), pair(phi, C.b - u))
-    if isinstance(C, Polytope):
-        return max(pair(phi, v - u) for v in C.vertices)
-    if isinstance(C, Ray):
-        return max(pair(phi, C.vertex - u), pair(phi, C.direction))
-    if isinstance(C, FinitelyGeneratedCone):
-        return max(
-            pair(phi, C.vertex - u),
-            max(pair(phi, g) for g in C.generators),
-        )
-    if isinstance(C, Line):
-        return max(pair(phi, C.point - u), abs(pair(phi, C.direction)))
-    if isinstance(C, Subspace):
-        worst = pair(phi, -1.0 * u)
-        for b in C.basis:
-            worst = max(worst, abs(pair(phi, b)))
-        return worst
     if isinstance(C, Ball):
         return C.radius * norm(phi) - pair(phi, u)
-    raise TypeError(f"unsupported set type {type(C).__name__}")
+    pairing = C.space.pairing
+    return max(
+        [pairing(phi.coords, v - u.coords) for v in C.V]
+        + [pairing(phi.coords, r) for r in C.R]
+        + [abs(pairing(phi.coords, l)) for l in C.L]
+    )
 
 
 def vi_residual_metric(C: ConvexSet, x: PrimalVec, u: PrimalVec, membership_tol: float = 1e-6) -> float:

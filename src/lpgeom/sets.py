@@ -2,11 +2,13 @@
 
 Seven set types cover the geometry the projection and face machinery
 needs: segments, rays, lines, finitely generated cones, polytopes,
-norm balls centered at the origin, and linear subspaces.  Membership is
-decided by closed-form or least-squares coefficient fits measured in
-the Euclidean coefficient sense; support functions are closed form;
-every bounded-parameter type can describe itself as an affine
-parameterization over a standard coefficient domain.
+norm balls centered at the origin, and linear subspaces.  All but the
+ball share one polyhedral description, conv(V) + cone(R) + span(L), on
+which every set operation is written once.  Membership is decided by
+closed-form or least-squares coefficient fits measured in the Euclidean
+coefficient sense; support functions are closed form; every polyhedral
+type can describe itself as an affine parameterization over a standard
+coefficient domain.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import nnls
 
-from .spaces import DualVec, LpSpace, PrimalVec, pair
+from .spaces import DualVec, LpSpace, PrimalVec
 
 __all__ = [
     "ConvexSet",
@@ -41,6 +43,9 @@ UNIT_INTERVAL = "unit-interval"
 SIMPLEX = "simplex"
 UNRESTRICTED = "unrestricted"
 
+# coefficient range of each one-dimensional domain
+_INTERVALS = {UNIT_INTERVAL: (0.0, 1.0), NONNEGATIVE: (0.0, math.inf), UNRESTRICTED: (-math.inf, math.inf)}
+
 
 @dataclass(frozen=True)
 class Parameterization:
@@ -51,6 +56,8 @@ class Parameterization:
     feasible: str
 
     def direction_matrix(self) -> np.ndarray:
+        if not self.directions:
+            return np.zeros((self.base.space.n, 0))
         return np.stack([d.coords for d in self.directions], axis=1)
 
 
@@ -67,6 +74,12 @@ def _as_points(points, what: str) -> tuple[PrimalVec, ...]:
     return pts
 
 
+def _frozen_rows(rows, n: int) -> np.ndarray:
+    M = np.array(rows, dtype=float).reshape(-1, n)
+    M.setflags(write=False)
+    return M
+
+
 class ConvexSet:
     """Base class; subclasses fix the geometry."""
 
@@ -81,10 +94,11 @@ class ConvexSet:
     def distance(self, x: PrimalVec) -> float:
         """Distance from x to the set in the Euclidean coefficient sense.
 
-        Exact for segment, ray, line, subspace (closed-form fits) and for
-        the ball (norm residual, in norm units); for cones and polytopes
-        it is the residual of a nonnegative least-squares coefficient fit,
-        which vanishes exactly on members.
+        Exact for one-direction sets and subspaces (closed-form and
+        least-squares fits) and for the ball (norm residual, in norm
+        units); for cones and polytopes it is the residual of a
+        nonnegative least-squares coefficient fit, which vanishes exactly
+        on members.
         """
         raise NotImplementedError
 
@@ -119,121 +133,142 @@ class ConvexSet:
             raise ValueError("functional does not pair with this set's space")
 
 
-class Segment(ConvexSet):
+class _Polyhedral(ConvexSet):
+    """conv(V) + cone(R) + span(L), with the affine chart the solvers use.
+
+    By Minkowski-Weyl every non-ball set type is such a sum, so each set
+    operation below is written once against three coordinate matrices,
+    whose rows are points of the space: ``V`` the vertices (at least
+    one), ``R`` the recession rays and ``L`` the lineality directions.
+    The subclasses only build (V, R, L, chart).
+    """
+
+    def __init__(self, space: LpSpace, V, R, L, chart: Parameterization):
+        self.space = space
+        self.V, self.R, self.L = (_frozen_rows(M, space.n) for M in (V, R, L))
+        self._chart = chart
+        self._D = chart.direction_matrix()
+        directions = np.vstack([self.R, self.L])
+        reach = float(np.max(np.linalg.norm(directions, axis=1))) if len(directions) else 0.0
+        self._extent = float(np.max(np.linalg.norm(self.V, axis=1))) + reach
+
+    def distance(self, x: PrimalVec) -> float:
+        self._check_point(x)
+        r = x.coords - self._chart.base.coords
+        D, feasible = self._D, self._chart.feasible
+        if D.shape[1] == 1 and feasible in _INTERVALS:
+            # one direction on an interval: the fit is a clipped projection
+            d = D[:, 0]
+            t = np.clip(np.dot(r, d) / np.dot(d, d), *_INTERVALS[feasible])
+            return float(np.linalg.norm(r - t * d))
+        if feasible == NONNEGATIVE:
+            return float(nnls(D, r)[1])
+        if feasible == SIMPLEX:
+            # Convex-combination fit: stack the affine constraint sum(c) = 1 as
+            # an extra row so one nonnegative least-squares solve handles both.
+            # The blended residual vanishes exactly on members.
+            rho = max(1.0, float(np.linalg.norm(x.coords)), self._scale())
+            A = np.vstack([D, rho * np.ones(D.shape[1])])
+            return float(nnls(A, np.concatenate([r, [rho]]))[1])
+        coef, *_ = np.linalg.lstsq(D, r, rcond=None)
+        return float(np.linalg.norm(r - D @ coef))
+
+    def support(self, psi: DualVec, tol: float = 0.0) -> float:
+        self._check_functional(psi)
+        pairing = self.space.pairing
+        if any(pairing(psi.coords, r) > tol for r in self.R):
+            return math.inf
+        if any(abs(pairing(psi.coords, l)) > tol for l in self.L):
+            return math.inf
+        return max(pairing(psi.coords, v) for v in self.V)
+
+    def sample(self, count: int, seed: int = 0) -> list[PrimalVec]:
+        rng = np.random.default_rng(seed)
+        shape = (count, self._D.shape[1])
+        feasible = self._chart.feasible
+        if feasible == UNIT_INTERVAL:
+            coeffs = rng.uniform(0.0, 1.0, shape)
+        elif feasible == SIMPLEX:
+            coeffs = rng.dirichlet(np.ones(shape[1]), size=count)
+        else:
+            coeffs = 10.0 ** rng.uniform(-2.0, 2.0, shape)
+            if feasible == UNRESTRICTED:
+                coeffs *= rng.choice([-1.0, 1.0], shape)
+        base = self._chart.base.coords
+        return [self.space.point(base + self._D @ c) for c in coeffs]
+
+    def parameterize(self) -> Parameterization:
+        return self._chart
+
+    def is_pointed(self, tol: float = 1e-9) -> bool:
+        """True when the set contains no full line.
+
+        A nontrivial nonnegative combination sum t_i r_i = 0 exists iff
+        -r_j lies in the cone of the rays for some j (move the j-th term
+        across the equation), so checking each negated ray decides
+        pointedness exactly once the lineality is empty.
+        """
+        if len(self.L):
+            return False
+        for r in self.R:
+            _, resid = nnls(self.R.T, -r)
+            if resid <= tol * (1.0 + float(np.linalg.norm(r))):
+                return False
+        return True
+
+    def _scale(self) -> float:
+        return self._extent
+
+
+class Segment(_Polyhedral):
     """The segment [a, b] between two distinct points."""
 
     def __init__(self, a: PrimalVec, b: PrimalVec):
         a, b = _as_points([a, b], "segment endpoints")
         if np.array_equal(a.coords, b.coords):
             raise ValueError("segment endpoints must be distinct")
-        self.space = a.space
         self.a = a
         self.b = b
-        self._d = b.coords - a.coords
-
-    def distance(self, x: PrimalVec) -> float:
-        self._check_point(x)
-        t = np.clip(np.dot(x.coords - self.a.coords, self._d) / np.dot(self._d, self._d), 0.0, 1.0)
-        return float(np.linalg.norm(x.coords - self.a.coords - t * self._d))
-
-    def support(self, psi: DualVec, tol: float = 0.0) -> float:
-        self._check_functional(psi)
-        return max(pair(psi, self.a), pair(psi, self.b))
-
-    def sample(self, count: int, seed: int = 0) -> list[PrimalVec]:
-        rng = np.random.default_rng(seed)
-        return [self.space.point(self.a.coords + t * self._d) for t in rng.random(count)]
-
-    def parameterize(self) -> Parameterization:
-        return Parameterization(self.a, (self.space.point(self._d),), UNIT_INTERVAL)
-
-    def _scale(self) -> float:
-        return float(max(np.linalg.norm(self.a.coords), np.linalg.norm(self.b.coords)))
+        chart = Parameterization(a, (b - a,), UNIT_INTERVAL)
+        super().__init__(a.space, [a.coords, b.coords], [], [], chart)
 
     def __repr__(self):
         return f"Segment({self.a!r}, {self.b!r})"
 
 
-class Ray(ConvexSet):
+class Ray(_Polyhedral):
     """The half line {vertex + t * direction : t >= 0}."""
 
     def __init__(self, vertex: PrimalVec, direction: PrimalVec):
         vertex, direction = _as_points([vertex, direction], "ray data")
         if np.all(direction.coords == 0.0):
             raise ValueError("ray direction must be nonzero")
-        self.space = vertex.space
         self.vertex = vertex
         self.direction = direction
-
-    def distance(self, x: PrimalVec) -> float:
-        self._check_point(x)
-        d = self.direction.coords
-        t = max(0.0, np.dot(x.coords - self.vertex.coords, d) / np.dot(d, d))
-        return float(np.linalg.norm(x.coords - self.vertex.coords - t * d))
-
-    def support(self, psi: DualVec, tol: float = 0.0) -> float:
-        self._check_functional(psi)
-        if pair(psi, self.direction) > tol:
-            return math.inf
-        return pair(psi, self.vertex)
-
-    def sample(self, count: int, seed: int = 0) -> list[PrimalVec]:
-        rng = np.random.default_rng(seed)
-        ts = 10.0 ** rng.uniform(-2.0, 2.0, count)
-        return [self.space.point(self.vertex.coords + t * self.direction.coords) for t in ts]
-
-    def parameterize(self) -> Parameterization:
-        return Parameterization(self.vertex, (self.direction,), NONNEGATIVE)
-
-    def is_pointed(self) -> bool:
-        return True
-
-    def _scale(self) -> float:
-        return float(np.linalg.norm(self.vertex.coords) + np.linalg.norm(self.direction.coords))
+        chart = Parameterization(vertex, (direction,), NONNEGATIVE)
+        super().__init__(vertex.space, [vertex.coords], [direction.coords], [], chart)
 
     def __repr__(self):
         return f"Ray({self.vertex!r}, {self.direction!r})"
 
 
-class Line(ConvexSet):
+class Line(_Polyhedral):
     """The full line {point + t * direction : t real}."""
 
     def __init__(self, point: PrimalVec, direction: PrimalVec):
         point, direction = _as_points([point, direction], "line data")
         if np.all(direction.coords == 0.0):
             raise ValueError("line direction must be nonzero")
-        self.space = point.space
         self.point = point
         self.direction = direction
-
-    def distance(self, x: PrimalVec) -> float:
-        self._check_point(x)
-        d = self.direction.coords
-        t = np.dot(x.coords - self.point.coords, d) / np.dot(d, d)
-        return float(np.linalg.norm(x.coords - self.point.coords - t * d))
-
-    def support(self, psi: DualVec, tol: float = 0.0) -> float:
-        self._check_functional(psi)
-        if abs(pair(psi, self.direction)) > tol:
-            return math.inf
-        return pair(psi, self.point)
-
-    def sample(self, count: int, seed: int = 0) -> list[PrimalVec]:
-        rng = np.random.default_rng(seed)
-        ts = 10.0 ** rng.uniform(-2.0, 2.0, count) * rng.choice([-1.0, 1.0], count)
-        return [self.space.point(self.point.coords + t * self.direction.coords) for t in ts]
-
-    def parameterize(self) -> Parameterization:
-        return Parameterization(self.point, (self.direction,), UNRESTRICTED)
-
-    def _scale(self) -> float:
-        return float(np.linalg.norm(self.point.coords) + np.linalg.norm(self.direction.coords))
+        chart = Parameterization(point, (direction,), UNRESTRICTED)
+        super().__init__(point.space, [point.coords], [], [direction.coords], chart)
 
     def __repr__(self):
         return f"Line({self.point!r}, {self.direction!r})"
 
 
-class FinitelyGeneratedCone(ConvexSet):
+class FinitelyGeneratedCone(_Polyhedral):
     """{vertex + sum_i t_i g_i : t_i >= 0} for nonzero generators g_i."""
 
     def __init__(self, vertex: PrimalVec, generators: Sequence[PrimalVec]):
@@ -244,84 +279,23 @@ class FinitelyGeneratedCone(ConvexSet):
         for g in generators:
             if np.all(g.coords == 0.0):
                 raise ValueError("generators must be nonzero")
-        self.space = vertex.space
         self.vertex = vertex
         self.generators = generators
-        self._G = np.stack([g.coords for g in generators], axis=1)
-
-    def distance(self, x: PrimalVec) -> float:
-        self._check_point(x)
-        _, resid = nnls(self._G, x.coords - self.vertex.coords)
-        return float(resid)
-
-    def support(self, psi: DualVec, tol: float = 0.0) -> float:
-        self._check_functional(psi)
-        if any(pair(psi, g) > tol for g in self.generators):
-            return math.inf
-        return pair(psi, self.vertex)
-
-    def sample(self, count: int, seed: int = 0) -> list[PrimalVec]:
-        rng = np.random.default_rng(seed)
-        coeffs = 10.0 ** rng.uniform(-2.0, 2.0, (count, self._G.shape[1]))
-        return [self.space.point(self.vertex.coords + self._G @ c) for c in coeffs]
-
-    def parameterize(self) -> Parameterization:
-        return Parameterization(self.vertex, self.generators, NONNEGATIVE)
-
-    def is_pointed(self, tol: float = 1e-9) -> bool:
-        """True when the cone contains no full line through its vertex.
-
-        A nontrivial nonnegative combination sum t_i g_i = 0 exists iff
-        -g_j lies in the cone of directions for some j (move the j-th term
-        across the equation), so checking each negated generator decides
-        pointedness exactly.
-        """
-        for g in self.generators:
-            _, resid = nnls(self._G, -g.coords)
-            if resid <= tol * (1.0 + float(np.linalg.norm(g.coords))):
-                return False
-        return True
-
-    def _scale(self) -> float:
-        return float(np.linalg.norm(self.vertex.coords) + np.max(np.linalg.norm(self._G, axis=0)))
+        chart = Parameterization(vertex, generators, NONNEGATIVE)
+        super().__init__(vertex.space, [vertex.coords], [g.coords for g in generators], [], chart)
 
     def __repr__(self):
         return f"FinitelyGeneratedCone({self.vertex!r}, {len(self.generators)} generators)"
 
 
-class Polytope(ConvexSet):
+class Polytope(_Polyhedral):
     """Convex hull of finitely many vertices."""
 
     def __init__(self, vertices: Sequence[PrimalVec]):
         self.vertices = _as_points(vertices, "vertices")
-        self.space = self.vertices[0].space
-        self._V = np.stack([v.coords for v in self.vertices], axis=1)
-
-    def distance(self, x: PrimalVec) -> float:
-        self._check_point(x)
-        # Convex-combination fit: stack the affine constraint sum(c) = 1 as an
-        # extra row so one nonnegative least-squares solve handles both.  The
-        # blended residual vanishes exactly on members.
-        rho = max(1.0, float(np.linalg.norm(x.coords)), self._scale())
-        A = np.vstack([self._V, rho * np.ones(self._V.shape[1])])
-        b = np.concatenate([x.coords, [rho]])
-        _, resid = nnls(A, b)
-        return float(resid)
-
-    def support(self, psi: DualVec, tol: float = 0.0) -> float:
-        self._check_functional(psi)
-        return max(pair(psi, v) for v in self.vertices)
-
-    def sample(self, count: int, seed: int = 0) -> list[PrimalVec]:
-        rng = np.random.default_rng(seed)
-        lam = rng.dirichlet(np.ones(self._V.shape[1]), size=count)
-        return [self.space.point(self._V @ l) for l in lam]
-
-    def parameterize(self) -> Parameterization:
-        return Parameterization(self.space.zero(), self.vertices, SIMPLEX)
-
-    def _scale(self) -> float:
-        return float(np.max(np.linalg.norm(self._V, axis=0)))
+        space = self.vertices[0].space
+        chart = Parameterization(space.zero(), self.vertices, SIMPLEX)
+        super().__init__(space, [v.coords for v in self.vertices], [], [], chart)
 
     def __repr__(self):
         return f"Polytope({len(self.vertices)} vertices)"
@@ -367,7 +341,7 @@ class Ball(ConvexSet):
         return f"Ball({self.space!r}, r={self.radius:g})"
 
 
-class Subspace(ConvexSet):
+class Subspace(_Polyhedral):
     """Linear span of an independent basis (possibly empty: the origin)."""
 
     def __init__(self, space: LpSpace, basis: Sequence[PrimalVec] = ()):
@@ -379,43 +353,12 @@ class Subspace(ConvexSet):
             B = np.stack([b.coords for b in basis], axis=1)
             if np.linalg.matrix_rank(B) < len(basis):
                 raise ValueError("basis vectors must be linearly independent")
-        else:
-            B = np.zeros((space.n, 0))
-        self.space = space
         self.basis = basis
-        self._B = B
+        chart = Parameterization(space.zero(), basis, UNRESTRICTED)
+        super().__init__(space, [np.zeros(space.n)], [], [b.coords for b in basis], chart)
 
     def dim(self) -> int:
         return len(self.basis)
-
-    def distance(self, x: PrimalVec) -> float:
-        self._check_point(x)
-        if not self.basis:
-            return float(np.linalg.norm(x.coords))
-        coef, *_ = np.linalg.lstsq(self._B, x.coords, rcond=None)
-        return float(np.linalg.norm(x.coords - self._B @ coef))
-
-    def support(self, psi: DualVec, tol: float = 0.0) -> float:
-        self._check_functional(psi)
-        if any(abs(pair(psi, b)) > tol for b in self.basis):
-            return math.inf
-        return 0.0
-
-    def sample(self, count: int, seed: int = 0) -> list[PrimalVec]:
-        rng = np.random.default_rng(seed)
-        if not self.basis:
-            return [self.space.zero() for _ in range(count)]
-        coeffs = 10.0 ** rng.uniform(-2.0, 2.0, (count, len(self.basis)))
-        coeffs *= rng.choice([-1.0, 1.0], coeffs.shape)
-        return [self.space.point(self._B @ c) for c in coeffs]
-
-    def parameterize(self) -> Parameterization:
-        return Parameterization(self.space.zero(), self.basis, UNRESTRICTED)
-
-    def _scale(self) -> float:
-        if not self.basis:
-            return 0.0
-        return float(np.max(np.linalg.norm(self._B, axis=0)))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim()}, n={self.space.n})"

@@ -1115,11 +1115,7 @@ def _fuzz_metric_projection_homogeneity(rng, tol, p):
     S = _random_space(rng, p)
     C = _random_set(rng, S, kinds=("ray", "cone"))
     if not np.all(C.vertex.coords == 0.0):
-        C = (
-            Ray(S.zero(), C.direction)
-            if isinstance(C, Ray)
-            else FinitelyGeneratedCone(S.zero(), C.generators)
-        )
+        C = FinitelyGeneratedCone(S.zero(), [S.point(r) for r in C.R])
     x = S.point(rng.normal(size=S.n) * 2.0)
     t = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
     a = metric_project(C, t * x)
@@ -1326,7 +1322,7 @@ def run_fuzz(
         out = fn(rng, tol, p)
         checked += 1
         if out is not None:
-            hits.append(out)
+            hits.append({**out, "trial": t})
 
     pp = p if p is not None else 3.0
     notes = []

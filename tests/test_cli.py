@@ -278,3 +278,12 @@ def test_emitted_floats_round_trip_exactly(tmp_path, capsys):
     p2 = json.loads(out2)["result"]["point"]
     assert p1 == p2
     assert json.loads(json.dumps(p1)) == p1
+
+
+def test_packaged_schemas_are_valid_draft_2020_12():
+    # the CLI compiles these once per process without re-checking them
+    folder = resources.files("lpgeom.schemas")
+    names = sorted(f.name for f in folder.iterdir() if f.name.endswith(".json"))
+    assert names == ["problem.schema.json", "report.schema.json", "result.schema.json"]
+    for name in names:
+        jsonschema.Draft202012Validator.check_schema(_schema(name))

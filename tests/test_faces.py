@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,3 +258,24 @@ def test_face_membership_requires_a_member():
     ball = Ball(S, 1.0)
     with pytest.raises(ValueError):
         face_membership(ball, S.functional([1.0, 0.0, 0.0]), S.point([3.0, 0.0, 0.0]))
+
+
+def test_classification_cross_check_survives_optimized_mode():
+    # Under python -O a bare assert would vanish; the witness check must not.
+    code = (
+        "import sys\n"
+        "import lpgeom.faces as F\n"
+        "from lpgeom import LpSpace\n"
+        "from lpgeom.sets import Ball\n"
+        "F.face_membership = lambda *args, **kwargs: False\n"
+        "S = LpSpace(3, 3.0)\n"
+        "try:\n"
+        "    F.classify_point(Ball(S, 2.0), S.point([2.0, 0.0, 0.0]))\n"
+        "except RuntimeError:\n"
+        "    print('raised', sys.flags.optimize)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "1"]

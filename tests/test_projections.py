@@ -252,8 +252,6 @@ def test_solver_options_validated():
     with pytest.raises(ValueError):
         SolverOptions(max_iters=0)
     with pytest.raises(ValueError):
-        SolverOptions(armijo_shrink=1.0)
-    with pytest.raises(ValueError):
         SolverOptions(vi_tol=0.0)
 
 

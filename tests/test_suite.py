@@ -6,7 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from lpgeom.suite import fuzz_target_ids, run_fuzz, run_verification_suite
+from lpgeom.suite import _fuzz_metric_dual_convexity, _rng, fuzz_target_ids, run_fuzz, run_verification_suite
 
 
 def _schema(name):
@@ -59,3 +59,14 @@ def test_witness_seeking_target_flips_meaning_at_exponent_two():
     assert at2.ok
     assert any("expected at p=2" in n for n in at2.records[0].notes)
     assert not at2.records[0].witnesses
+
+
+def test_fuzz_hits_replay_from_seed_target_and_trial():
+    seed, target = 0, "metric-dual-convexity"
+    rep = run_fuzz(target, trials=30, seed=seed, p=3.0)
+    hits = [h for h in rep.records[0].witnesses if not h.get("pinned")]
+    assert hits
+    index = fuzz_target_ids().index(target)
+    for hit in hits:
+        again = _fuzz_metric_dual_convexity(_rng(seed, index, hit["trial"]), 1e-9, 3.0)
+        assert {**again, "trial": hit["trial"]} == hit
