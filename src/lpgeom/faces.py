@@ -7,10 +7,11 @@ primal vision collects every point u whose image J(u) does.  A member
 with trivial dual vision (only the zero functional) is internal;
 otherwise it is a cuticle point, and the two kinds partition C.
 
-Faces here are described, not enumerated: each set type reduces the
-supremum to finitely many pairings (vertices, generators, or for balls
-the dual-norm alignment direction), giving the level, the face's shape
-kind, and representative members that attain the level exactly.
+Faces here are described, not enumerated: the supremum reduces to
+finitely many pairings (the vertices, rays and lineality directions of
+a polyhedral set, or for balls the dual-norm alignment direction),
+giving the level, the face's shape kind, and representative members
+that attain the level exactly.
 
 Classification is decided exactly for balls (norm against radius) and
 for the polyhedral types by linear algebra on the difference directions

@@ -9,9 +9,9 @@ variational characterizations
     metric:       <J(x - u), u - z> >= 0   for all z in C,
     generalized:  <psi - J(u), u - z> >= 0 for all z in C,
 
-whose worst violation over the set reduces, per set type, to finitely
-many pairings (vertices, generators per unit coefficient, or the ball's
-support function).  A nonpositive residual certifies optimality.
+whose worst violation over the set reduces to finitely many pairings
+(vertices, and rays and lineality directions per unit coefficient, or
+the ball's support function).  A nonpositive residual certifies optimality.
 
 Solver strategy: closed form for balls; derivative-sign bisection with
 doubling bracket expansion on one-parameter sets; projected gradient
