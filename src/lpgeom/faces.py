@@ -125,16 +125,16 @@ def face(C: ConvexSet, psi: DualVec, tol: float = 1e-9) -> FaceDescription:
         nd = float(np.linalg.norm(d))
         return space.pairing(psi.coords, d) / (npsi * nd) if npsi * nd > 0.0 else 0.0
 
-    vals = np.array([space.pairing(psi.coords, v) for v in C.V])
-    level = float(np.max(vals))
+    vals = [space.pairing(psi.coords, v) for v in C.V]
+    level = max(vals)
     ray_pairs = [unit_pair(r) for r in C.R]
     line_pairs = [unit_pair(l) for l in C.L]
-    slack = [float(level - v) for v in vals] if len(vals) > 1 else []
+    slack = [level - v for v in vals] if len(vals) > 1 else []
     gaps = tuple(slack + ray_pairs + line_pairs)
     if any(d > tol for d in ray_pairs) or any(abs(d) > tol for d in line_pairs):
         return FaceDescription(math.inf, "empty", (), gaps)
 
-    scale = tol * (1.0 + float(np.max(np.abs(vals))))
+    scale = tol * (1.0 + max(abs(v) for v in vals))
     hits = [space.point(v) for v, val in zip(C.V, vals) if level - val <= scale]
     flat = [d for d, pr in zip(C.R, ray_pairs) if abs(pr) <= tol] + list(C.L)
     if len(hits) == len(vals) and len(flat) == len(C.R) + len(C.L):

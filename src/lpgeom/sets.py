@@ -229,7 +229,7 @@ class Segment(_Polyhedral):
             raise ValueError("segment endpoints must be distinct")
         self.a = a
         self.b = b
-        chart = Parameterization(a, (b - a,), UNIT_INTERVAL)
+        chart = Parameterization(a, (a.space.point(b.coords - a.coords),), UNIT_INTERVAL)
         super().__init__(a.space, [a.coords, b.coords], [], [], chart)
 
     def __repr__(self):
