@@ -148,9 +148,8 @@ class _Polyhedral(ConvexSet):
         self.V, self.R, self.L = (_frozen_rows(M, space.n) for M in (V, R, L))
         self._chart = chart
         self._D = chart.direction_matrix()
-        directions = np.vstack([self.R, self.L])
-        reach = float(np.max(np.linalg.norm(directions, axis=1))) if len(directions) else 0.0
-        self._extent = float(np.max(np.linalg.norm(self.V, axis=1))) + reach
+        reach = np.max(np.linalg.norm(np.vstack([self.R, self.L]), axis=1), initial=0.0)
+        self._extent = float(np.max(np.linalg.norm(self.V, axis=1)) + reach)
 
     def distance(self, x: PrimalVec) -> float:
         self._check_point(x)
@@ -206,13 +205,15 @@ class _Polyhedral(ConvexSet):
         A nontrivial nonnegative combination sum t_i r_i = 0 exists iff
         -r_j lies in the cone of the rays for some j (move the j-th term
         across the equation), so checking each negated ray decides
-        pointedness exactly once the lineality is empty.
+        pointedness exactly once the lineality is empty.  The fit is
+        judged relative to the ray's length, so scaling the set does not
+        change the answer.
         """
         if len(self.L):
             return False
         for r in self.R:
             _, resid = nnls(self.R.T, -r)
-            if resid <= tol * (1.0 + float(np.linalg.norm(r))):
+            if resid <= tol * float(np.linalg.norm(r)):
                 return False
         return True
 

@@ -106,3 +106,12 @@ def test_face_descriptions_are_pinned(name):
     assert [r.coords.tolist() for r in desc.representatives] == reps
     assert list(desc.gaps) == gaps
 
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_pointedness_does_not_depend_on_scale(scale):
+    e = [P([scale, 0.0, 0.0]), P([0.0, scale, 0.0])]
+    assert Ray(S.zero(), e[0]).is_pointed()
+    assert FinitelyGeneratedCone(S.zero(), e).is_pointed()
+    assert not FinitelyGeneratedCone(S.zero(), [e[0], -1.0 * e[0]]).is_pointed()
+    assert not Line(S.zero(), e[0]).is_pointed()
