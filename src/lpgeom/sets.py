@@ -351,8 +351,7 @@ class Subspace(_Polyhedral):
             basis = _as_points(basis, "basis")
             if basis[0].space != space:
                 raise ValueError("basis must live in the given space")
-            B = np.stack([b.coords for b in basis], axis=1)
-            if np.linalg.matrix_rank(B) < len(basis):
+            if np.linalg.matrix_rank(np.stack([b.coords for b in basis], axis=1)) < len(basis):
                 raise ValueError("basis vectors must be linearly independent")
         self.basis = basis
         chart = Parameterization(space.zero(), basis, UNRESTRICTED)
