@@ -13,10 +13,14 @@ whose worst violation over the set reduces to finitely many pairings
 (vertices, and rays and lineality directions per unit coefficient, or
 the ball's support function).  A nonpositive residual certifies optimality.
 
-Solver strategy: closed form for balls; derivative-sign bisection with
-doubling bracket expansion on one-parameter sets; projected gradient
-with Armijo backtracking on coefficient parameterizations, with an
-optional quasi-Newton polish on orthant and unrestricted domains.
+Solver strategy: both projections minimize ||u - c||^2 - 2 <ell, u> plus
+a constant, with c = x, ell = 0 (metric) or c = 0, ell = psi
+(generalized).  Balls take a closed form; a set with one chart direction
+on an interval takes derivative-sign bisection with doubling bracket
+expansion; every other set takes one projected Newton loop on its chart
+coefficients, with the exact Hessian of the squared norm and a projected
+gradient fallback.  That loop keeps the method label "projected-gradient",
+which reports and the result schema read.
 """
 
 from __future__ import annotations
@@ -42,21 +46,31 @@ __all__ = [
 
 _BRACKET_BOUND = 1e8
 
-# Armijo backtracking of projected gradient: step shrink factor, sufficient
-# decrease slope, and the first trial step
+# Armijo backtracking along the projection arc: step shrink factor, sufficient
+# decrease slope, and the most shrinks tried per direction
 _ARMIJO_SHRINK = 0.5
 _ARMIJO_SLOPE = 1e-4
-_INITIAL_STEP = 1.0
+_MAX_SHRINKS = 60
+# relative roundoff of the objective, below which a step counts as flat
+_ROUNDOFF = 1e-14
+# coefficients within this distance of their bound may be held there
+_ACTIVE_WIDTH = 1e-3
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration and tolerance knobs shared by both projections."""
+    """Iteration and tolerance knobs shared by both projections.
+
+    ``max_iters`` caps the accepted steps of the coefficient loop, which
+    stops early once the unit-step gradient mapping is at most
+    ``grad_tol * (1 + ||t||)``.  ``vi_tol`` is the certificate threshold
+    on the VI residual, and ``collect_trace`` records the objective after
+    each accepted step.
+    """
 
     max_iters: int = 10000
     grad_tol: float = 1e-10
     vi_tol: float = 1e-6
-    polish: bool = True
     collect_trace: bool = False
 
     def __post_init__(self):
@@ -74,7 +88,10 @@ class ProjectionResult:
     ``vi_residual`` is the worst violation of the variational inequality
     over the set (nonpositive up to roundoff at the true projection);
     ``converged`` is True only when the residual passes the vi tolerance.
-    ``trace`` holds accepted objective values when trace collection is on.
+    ``iterations`` counts accepted steps on the coefficient route, bracket
+    doublings and bisection steps on the one-direction route, and 0 for
+    closed forms.  ``trace`` holds accepted objective values when trace
+    collection is on.
     """
 
     point: PrimalVec
@@ -171,203 +188,126 @@ def _minimize_1d(dphi, feasible: str) -> tuple[float, int, bool]:
     return t, iters + it2, True
 
 
-def _projected_gradient(f, grad, project, t0: np.ndarray, opts: SolverOptions):
-    """Projected gradient with Armijo backtracking; objective never increases."""
-    t = project(np.asarray(t0, dtype=float))
-    fval = f(t)
-    trace = [fval] if opts.collect_trace else None
-    step = _INITIAL_STEP
-    iters = 0
-    grad_ok = False
-    flat_streak = 0
-    while iters < opts.max_iters:
-        g = grad(t)
-        # unit-step gradient mapping as the stationarity measure
-        if np.linalg.norm(t - project(t - g)) <= opts.grad_tol * (1.0 + np.linalg.norm(t)):
-            grad_ok = True
-            break
-        accepted = False
-        while step >= 1e-16:
-            cand = project(t - step * g)
-            delta = cand - t
-            if f(cand) <= fval + _ARMIJO_SLOPE * float(np.dot(g, delta)):
-                accepted = True
-                break
-            step *= _ARMIJO_SHRINK
-        if not accepted:
-            break  # objective is flat at working precision
-        fnew = f(cand)
-        if fval - fnew <= 1e-13 * (1.0 + abs(fval)):
-            flat_streak += 1
-        else:
-            flat_streak = 0
-        t = cand
-        fval = fnew
-        if trace is not None:
-            trace.append(fval)
-        iters += 1
-        if flat_streak >= 5:
-            break  # progress is below objective roundoff; leave the rest to polish
-        step = min(step * 2.0, 1e6)
-    return t, fval, iters, grad_ok, trace
+def _model_step(H: np.ndarray, rhs: np.ndarray, full_rank: bool) -> np.ndarray:
+    if full_rank:
+        try:
+            return np.linalg.solve(H, rhs)
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.lstsq(H, rhs, rcond=None)[0]
 
 
-def _newton_polish(grad_t, t: np.ndarray, feasible: str, scale: float):
-    """Drive the active-set KKT residual of the analytic gradient to roundoff.
+def _arc_search(f_t, grad_t, project, t, fval, g, gap, d, step, flat):
+    """Armijo backtracking along the projection arc s -> P(t + s d).
 
-    Near the optimum the objective is flat at machine precision while the
-    gradient is still meaningful, so descent methods stall several digits
-    short of what the gradient can certify.  Damped Newton on the free
-    block of grad(t) = 0 recovers those digits; the Jacobian comes from
-    central differences of the analytic gradient.
+    Returns (t, f, g, gap) at the accepted point, or None when no step is
+    accepted.  Within ``flat`` of f the objective is at roundoff: there a
+    decrease proves nothing, and a step is accepted only when it halves
+    the gradient mapping, which still measures progress.
     """
-    t = np.array(t, dtype=float)
-    nonneg = feasible == NONNEGATIVE
-    for _outer in range(4):
-        g = grad_t(t)
-        free = ~((t <= 1e-9 * (1.0 + scale)) & (g > 0.0)) if nonneg else np.ones(t.size, bool)
-        if not free.any():
-            break
-        for _inner in range(30):
-            g = grad_t(t)
-            gf = g[free]
-            gnorm = np.linalg.norm(gf)
-            if gnorm <= 1e-14 * (1.0 + scale):
-                break
-            idx = np.nonzero(free)[0]
-            H = np.empty((idx.size, idx.size))
-            for col, j in enumerate(idx):
-                h = 1e-6 * (1.0 + abs(t[j]))
-                tp, tm = t.copy(), t.copy()
-                tp[j] += h
-                tm[j] -= h
-                H[:, col] = (grad_t(tp)[idx] - grad_t(tm)[idx]) / (2.0 * h)
-            try:
-                dt = np.linalg.solve(H, -gf)
-            except np.linalg.LinAlgError:
-                dt, *_ = np.linalg.lstsq(H, -gf, rcond=None)
-            step, improved = 1.0, False
-            while step > 1e-4:
-                cand = t.copy()
-                cand[idx] += step * dt
-                if nonneg:
-                    cand = np.maximum(cand, 0.0)
-                if np.linalg.norm(grad_t(cand)[free]) < gnorm:
-                    t, improved = cand, True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        g = grad_t(t)
-        # re-derive the active set; loop again only if it changed
-        free_new = ~((t <= 1e-9 * (1.0 + scale)) & (g > 0.0)) if nonneg else free
-        if np.array_equal(free_new, free):
-            break
-    return t
+    for _ in range(_MAX_SHRINKS):
+        cand = project(t + step * d)
+        delta = cand - t
+        if not np.any(delta):
+            return None
+        fc = f_t(cand)
+        armijo = fc < fval - flat and fc <= fval + _ARMIJO_SLOPE * float(np.dot(g, delta))
+        if armijo or fc <= fval + flat:
+            gc = grad_t(cand)
+            gap_c = float(np.linalg.norm(cand - project(cand - gc)))
+            if armijo or gap_c <= 0.5 * gap:
+                return cand, fc, gc, gap_c
+        step *= _ARMIJO_SHRINK
+    return None
 
 
-def _newton_polish_simplex(grad_t, t: np.ndarray, scale: float):
-    """Simplex counterpart of _newton_polish.
+def _solve_parameterized(C: ConvexSet, c: np.ndarray, ell: np.ndarray, opts: SolverOptions):
+    """Minimize F(u) = ||u - c||^2 - 2 <ell, u> + ||ell||_*^2 over C on its chart.
 
-    Stationarity on the unit simplex means the gradient is constant across
-    the support and no smaller off it, so the polished system couples the
-    free coordinates with the multiplier of the sum constraint.  Damping
-    accepts a step only when the KKT residual norm drops; the final clip
-    and renormalization restore exact feasibility.
+    Projected Newton (Bertsekas 1982) on the coefficients t, from the
+    weighted least-squares fit of the unconstrained minimizer c + J*(ell):
+    coefficients at their bound whose gradient pushes outward go to the
+    bound, and the free block takes a Newton step with the exact Hessian
+    D^T (diag(h) + beta a a^T) D, bordered by the sum constraint on the
+    simplex.  Returns the point, F there, the accepted steps, the trace
+    and the method label.
     """
-    t = np.maximum(np.array(t, dtype=float), 0.0)
-    eps = 1e-9 * (1.0 + scale)
-    lam = 0.0
-    for _outer in range(4):
-        g = grad_t(t)
-        support = t > eps
-        lam = -float(np.mean(g[support])) if support.any() else -float(np.mean(g))
-        free = ~((t <= eps) & (g + lam > 0.0))
-        if not free.any():
-            break
-        idx = np.nonzero(free)[0]
-        k = idx.size
-        for _inner in range(30):
-            g = grad_t(t)
-            r = np.concatenate([g[idx] + lam, [np.sum(t) - 1.0]])
-            rnorm = float(np.linalg.norm(r))
-            if rnorm <= 1e-14 * (1.0 + scale):
-                break
-            kkt = np.zeros((k + 1, k + 1))
-            for col, j in enumerate(idx):
-                h = 1e-6 * (1.0 + abs(t[j]))
-                tp, tm = t.copy(), t.copy()
-                tp[j] += h
-                tm[j] -= h
-                kkt[:k, col] = (grad_t(tp)[idx] - grad_t(tm)[idx]) / (2.0 * h)
-            kkt[:k, k] = 1.0
-            kkt[k, :k] = 1.0
-            try:
-                sol = np.linalg.solve(kkt, -r)
-            except np.linalg.LinAlgError:
-                sol, *_ = np.linalg.lstsq(kkt, -r, rcond=None)
-            step, improved = 1.0, False
-            while step > 1e-4:
-                cand = t.copy()
-                cand[idx] = np.maximum(cand[idx] + step * sol[:k], 0.0)
-                lam_cand = lam + step * float(sol[k])
-                rc = np.concatenate([grad_t(cand)[idx] + lam_cand, [np.sum(cand) - 1.0]])
-                if float(np.linalg.norm(rc)) < rnorm:
-                    t, lam, improved = cand, lam_cand, True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        g = grad_t(t)
-        free_new = ~((t <= eps) & (g + lam > 0.0))
-        if np.array_equal(free_new, free):
-            break
-    t = np.maximum(t, 0.0)
-    total = float(np.sum(t))
-    return t / total if total > 0.0 else t
-
-
-def _solve_parameterized(C: ConvexSet, f_arr, dpair_arr, warm_target: np.ndarray, opts: SolverOptions):
-    """Shared driver: minimize f(u(t)) over the feasible coefficient domain.
-
-    ``f_arr`` maps point coordinates to the objective; ``dpair_arr`` maps
-    point coordinates to the dual-vector coordinates whose weighted pairing
-    with each direction is the objective's derivative (so the coefficient
-    gradient is D^T (weights * dpair)).  ``warm_target`` seeds the iteration
-    with the weighted least-squares coefficient fit of that point.
-    """
+    space = C.space
     pm = C.parameterize()
     base = pm.base.coords
     D = pm.direction_matrix()
-    w = C.space.weights
+    w = space.weights
+    wl = w * ell
+    ell_sq = space.dual().norm_of(ell) ** 2
 
     def f_t(t):
-        return f_arr(base + D @ t)
+        u = base + D @ t
+        return space.norm_of(u - c) ** 2 - 2.0 * float(np.dot(wl, u)) + ell_sq
 
     def grad_t(t):
-        return D.T @ (w * dpair_arr(base + D @ t))
+        return D.T @ (2.0 * (w * space.jmap(base + D @ t - c) - wl))
 
     if D.shape[1] == 1 and pm.feasible in (UNIT_INTERVAL, NONNEGATIVE, UNRESTRICTED):
         dphi = lambda t: float(grad_t(np.array([t]))[0])
-        t, iters, bracketed = _minimize_1d(dphi, pm.feasible)
+        t, iters, _ = _minimize_1d(dphi, pm.feasible)
         tvec = np.array([t])
-        return base + D @ tvec, f_t(tvec), iters, bracketed, None, "one-dimensional"
+        return base + D @ tvec, f_t(tvec), iters, None, "one-dimensional"
 
     project = _coefficient_projector(pm.feasible)
+    simplex = pm.feasible == SIMPLEX
+    # the reduced Hessian has rank at most n, and its bordered form at most
+    # n + 2; larger systems are singular
+    rank_cap = space.n + 2 if simplex else space.n
+    data_sq = space.norm_of(c) ** 2 + ell_sq
     sw = np.sqrt(w)
-    t0, *_ = np.linalg.lstsq(sw[:, None] * D, sw * (warm_target - base), rcond=None)
-    t, fval, iters, grad_ok, trace = _projected_gradient(f_t, grad_t, project, t0, opts)
-    if opts.polish and pm.feasible in (NONNEGATIVE, UNRESTRICTED, SIMPLEX):
-        mapping = lambda tv: np.linalg.norm(tv - project(tv - grad_t(tv)))
-        scale = float(np.linalg.norm(t))
-        if pm.feasible == SIMPLEX:
-            cand = _newton_polish_simplex(grad_t, t, scale)
+    warm = c + space.dual().jmap(ell)
+    t0, *_ = np.linalg.lstsq(sw[:, None] * D, sw * (warm - base), rcond=None)
+    t = project(t0)
+    fval, g = f_t(t), grad_t(t)
+    gap = float(np.linalg.norm(t - project(t - g)))
+    trace = [fval] if opts.collect_trace else None
+    iters = 0
+    while iters < opts.max_iters and gap > opts.grad_tol * (1.0 + np.linalg.norm(t)):
+        h, beta, a = space.sqnorm_hessian(base + D @ t - c)
+        Da = D.T @ a
+        hess = D.T @ (h[:, None] * D) + beta * np.outer(Da, Da)
+        # Bertsekas's active set: coefficients near their bound whose gradient
+        # pushes outward; on the simplex the gradient is level across the
+        # support at the optimum, so "outward" is measured from that level
+        near = (t <= min(gap, _ACTIVE_WIDTH)) & (pm.feasible != UNRESTRICTED)
+        support = t > gap
+        level = float(np.mean(g[support])) if simplex and support.any() else 0.0
+        active = near & (g > level)
+        while True:
+            free = ~active
+            H = hess[np.ix_(free, free)]
+            rhs = -g[free]
+            if simplex:
+                k = rhs.size
+                H = np.block([[H, np.ones((k, 1))], [np.ones((1, k)), np.zeros((1, 1))]])
+                rhs = np.append(rhs, np.sum(t[active]))
+            newton = -t  # active coefficients go to their bound
+            newton[free] = _model_step(H, rhs, rhs.size <= rank_cap)[: free.sum()]
+            # a free coefficient at its bound that the step pushes outward is held there
+            blocked = free & near & (newton < 0.0)
+            if not blocked.any():
+                break
+            active |= blocked
+        curv = float(g @ hess @ g)
+        cauchy = float(np.dot(g, g)) / curv if curv > 0.0 else 1.0
+        flat = _ROUNDOFF * (abs(fval) + data_sq)
+        for d, step in ((newton, 1.0), (-g, cauchy)):
+            if float(np.dot(g, d)) < 0.0:
+                moved = _arc_search(f_t, grad_t, project, t, fval, g, gap, d, step, flat)
+                if moved is not None:
+                    t, fval, g, gap = moved
+                    break
         else:
-            cand = _newton_polish(grad_t, t, pm.feasible, scale)
-        if mapping(cand) <= mapping(t):
-            t = cand
-            fval = f_t(t)
-    return base + D @ t, fval, iters, grad_ok, trace, "projected-gradient"
+            break  # neither direction descends at working precision
+        iters += 1
+        if trace is not None:
+            trace.append(fval)
+    return base + D @ t, fval, iters, trace, "projected-gradient"
 
 
 def _ball_projection(C: ConvexSet, y: PrimalVec, by) -> PrimalVec | None:
@@ -412,14 +352,7 @@ def metric_project(C: ConvexSet, x: PrimalVec, opts: SolverOptions | None = None
             method="closed-form",
         )
 
-    def f_arr(u):
-        return space.norm_of(x.coords - u) ** 2
-
-    def dpair_arr(u):
-        # derivative of ||x - u||^2 along a direction d is <-2 J(x-u), d>
-        return -2.0 * space.jmap(x.coords - u)
-
-    u_arr, fval, iters, _, trace, method = _solve_parameterized(C, f_arr, dpair_arr, x.coords, opts)
+    u_arr, fval, iters, trace, method = _solve_parameterized(C, x.coords, np.zeros(space.n), opts)
     u = space.point(u_arr)
     res = vi_residual_metric(C, x, u)
     return ProjectionResult(
@@ -467,18 +400,7 @@ def generalized_project(C: ConvexSet, psi: DualVec, opts: SolverOptions | None =
                 method="closed-form",
             )
 
-    npsi2 = norm(psi) ** 2
-    w = space.weights
-    psi_arr = psi.coords
-
-    def f_arr(u):
-        return npsi2 - 2.0 * float(np.dot(w * psi_arr, u)) + space.norm_of(u) ** 2
-
-    def dpair_arr(u):
-        # derivative of V(psi, u) along d is <2 J(u) - 2 psi, d>
-        return 2.0 * (space.jmap(u) - psi_arr)
-
-    u_arr, fval, iters, _, trace, method = _solve_parameterized(C, f_arr, dpair_arr, inv.coords, opts)
+    u_arr, fval, iters, trace, method = _solve_parameterized(C, np.zeros(space.n), psi.coords, opts)
     y = space.point(u_arr)
     res = vi_residual_generalized(C, psi, y)
     return ProjectionResult(

@@ -104,6 +104,8 @@ class LpSpace:
 
     def is_dual_of(self, other: "LpSpace") -> bool:
         """True when self can pair with elements of ``other``."""
+        if other is self._predual:
+            return True
         if self.n != other.n or not np.array_equal(self.weights, other.weights):
             return False
         # 1/p + 1/q = 1 with 1/inf = 0; allow floating-point slack.
@@ -156,9 +158,34 @@ class LpSpace:
             return np.zeros(self.n)
         return np.abs(coords) ** (self.p - 1.0) * np.sign(coords) * nrm ** (2.0 - self.p)
 
+    def sqnorm_hessian(self, coords: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+        """Parts (h, beta, a) of the Hessian diag(h) + beta a a^T of ||x||^2.
+
+        The gradient of ||x||^2 is 2 w jmap(x); differentiating once more
+        gives h = 2(p-1) ||x||^(2-p) w |x|^(p-2), beta = 2(2-p) ||x||^(2-2p)
+        and a = w |x|^(p-1) sign(x).  Below p = 2 the factor |x_i|^(p-2) is
+        unbounded at zero coordinates, so |x_i| is floored at 1e-8 max|x|.
+        At x = 0, where the Hessian is undefined for p != 2, the p = 2
+        Hessian 2 diag(w) stands in.
+        """
+        if math.isinf(self.p) or self.p <= 1.0:
+            raise ValueError("the Hessian of ||x||^2 requires exponent in (1, oo)")
+        w, p = self.weights, self.p
+        nrm = self.norm_of(coords)
+        if p == 2.0 or nrm == 0.0:
+            return 2.0 * w, 0.0, w * coords
+        mag = np.abs(coords)
+        a = w * mag ** (p - 1.0) * np.sign(coords)
+        if p < 2.0:
+            mag = np.maximum(mag, 1e-8 * float(np.max(mag)))
+        h = 2.0 * (p - 1.0) * nrm ** (2.0 - p) * w * mag ** (p - 2.0)
+        return h, 2.0 * (2.0 - p) * nrm ** (2.0 - 2.0 * p), a
+
     # -- bookkeeping -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, LpSpace):
             return NotImplemented
         return (

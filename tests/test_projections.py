@@ -15,6 +15,7 @@ from lpgeom.projections import (
 )
 from lpgeom.sets import Ball, FinitelyGeneratedCone, Line, Polytope, Ray, Segment, Subspace
 from lpgeom.spaces import LpSpace, duality_map, duality_map_inv, lyapunov, norm, pair
+from lpgeom.suite import _fuzz_metric_projection_vi, _rng, fuzz_target_ids
 
 from _oracles import (
     euclid_project_ball,
@@ -175,7 +176,7 @@ def test_nonconvergence_is_reported_honestly():
     S = LpSpace(3, 3.0, weights=[0.5, 1.0, 2.0])
     psi = S.functional([2.0, -1.0, 0.5])
     K = FinitelyGeneratedCone(S.zero(), [S.point([1.0, 0.0, 0.0]), S.point([0.0, 1.0, 1.0])])
-    starved = SolverOptions(max_iters=1, polish=False, vi_tol=1e-12)
+    starved = SolverOptions(max_iters=1, vi_tol=1e-12)
     res = generalized_project(K, psi, starved)
     assert not res.converged
     assert K.contains(res.point, 1e-6)
@@ -291,3 +292,53 @@ def test_metric_projection_small_perturbation_proxy():
         assert drift <= 1e-3 * scale, (trial, p, drift)
         checked += 1
     assert checked >= 35
+
+
+def test_small_generalized_projections_certify():
+    # a weighted Euclidean polygon with four vertices, and a p = 3 cone
+    S = LpSpace(2, 2.0, weights=[2.3952342616386706, 2.4394481332079074])
+    P = Polytope(
+        [
+            S.point([-0.23687894629141873, -1.072703285943777]),
+            S.point([0.7519045574883961, 0.28420157889417047]),
+            S.point([1.4957983368875416, 1.297693004639104]),
+            S.point([-1.8740127088139558, 0.4531401576112154]),
+        ]
+    )
+    assert generalized_project(P, S.functional([0.7694357691326593, 0.24392897346277803])).converged
+
+    S = LpSpace(3, 3.0, weights=[2.401729762133054, 2.411419696668394, 0.4288674288679706])
+    K = FinitelyGeneratedCone(
+        S.point([-0.043688011724091196, -1.4078659108655613, -0.3918975638107645]),
+        [
+            S.point([0.023442799796641513, 1.4507704349397363, 0.8361797265818771]),
+            S.point([0.960981417609757, 1.978808134584209, 0.6022637450156023]),
+            S.point([-0.7076781265704745, 0.4847094601543568, 0.7020962379489094]),
+        ],
+    )
+    psi = S.functional([2.8376842816270775e-05, 6.550873610160751, 1.8489463691788122])
+    assert generalized_project(K, psi).converged
+
+
+def test_sixty_dimensional_cones_certify_at_p_one_and_a_half():
+    S = LpSpace(60, 1.5)
+    for seed, kind in ((14, "metric"), (32, "generalized")):
+        rng = np.random.default_rng(seed)
+        K = FinitelyGeneratedCone(S.zero(), [S.point(rng.normal(size=60)) for _ in range(15)])
+        x = S.point(3.0 * rng.normal(size=60))
+        if kind == "metric":
+            res = metric_project(K, x)
+        else:
+            res = generalized_project(K, S.functional(2.0 * rng.normal(size=60)))
+        assert res.converged, (seed, res.vi_residual)
+
+
+@pytest.mark.parametrize(
+    "seed, p, trial",
+    [(0, 1.5, 456), (0, 1.5, 1253), (0, 1.5, 1907), (1, 1.5, 114), (1, 1.5, 854), (1, 1.5, 1123),
+     (0, 2.0, 840)],
+)
+def test_metric_projection_vi_fuzz_trials_certify(seed, p, trial):
+    # rebuilt from (seed, target, trial); (0, 2.0, 840) starts at a simplex vertex
+    index = fuzz_target_ids().index("metric-projection-vi")
+    assert _fuzz_metric_projection_vi(_rng(seed, index, trial), 1e-9, p) is None

@@ -45,6 +45,24 @@ class TestLpSpace:
             assert space.dual().n == space.n
             assert np.array_equal(space.dual().weights, space.weights)
 
+    def test_sqnorm_hessian_matches_differenced_gradient(self):
+        # the gradient of ||x||^2 is 2 w jmap(x); its central differences
+        # must reproduce diag(h) + beta a a^T away from zero coordinates
+        rng = np.random.default_rng(61)
+        for p in (1.5, 2.0, 3.0, 4.0):
+            space = LpSpace(5, p, weights=rng.uniform(0.3, 3.0, 5))
+            x = rng.choice([-1.0, 1.0], 5) * rng.uniform(0.2, 2.0, 5)
+            h, beta, a = space.sqnorm_hessian(x)
+            H = np.diag(h) + beta * np.outer(a, a)
+            grad = lambda y: 2.0 * space.weights * space.jmap(y)  # noqa: E731
+            step = 1e-6
+            fd = np.column_stack(
+                [(grad(x + step * e) - grad(x - step * e)) / (2.0 * step) for e in np.eye(5)]
+            )
+            assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
+            assert np.array_equal(H, H.T)
+            assert np.min(np.linalg.eigvalsh(H)) >= -1e-12 * np.max(np.abs(H))
+
     def test_dual_exponents(self):
         assert LpSpace(2, 3.0).dual().p == 1.5
         assert LpSpace(2, 1.0).dual().p == math.inf
