@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
-from .polyhedra import intersect_cone_generators, polar_cone_generators
+from .polyhedra import _nnls, intersect_cone_generators, polar_cone_generators
 from .projections import SolverOptions, metric_project, vi_residual_metric
 from .sets import FinitelyGeneratedCone
 from .spaces import DualVec, PrimalVec, duality_map, norm, pair
@@ -322,11 +321,6 @@ def _stacked_polar(cones: Sequence[ConeWithVertex]) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _nnls_residual(M: np.ndarray, target: np.ndarray) -> float:
-    _, resid = nnls(M, target)
-    return float(resid)
-
-
 def intersection_dual_check_family(
     cones, seed: int = 0, trials: int = 50, tol: float = 1e-8
 ) -> IntersectionDualReport:
@@ -374,7 +368,7 @@ def intersection_dual_check_family(
         eye = np.eye(space.n)
         targets = [s * e for e in eye for s in (1.0, -1.0)]
     for tvec in targets:
-        backward = max(backward, _nnls_residual(M, tvec))
+        backward = max(backward, float(_nnls(M, tvec)[1]))
 
     rng = np.random.default_rng(seed)
     sampled = 0

@@ -26,9 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import linprog
 
+from .polyhedra import _null_space
 from .projections import SolverOptions, generalized_project, metric_project
 from .sets import Ball, ConvexSet
 from .spaces import DualVec, PrimalVec, duality_map, duality_map_inv, norm, pair
@@ -244,12 +243,14 @@ def classify_point(C: ConvexSet, y: PrimalVec, tol: float = 1e-9) -> ClassifyRes
         _require_face_member(C, psi, y, tol)
         return ClassifyResult("cuticle", psi, method)
 
-    N = null_space(W, rcond=1e-12)
+    N = _null_space(W, rcond=1e-12)
     if N.shape[1] > 0:
         return to_witness(N[:, 0], "null-space")
 
     # pointed case: a supporting c exists iff some constraint can go strictly
     # negative inside {W c <= 0, |c| <= 1}
+    from scipy.optimize import linprog
+
     for j in range(W.shape[0]):
         res = linprog(W[j], A_ub=W, b_ub=np.zeros(W.shape[0]), bounds=(-1.0, 1.0), method="highs")
         if res.status == 0 and res.fun < -1e-9:

@@ -4,13 +4,15 @@ Helpers for cones of the form {phi : <row_i, phi> <= 0}: extreme-ray and
 lineality enumeration, and generator computation for intersections of
 finitely generated cones in R^2 / R^3.  Everything here is Euclidean;
 callers fold any weighted pairing into the constraint rows.
+
+The module imports nothing from lpgeom, so it also holds the two
+primitives that sets, cones and faces share: a numpy null space and
+nonnegative least squares, whose scipy import waits for the first fit.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import nnls
 
 __all__ = ["UnsupportedGeometryError", "polar_cone_generators", "intersect_cone_generators"]
 
@@ -19,6 +21,36 @@ _FEAS_TOL = 1e-10
 
 class UnsupportedGeometryError(ValueError):
     """The polyhedral computation is outside the supported rank-3 cases."""
+
+
+def _nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """scipy's compiled nonnegative least squares: (x >= 0, ||A x - b||).
+
+    scipy.optimize is imported here, on first use, because importing it
+    takes most of a cold process's start-up and most commands never fit.
+    """
+    from scipy.optimize import nnls
+
+    return nnls(A, b)
+
+
+def _svd_rank(A: np.ndarray, rcond: float | None = None) -> tuple[int, np.ndarray]:
+    """(rank, vt) from the full SVD of A, with scipy.linalg.null_space's rank rule.
+
+    The rank counts singular values above max(s) * rcond, and rcond defaults
+    to eps * max(m, n).  Rows vt[:rank] span the row space of A and rows
+    vt[rank:] its null space.
+    """
+    _, s, vt = np.linalg.svd(A)
+    if rcond is None:
+        rcond = np.finfo(s.dtype).eps * max(A.shape)
+    return int(np.sum(s > np.amax(s, initial=0.0) * rcond)), vt
+
+
+def _null_space(A: np.ndarray, rcond: float | None = None) -> np.ndarray:
+    """Orthonormal basis of the null space of A, one column per direction."""
+    rank, vt = _svd_rank(A, rcond)
+    return vt[rank:].T
 
 
 def _dedupe_directions(cands: list[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
@@ -53,14 +85,12 @@ def polar_cone_generators(rows: np.ndarray) -> tuple[list[np.ndarray], list[np.n
         raise ValueError("zero constraint row")
     rows = rows / norms[:, None]
 
-    lin = null_space(rows, rcond=1e-12)
-    lineality = [lin[:, k] for k in range(lin.shape[1])]
-    rank = rows.shape[1] - lin.shape[1]
+    rank, vt = _svd_rank(rows, rcond=1e-12)
     if rank > 3:
         raise UnsupportedGeometryError(f"constraint rank {rank} exceeds 3")
+    lineality = list(vt[rank:])
 
     # Work inside the row space W; the cone is pointed there.
-    _, _, vt = np.linalg.svd(rows)
     B = vt[:rank].T  # n x rank orthonormal basis of W
     R = rows @ B  # constraints in W coordinates
 
@@ -85,7 +115,7 @@ def polar_cone_generators(rows: np.ndarray) -> tuple[list[np.ndarray], list[np.n
 
 
 def _in_cone(generators: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> bool:
-    _, resid = nnls(generators, x)
+    _, resid = _nnls(generators, x)
     return resid <= tol * (1.0 + float(np.linalg.norm(x)))
 
 
@@ -106,7 +136,7 @@ def _facet_normals_3d(G: np.ndarray) -> list[np.ndarray]:
                 normals.append(-c)
     if m == 1:
         # a single ray: every plane containing it supports the cone
-        basis = null_space(G[:, 0][None, :])
+        basis = _null_space(G[:, 0][None, :])
         normals.extend([basis[:, 0], -basis[:, 0], basis[:, 1], -basis[:, 1]])
     return normals
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
+from .polyhedra import _nnls
 from .spaces import DualVec, LpSpace, PrimalVec
 
 __all__ = [
@@ -161,14 +161,14 @@ class _Polyhedral(ConvexSet):
             t = np.clip(np.dot(r, d) / np.dot(d, d), *_INTERVALS[feasible])
             return float(np.linalg.norm(r - t * d))
         if feasible == NONNEGATIVE:
-            return float(nnls(D, r)[1])
+            return float(_nnls(D, r)[1])
         if feasible == SIMPLEX:
             # Convex-combination fit: stack the affine constraint sum(c) = 1 as
             # an extra row so one nonnegative least-squares solve handles both.
             # The blended residual vanishes exactly on members.
             rho = max(1.0, float(np.linalg.norm(x.coords)), self._scale())
             A = np.vstack([D, rho * np.ones(D.shape[1])])
-            return float(nnls(A, np.concatenate([r, [rho]]))[1])
+            return float(_nnls(A, np.concatenate([r, [rho]]))[1])
         coef, *_ = np.linalg.lstsq(D, r, rcond=None)
         return float(np.linalg.norm(r - D @ coef))
 
@@ -212,7 +212,7 @@ class _Polyhedral(ConvexSet):
         if len(self.L):
             return False
         for r in self.R:
-            _, resid = nnls(self.R.T, -r)
+            _, resid = _nnls(self.R.T, -r)
             if resid <= tol * float(np.linalg.norm(r)):
                 return False
         return True

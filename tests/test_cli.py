@@ -1,21 +1,25 @@
 """End-to-end checks of the command-line surface.
 
-Everything runs in-process through ``main(argv)`` except one subprocess
-test that proves the module entry point works.  Documents are validated
-here against the published schemas independently of the validation the
-CLI performs before emitting.
+Everything runs in-process through ``main(argv)`` except the tests that
+need a fresh interpreter: one proves the module entry point works, and
+the import-guard tests check which commands load scipy.  Documents are
+validated here against the published schemas independently of the
+validation the CLI performs before emitting.
 """
 
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import lpgeom
 from lpgeom.cli import main
 from lpgeom.spaces import LpSpace, duality_map
 
@@ -287,3 +291,62 @@ def test_packaged_schemas_are_valid_draft_2020_12():
     assert names == ["problem.schema.json", "report.schema.json", "result.schema.json"]
     for name in names:
         jsonschema.Draft202012Validator.check_schema(_schema(name))
+
+
+# A fresh interpreter that runs one command and reports whether scipy got loaded.
+_FRESH_CLI = """\
+import contextlib, io, json, sys
+from lpgeom.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "out": out.getvalue(), "scipy": "scipy" in sys.modules}))
+"""
+
+
+def _fresh_python(*args):
+    src = str(Path(lpgeom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _fresh_cli(tmp_path, argv, doc):
+    return json.loads(_fresh_python("-c", _FRESH_CLI, *argv, "--input", _write(tmp_path, doc), "--json"))
+
+
+def test_import_does_not_load_scipy():
+    assert _fresh_python("-c", "import sys, lpgeom; print('scipy' in sys.modules)").strip() == "False"
+
+
+_RAY_SET = {"space": _RAY_PROBLEM["space"], "set": _RAY_PROBLEM["set"]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["project"], _RAY_PROBLEM),
+        (["gproject"], dict(_RAY_SET, operation="gproject", functional=[-1, -2, -3])),
+        (["face"], dict(_RAY_SET, operation="face", functional=[1, 1, 1])),
+        (["dualcone", "--kind", "metric", "--check", "member"], dict(_RAY_PROBLEM, operation="dualcone")),
+    ],
+    ids=["project", "gproject", "face", "dualcone-member"],
+)
+def test_cold_commands_on_the_readme_ray_do_not_load_scipy(tmp_path, argv, doc):
+    run = _fresh_cli(tmp_path, argv, doc)
+    assert run["code"] == 0
+    assert run["scipy"] is False
+
+
+def test_cold_cone_projection_loads_nnls_on_demand(tmp_path):
+    doc = {
+        "operation": "project",
+        "space": {"n": 3, "p": 3},
+        "set": {"type": "cone", "vertex": [0, 0, 0],
+                "generators": [[1, 0, 0], [1, 1, 0], [1, 1, 1]]},
+        "point": [-1, 2, 3],
+    }
+    run = _fresh_cli(tmp_path, ["project"], doc)
+    assert run["code"] == 0
+    assert json.loads(run["out"])["result"]["converged"] is True
+    assert run["scipy"] is True
