@@ -131,6 +131,7 @@ def _projection_result(res) -> tuple[dict, str]:
         "iterations": int(res.iterations),
         "converged": bool(res.converged),
         "method": res.method,
+        "stop_reason": res.stop_reason,
     }
     return out, "pass" if res.converged else "fail"
 

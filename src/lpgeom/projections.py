@@ -15,12 +15,14 @@ the ball's support function).  A nonpositive residual certifies optimality.
 
 Solver strategy: both projections minimize ||u - c||^2 - 2 <ell, u> plus
 a constant, with c = x, ell = 0 (metric) or c = 0, ell = psi
-(generalized).  Balls take a closed form; a set with one chart direction
-on an interval takes derivative-sign bisection with doubling bracket
-expansion; every other set takes one projected Newton loop on its chart
-coefficients, with the exact Hessian of the squared norm and a projected
-gradient fallback.  That loop keeps the method label "projected-gradient",
-which reports and the result schema read.
+(generalized).  Balls, and members that are their own projection, take a
+closed form.  Every other set, one chart direction or many, takes one
+projected Newton loop on its chart coefficients: the exact Hessian of the
+squared norm, a projected gradient fallback, and Armijo backtracking that
+refuses full steps jumping across the minimum.  It starts from the weighted
+least-squares fit of the unconstrained minimizer.  That loop keeps the
+method label "projected-gradient", which reports and the result schema
+read; ``stop_reason`` says why it stopped.
 """
 
 from __future__ import annotations
@@ -44,12 +46,13 @@ __all__ = [
     "inverse_image_member_metric",
 ]
 
-_BRACKET_BOUND = 1e8
-
 # Armijo backtracking along the projection arc: step shrink factor, sufficient
 # decrease slope, and the most shrinks tried per direction
 _ARMIJO_SHRINK = 0.5
 _ARMIJO_SLOPE = 1e-4
+# a direction's full step is refused when the slope at its end is positive and at
+# least this share of the starting slope's size: it jumped across the minimum
+_OVERSHOOT = 0.9
 _MAX_SHRINKS = 60
 # relative roundoff of the objective, below which a step counts as flat
 _ROUNDOFF = 1e-14
@@ -88,10 +91,12 @@ class ProjectionResult:
     ``vi_residual`` is the worst violation of the variational inequality
     over the set (nonpositive up to roundoff at the true projection);
     ``converged`` is True only when the residual passes the vi tolerance.
-    ``iterations`` counts accepted steps on the coefficient route, bracket
-    doublings and bisection steps on the one-direction route, and 0 for
-    closed forms.  ``trace`` holds accepted objective values when trace
-    collection is on.
+    ``iterations`` counts the accepted steps of the projected Newton loop,
+    and is 0 for closed forms.  ``stop_reason`` is "closed-form",
+    "grad-tol" (the gradient mapping fell below ``grad_tol``), "flat"
+    (neither the Newton nor the gradient direction descends at working
+    precision) or "max-iters".  ``trace`` holds accepted objective values
+    when trace collection is on.
     """
 
     point: PrimalVec
@@ -100,6 +105,7 @@ class ProjectionResult:
     iterations: int
     converged: bool
     method: str
+    stop_reason: str
     trace: tuple[float, ...] | None = None
 
 
@@ -130,64 +136,6 @@ def _coefficient_projector(feasible: str) -> Callable[[np.ndarray], np.ndarray]:
     raise ValueError(f"unknown coefficient domain {feasible!r}")
 
 
-def _bisect_derivative(dphi, lo: float, hi: float) -> tuple[float, int]:
-    """Root of an increasing derivative on [lo, hi] with dphi(lo) <= 0 <= dphi(hi)."""
-    iters = 0
-    for _ in range(200):
-        if (hi - lo) <= 1e-15 * (1.0 + abs(lo) + abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        iters += 1
-        if dphi(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), iters
-
-
-def _minimize_1d(dphi, feasible: str) -> tuple[float, int, bool]:
-    """Minimize a differentiable convex function along one coefficient.
-
-    Returns (t, iterations, bracketed); ``bracketed`` is False when the
-    doubling bracket expansion hits the 1e8 bound without a derivative
-    sign change, which is reported as non-convergence upstream.
-    """
-    if feasible == UNIT_INTERVAL:
-        if dphi(0.0) >= 0.0:
-            return 0.0, 0, True
-        if dphi(1.0) <= 0.0:
-            return 1.0, 0, True
-        t, iters = _bisect_derivative(dphi, 0.0, 1.0)
-        return t, iters, True
-
-    if feasible == NONNEGATIVE:
-        if dphi(0.0) >= 0.0:
-            return 0.0, 0, True
-        hi, iters = 1.0, 0
-        while dphi(hi) < 0.0:
-            hi *= 2.0
-            iters += 1
-            if hi > _BRACKET_BOUND:
-                return hi, iters, False
-        t, it2 = _bisect_derivative(dphi, hi / 2.0 if hi > 1.0 else 0.0, hi)
-        return t, iters + it2, True
-
-    # unrestricted line
-    lo, hi, iters = -1.0, 1.0, 0
-    while dphi(lo) > 0.0:
-        lo *= 2.0
-        iters += 1
-        if -lo > _BRACKET_BOUND:
-            return lo, iters, False
-    while dphi(hi) < 0.0:
-        hi *= 2.0
-        iters += 1
-        if hi > _BRACKET_BOUND:
-            return hi, iters, False
-    t, it2 = _bisect_derivative(dphi, lo, hi)
-    return t, iters + it2, True
-
-
 def _model_step(H: np.ndarray, rhs: np.ndarray, full_rank: bool) -> np.ndarray:
     if full_rank:
         try:
@@ -204,18 +152,30 @@ def _arc_search(f_t, grad_t, project, t, fval, g, gap, d, step, flat):
     accepted.  Within ``flat`` of f the objective is at roundoff: there a
     decrease proves nothing, and a step is accepted only when it halves
     the gradient mapping, which still measures progress.
+
+    The full step also has to pass the strong Wolfe curvature test on one
+    side: where the Hessian blows up (a residual coordinate crossing zero
+    below p = 2), full Newton steps can jump back and forth across the
+    minimum while f still falls a little.  Shrunk steps skip the test, as
+    near p = 1 the slope flips within a tiny distance of such a crossing
+    and the test would force steps of that size.
     """
-    for _ in range(_MAX_SHRINKS):
+    for shrink in range(_MAX_SHRINKS):
         cand = project(t + step * d)
         delta = cand - t
         if not np.any(delta):
             return None
         fc = f_t(cand)
-        armijo = fc < fval - flat and fc <= fval + _ARMIJO_SLOPE * float(np.dot(g, delta))
+        slope = float(np.dot(g, delta))
+        armijo = fc < fval - flat and fc <= fval + _ARMIJO_SLOPE * slope
         if armijo or fc <= fval + flat:
             gc = grad_t(cand)
             gap_c = float(np.linalg.norm(cand - project(cand - gc)))
-            if armijo or gap_c <= 0.5 * gap:
+            if armijo:
+                accept = shrink > 0 or float(np.dot(gc, delta)) <= -_OVERSHOOT * slope
+            else:
+                accept = gap_c <= 0.5 * gap
+            if accept:
                 return cand, fc, gc, gap_c
         step *= _ARMIJO_SHRINK
     return None
@@ -230,7 +190,7 @@ def _solve_parameterized(C: ConvexSet, c: np.ndarray, ell: np.ndarray, opts: Sol
     bound, and the free block takes a Newton step with the exact Hessian
     D^T (diag(h) + beta a a^T) D, bordered by the sum constraint on the
     simplex.  Returns the point, F there, the accepted steps, the trace
-    and the method label.
+    and the stop reason.
     """
     space = C.space
     pm = C.parameterize()
@@ -247,12 +207,6 @@ def _solve_parameterized(C: ConvexSet, c: np.ndarray, ell: np.ndarray, opts: Sol
     def grad_t(t):
         return D.T @ (2.0 * (w * space.jmap(base + D @ t - c) - wl))
 
-    if D.shape[1] == 1 and pm.feasible in (UNIT_INTERVAL, NONNEGATIVE, UNRESTRICTED):
-        dphi = lambda t: float(grad_t(np.array([t]))[0])
-        t, iters, _ = _minimize_1d(dphi, pm.feasible)
-        tvec = np.array([t])
-        return base + D @ tvec, f_t(tvec), iters, None, "one-dimensional"
-
     project = _coefficient_projector(pm.feasible)
     simplex = pm.feasible == SIMPLEX
     # the reduced Hessian has rank at most n, and its bordered form at most
@@ -261,13 +215,20 @@ def _solve_parameterized(C: ConvexSet, c: np.ndarray, ell: np.ndarray, opts: Sol
     data_sq = space.norm_of(c) ** 2 + ell_sq
     sw = np.sqrt(w)
     warm = c + space.dual().jmap(ell)
-    t0, *_ = np.linalg.lstsq(sw[:, None] * D, sw * (warm - base), rcond=None)
-    t = project(t0)
+    # the fit's normal equations are k x k, far cheaper than an n x k lstsq
+    A = sw[:, None] * D
+    t = project(_model_step(A.T @ A, A.T @ (sw * (warm - base)), D.shape[1] <= space.n))
     fval, g = f_t(t), grad_t(t)
     gap = float(np.linalg.norm(t - project(t - g)))
     trace = [fval] if opts.collect_trace else None
     iters = 0
-    while iters < opts.max_iters and gap > opts.grad_tol * (1.0 + np.linalg.norm(t)):
+    while True:
+        if gap <= opts.grad_tol * (1.0 + np.linalg.norm(t)):
+            stop = "grad-tol"
+            break
+        if iters >= opts.max_iters:
+            stop = "max-iters"
+            break
         h, beta, a = space.sqnorm_hessian(base + D @ t - c)
         Da = D.T @ a
         hess = D.T @ (h[:, None] * D) + beta * np.outer(Da, Da)
@@ -303,11 +264,12 @@ def _solve_parameterized(C: ConvexSet, c: np.ndarray, ell: np.ndarray, opts: Sol
                     t, fval, g, gap = moved
                     break
         else:
-            break  # neither direction descends at working precision
+            stop = "flat"  # neither direction descends at working precision
+            break
         iters += 1
         if trace is not None:
             trace.append(fval)
-    return base + D @ t, fval, iters, trace, "projected-gradient"
+    return base + D @ t, fval, iters, trace, stop
 
 
 def _ball_projection(C: ConvexSet, y: PrimalVec, by) -> PrimalVec | None:
@@ -321,6 +283,20 @@ def _ball_projection(C: ConvexSet, y: PrimalVec, by) -> PrimalVec | None:
     return y if level <= C.radius else (C.radius / level) * y
 
 
+def _certified(point, objective, res, opts, iters=0, stop="closed-form", trace=None) -> ProjectionResult:
+    """A candidate with its VI residual; closed forms take no solver steps."""
+    return ProjectionResult(
+        point=point,
+        objective=objective,
+        vi_residual=res,
+        iterations=iters,
+        converged=bool(res <= opts.vi_tol),
+        method="closed-form" if stop == "closed-form" else "projected-gradient",
+        stop_reason=stop,
+        trace=None if trace is None else tuple(trace),
+    )
+
+
 def metric_project(C: ConvexSet, x: PrimalVec, opts: SolverOptions | None = None) -> ProjectionResult:
     """Nearest point of C to x in the space's norm, with a VI certificate."""
     opts = opts or SolverOptions()
@@ -330,40 +306,15 @@ def metric_project(C: ConvexSet, x: PrimalVec, opts: SolverOptions | None = None
 
     u = _ball_projection(C, x, x)
     if u is not None:
-        res = vi_residual_metric(C, x, u)
-        return ProjectionResult(
-            point=u,
-            objective=space.norm_of(x.coords - u.coords) ** 2,
-            vi_residual=res,
-            iterations=0,
-            converged=res <= opts.vi_tol,
-            method="closed-form",
-        )
+        return _certified(u, space.norm_of(x.coords - u.coords) ** 2, vi_residual_metric(C, x, u), opts)
 
     # a member is its own projection: <J(x - x), x - z> = 0 holds exactly
     if C.contains(x, 1e-12 * (1.0 + float(np.max(np.abs(x.coords))))):
-        res = vi_residual_metric(C, x, x)
-        return ProjectionResult(
-            point=x,
-            objective=0.0,
-            vi_residual=res,
-            iterations=0,
-            converged=res <= opts.vi_tol,
-            method="closed-form",
-        )
+        return _certified(x, 0.0, vi_residual_metric(C, x, x), opts)
 
-    u_arr, fval, iters, trace, method = _solve_parameterized(C, x.coords, np.zeros(space.n), opts)
+    u_arr, fval, iters, trace, stop = _solve_parameterized(C, x.coords, np.zeros(space.n), opts)
     u = space.point(u_arr)
-    res = vi_residual_metric(C, x, u)
-    return ProjectionResult(
-        point=u,
-        objective=fval,
-        vi_residual=res,
-        iterations=iters,
-        converged=bool(res <= opts.vi_tol),
-        method=method,
-        trace=None if trace is None else tuple(trace),
-    )
+    return _certified(u, fval, vi_residual_metric(C, x, u), opts, iters, stop, trace)
 
 
 def generalized_project(C: ConvexSet, psi: DualVec, opts: SolverOptions | None = None) -> ProjectionResult:
@@ -377,41 +328,17 @@ def generalized_project(C: ConvexSet, psi: DualVec, opts: SolverOptions | None =
     inv = duality_map_inv(psi)
     y = _ball_projection(C, inv, psi)
     if y is not None:
-        res = vi_residual_generalized(C, psi, y)
-        return ProjectionResult(
-            point=y,
-            objective=lyapunov(psi, y),
-            vi_residual=res,
-            iterations=0,
-            converged=res <= opts.vi_tol,
-            method="closed-form",
-        )
+        return _certified(y, lyapunov(psi, y), vi_residual_generalized(C, psi, y), opts)
 
-    # when the inverse duality image lies in C the bracket bottoms out there
+    # when the inverse duality image lies in C it is the unconstrained minimizer
     if C.contains(inv, 1e-12 * (1.0 + float(np.max(np.abs(inv.coords))))):
         res = vi_residual_generalized(C, psi, inv)
         if res <= opts.vi_tol:
-            return ProjectionResult(
-                point=inv,
-                objective=lyapunov(psi, inv),
-                vi_residual=res,
-                iterations=0,
-                converged=True,
-                method="closed-form",
-            )
+            return _certified(inv, lyapunov(psi, inv), res, opts)
 
-    u_arr, fval, iters, trace, method = _solve_parameterized(C, np.zeros(space.n), psi.coords, opts)
+    u_arr, fval, iters, trace, stop = _solve_parameterized(C, np.zeros(space.n), psi.coords, opts)
     y = space.point(u_arr)
-    res = vi_residual_generalized(C, psi, y)
-    return ProjectionResult(
-        point=y,
-        objective=fval,
-        vi_residual=res,
-        iterations=iters,
-        converged=bool(res <= opts.vi_tol),
-        method=method,
-        trace=None if trace is None else tuple(trace),
-    )
+    return _certified(y, fval, vi_residual_generalized(C, psi, y), opts, iters, stop, trace)
 
 
 def _vi_reduction(C: ConvexSet, phi: DualVec, u: PrimalVec) -> float:

@@ -69,7 +69,7 @@ class LpSpace:
         Strictly positive coordinate weights, default all ones.
     """
 
-    __slots__ = ("n", "p", "weights", "_predual")
+    __slots__ = ("n", "p", "weights", "_dual")
 
     def __init__(self, n: int, p: float, weights: Sequence[float] | None = None):
         n = int(n)
@@ -88,23 +88,23 @@ class LpSpace:
         self.n = n
         self.p = p
         self.weights = w
-        self._predual = None
+        self._dual = None
 
     def dual(self) -> "LpSpace":
         """The dual space: same dimension and weights, conjugate exponent.
 
-        Taking the dual of a dual returns the original space object, so
-        the bidual round trip is exact even in floating point.
+        It is built on the first call and kept, and the dual of that dual
+        is this space object, so the bidual round trip is exact even in
+        floating point.
         """
-        if self._predual is not None:
-            return self._predual
-        out = LpSpace(self.n, conjugate_exponent(self.p), self.weights)
-        out._predual = self
-        return out
+        if self._dual is None:
+            self._dual = LpSpace(self.n, conjugate_exponent(self.p), self.weights)
+            self._dual._dual = self
+        return self._dual
 
     def is_dual_of(self, other: "LpSpace") -> bool:
         """True when self can pair with elements of ``other``."""
-        if other is self._predual:
+        if other is self._dual:
             return True
         if self.n != other.n or not np.array_equal(self.weights, other.weights):
             return False

@@ -103,7 +103,7 @@ def test_ball_closed_forms_with_weights():
     rng = np.random.default_rng(54)
     x = S.point(rng.normal(size=4) * 5.0)
     res = metric_project(Ball(S, 1.0), x)
-    assert res.method == "closed-form"
+    assert res.method == "closed-form" and res.stop_reason == "closed-form"
     assert abs(norm(res.point) - 1.0) <= 1e-12
     assert res.vi_residual <= 1e-12
 
@@ -179,6 +179,7 @@ def test_nonconvergence_is_reported_honestly():
     starved = SolverOptions(max_iters=1, vi_tol=1e-12)
     res = generalized_project(K, psi, starved)
     assert not res.converged
+    assert res.iterations == 1 and res.stop_reason == "max-iters"
     assert K.contains(res.point, 1e-6)
     # with the full budget the same instance certifies
     assert generalized_project(K, psi).converged
@@ -336,9 +337,77 @@ def test_sixty_dimensional_cones_certify_at_p_one_and_a_half():
 @pytest.mark.parametrize(
     "seed, p, trial",
     [(0, 1.5, 456), (0, 1.5, 1253), (0, 1.5, 1907), (1, 1.5, 114), (1, 1.5, 854), (1, 1.5, 1123),
-     (0, 2.0, 840)],
+     (0, 2.0, 840), (0, 1.1, 75)],
 )
 def test_metric_projection_vi_fuzz_trials_certify(seed, p, trial):
-    # rebuilt from (seed, target, trial); (0, 2.0, 840) starts at a simplex vertex
+    # rebuilt from (seed, target, trial); (0, 2.0, 840) starts at a simplex vertex;
+    # (0, 1.1, 75) runs out of steps if shrunk steps must also pass the overshoot test
     index = fuzz_target_ids().index("metric-projection-vi")
     assert _fuzz_metric_projection_vi(_rng(seed, index, trial), 1e-9, p) is None
+
+
+@pytest.mark.parametrize(
+    "weights, a, b, x",
+    [
+        (
+            [2.7908647816877155, 2.853180461152472, 2.3994264437399595],
+            [0.3938188351643765, 0.7313870826593354, -0.10880705217848688],
+            [0.23642689250859533, 0.6406483264048408, -2.141472762199571],
+            [1.1915488761929813, -1.9937493047176729, -0.8275289348404761],
+        ),
+        (
+            [1.4440304321930886, 1.7691023066525131, 0.6433032737434696, 0.5578072466869786, 2.726440751719381],
+            [0.4401873564518526, -0.47220995425312595, 2.0563035584174365, -1.541972877278924, -1.3444005929852376],
+            [0.6774763581542552, 0.17700707129719614, -1.485142182377684, -0.4876881869386512, 2.1826010578125135],
+            [-0.26918402344246894, 1.0406174882764532, 3.177378496810454, 3.3707048111441065, -1.3039523346998252],
+        ),
+    ],
+)
+def test_segments_with_a_vanishing_residual_coordinate_certify_quickly(weights, a, b, x):
+    # at p = 1.5 the optimum's residual has a coordinate near zero, where the
+    # Hessian blows up, and full Newton steps can bounce across the optimum
+    S = LpSpace(len(a), 1.5, weights=weights)
+    res = metric_project(Segment(S.point(a), S.point(b)), S.point(x))
+    assert res.converged and res.stop_reason == "grad-tol"
+    assert res.iterations <= 40
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("where", [0.0, 1.0, 0.37])
+def test_segment_optimum_at_either_endpoint_or_inside(p, where):
+    # x - u* = J*(phi) (metric) or psi = J(u*) + phi (generalized) puts the
+    # optimum at u* = a + where (b - a) exactly when <phi, b - a> is < 0, > 0
+    # or 0 for where = 0, 1 or inside
+    rng = np.random.default_rng(58)
+    w = rng.uniform(0.3, 2.5, size=4)
+    S = LpSpace(4, p, weights=w)
+    a, d = rng.normal(size=4), 2.0 * rng.normal(size=4)
+    seg = Segment(S.point(a), S.point(a + d))
+    phi = rng.normal(size=4)
+    phi -= (np.dot(w * phi, d) / np.dot(w * d, d)) * d
+    phi += {0.0: -0.5, 1.0: 0.5}.get(where, 0.0) * d
+    best = S.point(a + where * d)
+    x = S.point(best.coords + duality_map_inv(S.functional(phi)).coords)
+    for res in (metric_project(seg, x), generalized_project(seg, duality_map(best) + S.functional(phi))):
+        assert res.converged and res.method == "projected-gradient"
+        assert np.max(np.abs(res.point.coords - best.coords)) <= 1e-7 * (1.0 + np.max(np.abs(a)))
+
+
+def test_one_direction_solves_take_few_newton_steps():
+    # a count of steps, not a timing: a regression to a slow route shows here
+    rng = np.random.default_rng(59)
+    worst = 0
+    for trial in range(400):
+        n = int(rng.integers(2, 7))
+        S = LpSpace(n, (1.5, 2.0, 3.0, 4.0)[trial % 4], weights=rng.uniform(0.3, 3.0, size=n))
+        a, d = rng.normal(size=n), 2.0 * rng.normal(size=n)
+        C = (Segment(S.point(a), S.point(a + d)), Ray(S.point(a), S.point(d)), Line(S.point(a), S.point(d)))[
+            trial % 3
+        ]
+        if (trial // 4) % 2:
+            res = metric_project(C, S.point(3.0 * rng.normal(size=n)))
+        else:
+            res = generalized_project(C, S.functional(3.0 * rng.normal(size=n)))
+        assert res.converged, (trial, res.vi_residual)
+        worst = max(worst, res.iterations)
+    assert worst <= 40

@@ -45,6 +45,20 @@ class TestLpSpace:
             assert space.dual().n == space.n
             assert np.array_equal(space.dual().weights, space.weights)
 
+    def test_dual_is_built_once(self):
+        for p in (1.5, 2.0, 3.0):
+            space = LpSpace(3, p, weights=[0.5, 1.0, 2.0])
+            before = hash(space)
+            dual = space.dual()
+            assert space.dual() is dual
+            assert dual.dual() is space
+            # the kept dual is bookkeeping, not part of the space's identity
+            assert hash(space) == before
+            twin = LpSpace(3, p, weights=[0.5, 1.0, 2.0])
+            assert twin == space and hash(twin) == hash(space)
+            assert twin.dual() == dual and hash(twin.dual()) == hash(dual)
+            assert twin.dual() is not dual
+
     def test_sqnorm_hessian_matches_differenced_gradient(self):
         # the gradient of ||x||^2 is 2 w jmap(x); its central differences
         # must reproduce diag(h) + beta a a^T away from zero coordinates
