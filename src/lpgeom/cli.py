@@ -365,7 +365,6 @@ def _run_fuzz(args) -> int:
             trials=args.trials if args.trials is not None else 200,
             seed=args.seed or 0,
             p=args.p,
-            tol=args.tol if args.tol is not None else 1e-9,
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
@@ -387,13 +386,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_io=True):
-        if with_io:
+    def add_common(sp, problem=True):
+        # the operations that read a problem document also take its tol and trials
+        if problem:
             sp.add_argument("--input", default=None, help="problem JSON file ('-' or omit for stdin)")
+            sp.add_argument("--tol", type=float, default=None)
+            sp.add_argument("--trials", type=int, default=None)
         sp.add_argument("--json", action="store_true", help="emit the full JSON document")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--trials", type=int, default=None)
 
     for name, blurb in (
         ("project", "metric projection onto a set"),
@@ -410,11 +410,12 @@ def _build_parser() -> argparse.ArgumentParser:
     dc.add_argument("--check", choices=("member", "convexity", "double-dual", "identity"), required=True)
 
     ver = sub.add_parser("verify", help="run the full reproducible verification suite")
-    add_common(ver, with_io=False)
+    add_common(ver, problem=False)
     ver.add_argument("--p", type=float, default=None, help="force the witness checks to this exponent")
 
     fz = sub.add_parser("fuzz", help="randomized property run for one target")
-    add_common(fz, with_io=False)
+    add_common(fz, problem=False)
+    fz.add_argument("--trials", type=int, default=None)
     fz.add_argument("--target", required=True, help=f"one of: {', '.join(fuzz_target_ids())}")
     fz.add_argument("--p", type=float, default=None)
 

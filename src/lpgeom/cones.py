@@ -18,6 +18,7 @@ reconcile disagreements silently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -71,6 +72,17 @@ class ConeWithVertex:
 
     def generator_matrix(self) -> np.ndarray:
         return np.stack([g.coords for g in self.generators], axis=0)
+
+    @functools.cached_property
+    def polar(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Extreme rays and lineality of the polar cone, in pairing coordinates.
+
+        With c_k = mu_k phi_k the weighted constraints <phi, g_i> <= 0 become
+        plain dot products dot(c, g_i) <= 0, and so does the pairing against
+        any primal vector; the weights cancel end to end, so the Euclidean
+        polar serves both duals directly.  Computed once per cone view.
+        """
+        return polar_cone_generators(self.generator_matrix())
 
 
 @dataclass(frozen=True)
@@ -230,17 +242,6 @@ def metric_double_dual_violation(K, seed: int = 0, trials: int = 200, tol: float
     return None
 
 
-def _polar_rays_weightless(cone: ConeWithVertex):
-    """Extreme rays and lineality of the polar cone, in pairing coordinates.
-
-    With c_k = mu_k phi_k the weighted constraints <phi, g_i> <= 0 become
-    plain dot products dot(c, g_i) <= 0, and so does the pairing against
-    any primal vector; the weights cancel end to end, so the Euclidean
-    polar serves both duals directly.
-    """
-    return polar_cone_generators(cone.generator_matrix())
-
-
 def generalized_double_dual_member(K, x: PrimalVec, tol: float = 1e-8) -> bool:
     """Membership of x in the twice-dualized generalized cone, two routes.
 
@@ -253,7 +254,7 @@ def generalized_double_dual_member(K, x: PrimalVec, tol: float = 1e-8) -> bool:
     cone_set = cone.to_set()
     primal = cone_set.contains(x, tol)
 
-    rays, lin = _polar_rays_weightless(cone)
+    rays, lin = cone.polar
     d = x.coords - cone.vertex.coords
     scale = tol * (1.0 + float(np.linalg.norm(d)))
     cert = all(float(np.dot(r, d)) <= scale for r in rays) and all(
@@ -271,7 +272,7 @@ def generalized_double_dual_member(K, x: PrimalVec, tol: float = 1e-8) -> bool:
 def find_double_dual_certificate(K, x: PrimalVec, tol: float = 1e-8) -> Witness | None:
     """Separating functional proving x is outside the generalized double dual."""
     cone = ConeWithVertex.of(K)
-    rays, lin = _polar_rays_weightless(cone)
+    rays, lin = cone.polar
     d = x.coords - cone.vertex.coords
     best, best_val = None, tol * (1.0 + float(np.linalg.norm(d)))
     for r in list(rays) + [s * l for l in lin for s in (1.0, -1.0)]:
@@ -311,7 +312,7 @@ class IntersectionDualReport:
 def _stacked_polar(cones: Sequence[ConeWithVertex]) -> np.ndarray:
     cols: list[np.ndarray] = []
     for cone in cones:
-        rays, lin = _polar_rays_weightless(cone)
+        rays, lin = cone.polar
         cols.extend(rays)
         for l in lin:
             cols.append(l)

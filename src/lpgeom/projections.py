@@ -56,6 +56,8 @@ _OVERSHOOT = 0.9
 _MAX_SHRINKS = 60
 # relative roundoff of the objective, below which a step counts as flat
 _ROUNDOFF = 1e-14
+# machine epsilon: an arc step below it, relative to the coefficients, is roundoff
+_EPS = float(np.finfo(float).eps)
 # coefficients within this distance of their bound may be held there
 _ACTIVE_WIDTH = 1e-3
 
@@ -177,6 +179,12 @@ def _arc_search(f_t, grad_t, project, t, fval, g, gap, d, step, flat):
                 accept = gap_c <= 0.5 * gap
             if accept:
                 return cand, fc, gc, gap_c
+        # no smaller step can pass: |delta| only shrinks along the arc, so by
+        # convexity f(cand) >= f - |g| |delta| >= f - flat rules out Armijo, and
+        # a move below one ulp of the coefficients cannot halve the gap
+        tiny = np.max(np.abs(delta)) <= _EPS * (1.0 + np.max(np.abs(t)))
+        if tiny and np.linalg.norm(g) * np.linalg.norm(delta) <= flat:
+            return None
         step *= _ARMIJO_SHRINK
     return None
 

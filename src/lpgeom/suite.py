@@ -1,19 +1,28 @@
 """Reproducible verification suite and randomized property fuzzing.
 
-Twelve numbered checks re-derive the package's pinned numerical facts
-from scratch: duality-map values, the identity sweep, the two negative
-phenomena of metric dualization, cone projection identities, solver
-agreement with an independent line-search oracle, generalized double
-duality, the intersection/union dual identity, face computations,
-ball classification, the fixed-point equivalences, and the nonconvexity
-of primal visions.  Each check is a pure function of a seed and returns
-a CheckRecord; ``run_verification_suite`` aggregates them into a report
-whose records are sorted by check id, so assembly order never matters.
+Twelve numbered checks re-derive the package's pinned numerical facts:
+duality-map values, the identity sweep, the two negative phenomena of
+metric dualization, cone projection identities, solver agreement with an
+independent line-search oracle, generalized double duality, the
+intersection/union dual identity, face computations, ball
+classification, the fixed-point equivalences, and the nonconvexity of
+primal visions.  Nineteen fuzz targets run the randomized claims.
 
-Seeds are split by a fixed rule: check number k draws its generator
+Each randomized claim is one property, after QuickCheck (Claessen &
+Hughes 2000): a sampler ``sample(rng, p)`` (p None lets it choose the
+exponent), a predicate that returns None or a hit dict, and optional
+pinned instances ``pinned(p, seed)``.  A check runs a fixed batch of its
+property plus the pinned instances, beside any closed forms it pins; the
+matching fuzz target runs the same property, pinned instances first, for
+``--trials`` draws.  A witness-seeking property claims that a Hilbert
+space fact FAILS away from exponent 2: its hits are witnesses, so a run
+at p != 2 passes when it finds one, and at p = 2 every hit is a failure.
+
+Seeds are split by a fixed rule: check number k draws its whole batch
 from ``SeedSequence([seed, k])``, and fuzz trial t of target i from
 ``SeedSequence([seed, i, t])``.  Identical seeds therefore reproduce
-reports bit for bit, timing aside, and trials are independent.
+reports bit for bit, timing aside, and a fuzz hit replays from (seed,
+target, trial) alone.  Reports sort their records by check id.
 
 ``force_p`` reruns the witness-seeking checks at a chosen exponent; at
 exponent 2 the negative phenomena legitimately vanish and those checks
@@ -24,18 +33,18 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from importlib import metadata
 
 import numpy as np
 
 from .cones import (
+    ConeWithVertex,
     find_double_dual_certificate,
     generalized_double_dual_member,
     hilbert_identity_violation,
-    intersection_dual_check,
     intersection_dual_check_family,
-    member_generalized_dual,
     member_metric_dual,
     metric_double_dual_violation,
     probe_nonconvexity_metric_dual,
@@ -51,7 +60,6 @@ from .faces import (
     vision_primal_member,
 )
 from .projections import (
-    SolverOptions,
     generalized_project,
     metric_project,
     vi_residual_generalized,
@@ -190,10 +198,15 @@ class SuiteReport:
         }
 
 
-def _record(check_id, claim, ok, values, notes=(), witnesses=()) -> CheckRecord:
-    return CheckRecord(
-        check_id, claim, "pass" if ok else "fail", values, tuple(notes), tuple(witnesses)
-    )
+def _record(check_id, claim, ok=True, values=None, notes=(), runs=()) -> CheckRecord:
+    """A check's verdict; each property run adds its trials, failures and first hits."""
+    values = dict(values or {})
+    if runs:
+        failures = sum(run.failures for run in runs)
+        values.update(trials=sum(run.trials for run in runs), failures=failures)
+        ok = ok and failures == 0
+    hits = tuple(hit for run in runs for hit in run.hits)
+    return CheckRecord(check_id, claim, "pass" if ok else "fail", values, tuple(notes), hits[:8])
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +221,365 @@ _ESCAPE_MARGIN = 14.0 * 4.0 ** (1.0 / 3.0)
 def _pinned_ray(p: float):
     S = LpSpace(3, p)
     return S, Ray(S.zero(), S.point(_RAY_DIR))
+
+
+# ---------------------------------------------------------------------------
+# properties: one sampler, one predicate, optional pinned instances
+
+
+# one claim: holds(*sample(rng, p)) is None or a hit dict (see the module docstring)
+Property = namedtuple("Property", "sample holds pinned seeks_witness", defaults=(None, False))
+# the outcome of testing one property on a batch of draws
+_Run = namedtuple("_Run", "hits trials failures")
+
+
+def _test(prop: Property, draws, p: float | None, seed: int) -> _Run:
+    """Test ``prop`` on its pinned instances at ``p``, then once per ``(rng, exponent)`` draw."""
+    hits = []
+    for case in prop.pinned(p, seed) if prop.pinned else ():
+        hit = prop.holds(*case)
+        if hit is not None:
+            hits.append({**hit, "pinned": True})
+    trials = 0
+    for rng, q in draws:
+        hit = prop.holds(*prop.sample(rng, q))
+        if hit is not None:
+            hits.append({**hit, "trial": trials})
+        trials += 1
+    if prop.seeks_witness and p != 2.0:
+        return _Run(hits, trials, 0 if hits else 1)
+    return _Run(hits, trials, len(hits))
+
+
+def _batch(name: str, rng, exponents, seed: int = 0, p: float | None = None) -> _Run:
+    """A check's run of property ``name``: one draw from ``rng`` per exponent."""
+    return _test(_PROPERTIES[name], ((rng, q) for q in exponents), p, seed)
+
+
+_SET_KINDS = ("segment", "ray", "cone", "polytope", "ball", "line", "subspace")
+
+
+def _random_space(rng, p: float | None, dims=(2, 5)) -> LpSpace:
+    pp = p if p is not None else float(rng.choice([1.5, 2.0, 3.0, 4.0]))
+    n = int(rng.integers(*dims))
+    return LpSpace(n, pp, weights=rng.uniform(0.3, 3.0, n))
+
+
+def _random_set(rng, S, kinds=_SET_KINDS):
+    kind = kinds[int(rng.integers(len(kinds)))]
+    g = lambda: S.point(rng.normal(size=S.n))  # noqa: E731
+    if kind == "segment":
+        return Segment(g(), g())
+    if kind == "ray":
+        return Ray(g(), g())
+    if kind == "cone":
+        return FinitelyGeneratedCone(g(), [g() for _ in range(int(rng.integers(1, 4)))])
+    if kind == "polytope":
+        return Polytope([g() for _ in range(int(rng.integers(2, 6)))])
+    if kind == "ball":
+        return Ball(S, float(rng.uniform(0.5, 3.0)))
+    if kind == "line":
+        return Line(g(), g())
+    return Subspace(S, [g() for _ in range(int(rng.integers(1, S.n + 1)))])
+
+
+def _pointed_cone(rng, S) -> FinitelyGeneratedCone:
+    m = int(rng.integers(2, 5))
+    raw = rng.normal(size=(m, S.n))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    raw[:, 0] = np.abs(raw[:, 0]) + 0.3
+    return FinitelyGeneratedCone(S.zero(), [S.point(g) for g in raw])
+
+
+# spaces: one sampler serves the duality-map, Lyapunov and window properties
+
+
+def _sample_space_case(rng, p):
+    S = _random_space(rng, p, dims=(2, 7))
+    x = S.point(rng.normal(size=S.n) * 10.0 ** rng.uniform(-1.0, 1.0))
+    lo = int(rng.integers(1, S.n + 1))
+    window = list(range(lo, int(rng.integers(lo, S.n + 1)) + 1))
+    return x, S.functional(rng.normal(size=S.n) * 2.0), window
+
+
+def _duality_identities(x, _psi, _window):
+    nx = norm(x)
+    if nx == 0.0:
+        return None
+    jx = duality_map(x)
+    bad = (
+        abs(pair(jx, x) - nx**2) > 1e-10 * (1.0 + nx**2)
+        or abs(norm(jx) - nx) > 1e-10 * (1.0 + nx)
+        or norm(duality_map_inv(jx) - x) > 1e-8 * (1.0 + nx)
+        or abs(lyapunov(jx, x)) > 1e-10
+    )
+    return {"x": x} if bad else None
+
+
+def _lyapunov_bounds(x, psi, _window):
+    v = lyapunov(psi, x)
+    lower = (norm(psi) - norm(x)) ** 2
+    bad = v < lower - 1e-9 * (1.0 + lower) or abs(lyapunov(duality_map(x), x)) > 1e-9 * (
+        1.0 + norm(x) ** 2
+    )
+    return {"psi": psi, "x": x, "value": v} if bad else None
+
+
+def _window_functionals(x, _psi, idx):
+    S = x.space
+    direct = float(np.sum(S.weights[np.array(idx) - 1] * x.coords[np.array(idx) - 1]))
+    bad = abs(pair(window_functional(S, idx), x) - direct) > 1e-9 * (1.0 + abs(direct))
+    return {"indices": idx, "x": x} if bad else None
+
+
+# random sets: one sampler serves the eight properties that need a set, a
+# point, a functional or a sampling seed
+
+
+def _sample_set_case(rng, p):
+    S = _random_space(rng, p)
+    C = _random_set(rng, S)
+    x = S.point(rng.normal(size=S.n) * 3.0)
+    return C, x, S.functional(rng.normal(size=S.n) * 2.0), int(rng.integers(10**9))
+
+
+def _set_sampling(C, _x, _psi, seed):
+    bad = any(not C.contains(pt, 1e-7) for pt in C.sample(5, seed=seed))
+    return {"set": type(C).__name__} if bad else None
+
+
+def _support_bounds(C, _x, psi, seed):
+    s = C.support(psi)
+    if not math.isfinite(s):
+        return None
+    for pt in C.sample(5, seed=seed):
+        if pair(psi, pt) > s + 1e-8 * (1.0 + abs(s)):
+            return {"psi": psi, "point": pt, "support": s}
+    return None
+
+
+def _metric_projection_vi(C, x, _psi, _seed):
+    res = metric_project(C, x)
+    if not res.converged:
+        return {"set": type(C).__name__, "vi_residual": res.vi_residual}
+    check = vi_residual_metric(C, x, res.point)
+    return None if check <= 1e-5 else {"set": type(C).__name__, "vi_residual": check}
+
+
+def _metric_projection_idempotent(C, x, _psi, _seed):
+    res = metric_project(C, x)
+    again = metric_project(C, res.point)
+    if not (res.converged and again.converged):
+        return {"set": type(C).__name__, "uncertified": True}
+    drift = norm(again.point - res.point)
+    return None if drift <= 1e-6 * (1.0 + norm(res.point)) else {"drift": drift}
+
+
+def _generalized_projection_vi(C, _x, psi, _seed):
+    res = generalized_project(C, psi)
+    if not res.converged:
+        return {"set": type(C).__name__, "vi_residual": res.vi_residual}
+    check = vi_residual_generalized(C, psi, res.point)
+    return None if check <= 1e-5 else {"set": type(C).__name__, "vi_residual": check}
+
+
+def _generalized_fixed_member(C, _x, _psi, seed):
+    y = C.sample(1, seed=seed)[0]
+    res = generalized_project(C, duality_map(y))
+    if not res.converged:
+        return {"set": type(C).__name__, "uncertified": True}
+    drift = norm(res.point - y)
+    return None if drift <= 1e-6 * (1.0 + norm(y)) else {"drift": drift}
+
+
+def _face_attainment(C, _x, psi, _seed):
+    desc = face(C, psi)
+    for rep in desc.representatives:
+        if not C.contains(rep, 1e-7):
+            return {"kind": desc.kind, "rep": rep}
+        if math.isfinite(desc.level):
+            if abs(pair(psi, rep) - desc.level) > 1e-7 * (1.0 + abs(desc.level)):
+                return {"kind": desc.kind, "rep": rep, "level": desc.level}
+            if not face_membership(C, psi, rep):
+                return {"kind": desc.kind, "rep": rep}
+    return None
+
+
+def _vision_conjugation(C, x, _psi, seed):
+    try:
+        vision_conjugation_check(C, C.sample(1, seed=seed)[0], x)
+    except RuntimeError as exc:
+        return {"error": str(exc)}
+    return None
+
+
+# random cones: one sampler serves the homogeneity and dual-vision properties
+
+
+def _sample_cone_case(rng, p):
+    S = _random_space(rng, p)
+    gens = [S.point(rng.normal(size=S.n)) for _ in range(int(rng.integers(1, 4)))]
+    vertex = S.point(rng.normal(size=S.n)) if rng.integers(2) else S.zero()
+    x = S.point(rng.normal(size=S.n) * 3.0)
+    t = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+    return gens, vertex, x, t, int(rng.integers(10**9))
+
+
+def _homogeneity(gens, _vertex, x, t, _seed):
+    K = FinitelyGeneratedCone(x.space.zero(), gens)
+    a = metric_project(K, t * x)
+    b = metric_project(K, x)
+    if not (a.converged and b.converged):
+        return {"t": t, "uncertified": True}
+    d, tb = a.point - t * b.point, t * b.point
+    # relative error both in the norm and per coordinate
+    err = max(
+        norm(d) / (1.0 + norm(tb)),
+        float(np.max(np.abs(d.coords)) / (1.0 + np.max(np.abs(tb.coords)))),
+    )
+    return None if err <= 1e-6 else {"t": t, "error": err}
+
+
+def _witness_search(search) -> Property:
+    """``search`` on random rays at exponent p (3 when None) with 40 draws;
+    the pinned ray first, with 1000 draws at p = 2 to confirm an empty search."""
+
+    def sample(rng, p):
+        S = LpSpace(3, 3.0 if p is None else p)
+        return Ray(S.zero(), S.point(rng.normal(size=3) * 20.0)), int(rng.integers(10**9)), 40
+
+    def holds(K, seed, trials):
+        w = search(K, seed=seed, trials=trials)
+        return None if w is None or not w.revalidate() else {"witness": _witness_json(w)}
+
+    def pinned(p, seed):
+        return [(_pinned_ray(p)[1], seed, 1000 if p == 2.0 else 40)]
+
+    return Property(sample, holds, pinned, seeks_witness=True)
+
+
+def _sample_cone_and_points(rng, p):
+    S = _random_space(rng, p, dims=(3, 4))
+    K = _pointed_cone(rng, S)
+    G = np.stack([g.coords for g in K.generators], axis=0)
+    inside = [S.point(rng.uniform(0.0, 2.0, len(G)) @ G) for _ in range(5)]
+    outside = []
+    for _ in range(5):
+        zc = rng.normal(size=3) * 2.0
+        # keep outsiders decisively outside the half-space holding the cone
+        if K.contains(S.point(zc)) or K.distance(S.point(zc)) < 0.05:
+            zc[0] = -abs(zc[0]) - 0.2
+        outside.append(S.point(zc))
+    return K, inside, outside
+
+
+def _generalized_double_duality(K, inside, outside):
+    K = ConeWithVertex.of(K)  # one view, so the polar cone is computed once
+    try:
+        for z in inside:
+            if not generalized_double_dual_member(K, z):
+                return {"inside": z}
+        for z in outside:
+            member = generalized_double_dual_member(K, z)
+            cert = None if member else find_double_dual_certificate(K, z)
+            if cert is None or not cert.revalidate():
+                return {"outside": z}
+    except RuntimeError as exc:
+        return {"error": str(exc)}
+    return None
+
+
+def _sample_cone_pair(rng, p):
+    S = _random_space(rng, p, dims=(3, 4))
+    return [_pointed_cone(rng, S), _pointed_cone(rng, S)], int(rng.integers(10**9))
+
+
+_PLANE_PAIR = (np.eye(2), [(1.0, 1.0), (-1.0, 1.0)])
+_SPACE_PAIR = (np.eye(3), [(1.0, 1.0, 0.0), (0.0, 1.0, 1.0), (1.0, 0.0, 1.0)])
+_THIRD_CONE = [(1.0, 2.0, 1.0), (2.0, 1.0, 1.0), (1.0, 1.0, 2.0)]
+
+
+def _pinned_families(p, seed):
+    """A plane pair, a space pair and a three-cone family, unweighted: weights cancel here."""
+    out = []
+    for k, family in enumerate((_PLANE_PAIR, _SPACE_PAIR, (*_SPACE_PAIR, _THIRD_CONE))):
+        S = LpSpace(len(family[1][0]), p)
+        cones = [FinitelyGeneratedCone(S.zero(), [S.point(g) for g in gens]) for gens in family]
+        out.append((cones, seed + 81 + k))
+    return out
+
+
+def _intersection_dual_union(cones, seed):
+    rep = intersection_dual_check_family(cones, seed=seed, trials=50, tol=1e-8)
+    if rep.ok and rep.forward_margin <= 1e-8 and rep.backward_residual <= 1e-8:
+        return None
+    return {"forward": rep.forward_margin, "backward": rep.backward_residual}
+
+
+def _dual_vision_identity(gens, vertex, _x, _t, seed):
+    rep = dual_vision_identity_check(FinitelyGeneratedCone(vertex, gens), seed=seed, trials=10)
+    return None if rep.ok else {"disagreements": rep.disagreements}
+
+
+def _sample_ball_point(rng, p):
+    S = _random_space(rng, p)
+    B = Ball(S, float(rng.uniform(0.5, 3.0)))
+    g = S.point(rng.normal(size=S.n))
+    inside = bool(rng.integers(2))
+    scale = rng.uniform(0.05, 0.98) if inside else 1.0
+    return B, (B.radius * scale / norm(g)) * g, "internal" if inside else "cuticle"
+
+
+def _ball_classification(B, y, want):
+    res = classify_point(B, y)
+    if res.verdict == want and (res.verdict == "internal") == (res.witness is None):
+        return None
+    return {"y": y, "verdict": res.verdict}
+
+
+def _sample_seen_point(rng, p):
+    S = _random_space(rng, p)
+    C = _random_set(rng, S, kinds=("segment", "ray", "polytope"))
+    u = S.point(rng.normal(size=S.n) * 2.0)
+    desc = face(C, duality_map(u))
+    y = C.sample(1, seed=int(rng.integers(10**9)))[0]
+    gap = desc.level - pair(duality_map(u), y)
+    # a sample just off the face is decided by roundoff: take the face's own point
+    if desc.representatives and (rng.integers(2) or gap <= 1e-3 * (1.0 + abs(desc.level))):
+        y = desc.representatives[0]
+    return C, u, y
+
+
+def _fixed_point_equivalence(C, u, y):
+    rep = fixed_point_check(C, u, y, tol=1e-6)
+    if rep.agree and not rep.inconclusive:
+        return None
+    return {"u": u, "y": y, "set": type(C).__name__, "inconclusive": rep.inconclusive}
+
+
+_PROPERTIES = {
+    "duality-identities": Property(_sample_space_case, _duality_identities),
+    "lyapunov-bounds": Property(_sample_space_case, _lyapunov_bounds),
+    "window-functionals": Property(_sample_space_case, _window_functionals),
+    "set-sampling": Property(_sample_set_case, _set_sampling),
+    "support-bounds": Property(_sample_set_case, _support_bounds),
+    "metric-projection-vi": Property(_sample_set_case, _metric_projection_vi),
+    "metric-projection-idempotent": Property(_sample_set_case, _metric_projection_idempotent),
+    "metric-projection-homogeneity": Property(_sample_cone_case, _homogeneity),
+    "generalized-projection-vi": Property(_sample_set_case, _generalized_projection_vi),
+    "generalized-projection-fixed-members": Property(_sample_set_case, _generalized_fixed_member),
+    "metric-dual-convexity": _witness_search(probe_nonconvexity_metric_dual),
+    "metric-double-dual-gap": _witness_search(metric_double_dual_violation),
+    "generalized-double-duality": Property(_sample_cone_and_points, _generalized_double_duality),
+    "intersection-dual-union": Property(
+        _sample_cone_pair, _intersection_dual_union, _pinned_families
+    ),
+    "face-attainment": Property(_sample_set_case, _face_attainment),
+    "vision-conjugation": Property(_sample_set_case, _vision_conjugation),
+    "ball-classification": Property(_sample_ball_point, _ball_classification),
+    "fixed-point-equivalence": Property(_sample_seen_point, _fixed_point_equivalence),
+    "dual-vision-identity": Property(_sample_cone_case, _dual_vision_identity),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -237,60 +609,35 @@ def check_duality_map_regression(seed: int = 0, force_p: float | None = None) ->
 
 
 def check_duality_identity_sweep(seed: int = 0, force_p: float | None = None) -> CheckRecord:
-    rng = _rng(seed, 2)
-    worst = {"pairing": 0.0, "norm": 0.0, "inverse": 0.0, "lyapunov": 0.0}
-    trials = 0
-    for p in (1.5, 2.0, 3.0, 4.0):
-        for _ in range(250):
-            n = int(rng.integers(2, 7))
-            S = LpSpace(n, p, weights=rng.uniform(0.3, 3.0, n))
-            x = S.point(rng.normal(size=n) * 10.0 ** rng.uniform(-1.0, 1.0))
-            nx = norm(x)
-            if nx == 0.0:
-                continue
-            jx = duality_map(x)
-            worst["pairing"] = max(
-                worst["pairing"], abs(pair(jx, x) - nx**2) / (1.0 + nx**2)
-            )
-            worst["norm"] = max(worst["norm"], abs(norm(jx) - nx) / (1.0 + nx))
-            worst["inverse"] = max(
-                worst["inverse"], norm(duality_map_inv(jx) - x) / (1.0 + nx)
-            )
-            worst["lyapunov"] = max(worst["lyapunov"], abs(lyapunov(jx, x)))
-            trials += 1
-    ok = (
-        worst["pairing"] <= 1e-10
-        and worst["norm"] <= 1e-10
-        and worst["inverse"] <= 1e-8
-        and worst["lyapunov"] <= 1e-10
-    )
+    exponents = [p for p in (1.5, 2.0, 3.0, 4.0) for _ in range(250)]
     return _record(
         "02-duality-identity-sweep",
         "pairing, norm, inversion, and bracket identities of the duality map "
         "hold across 1000 random weighted spaces at exponents 1.5, 2, 3, 4",
-        ok,
-        {"trials": trials, **{f"worst_{k}": v for k, v in worst.items()}},
+        runs=[_batch("duality-identities", _rng(seed, 2), exponents)],
     )
 
 
 # ---------------------------------------------------------------------------
 # check 03: nonconvexity of the metric dual cone at p != 2
 
+# random rays a witness-seeking check searches besides its pinned ray
+_SEARCH_BATCH = 2
+
 
 def check_metric_dual_cone_nonconvexity(seed: int = 0, force_p: float | None = None) -> CheckRecord:
     cid = "03-metric-dual-cone-nonconvexity"
     p = 3.0 if force_p is None else float(force_p)
-    S, K = _pinned_ray(p)
+    run = _batch("metric-dual-convexity", _rng(seed, 3), (p,) * _SEARCH_BATCH, seed, p)
     if p == 2.0:
-        w = probe_nonconvexity_metric_dual(K, seed=seed, trials=1000)
         return _record(
             cid,
             "metric dual cone convex-combination probe at exponent 2 finds nothing",
-            w is None,
-            {"trials": 1000, "witness_found": w is not None},
             notes=(_NO_WITNESS_NOTE,),
+            runs=[run],
         )
 
+    S, K = _pinned_ray(p)
     u = S.point(_RAY_DIR)
     x = S.point(_MEMBER_A)
     y = S.point(_MEMBER_B)
@@ -303,14 +650,14 @@ def check_metric_dual_cone_nonconvexity(seed: int = 0, force_p: float | None = N
     violation = -pair(duality_map(h), u)
     target = -_ESCAPE_MARGIN
 
-    w = probe_nonconvexity_metric_dual(K, seed=seed, trials=400)
-    witness_ok = w is not None and w.revalidate() and abs(w.value - _ESCAPE_MARGIN) <= 1e-9
+    margin = next((hit["witness"]["value"] for hit in run.hits if hit.get("pinned")), None)
     ok = (
         members
         and escaped
         and max(abs(pair_x), abs(pair_y)) <= 1e-9
         and abs(violation - target) <= 1e-9
-        and witness_ok
+        and margin is not None
+        and abs(margin - _ESCAPE_MARGIN) <= 1e-9
     )
     return _record(
         cid,
@@ -322,9 +669,9 @@ def check_metric_dual_cone_nonconvexity(seed: int = 0, force_p: float | None = N
             "member_pairing_second": pair_y,
             "violation_per_unit": violation,
             "violation_target": target,
-            "witness_margin": None if w is None else w.value,
+            "witness_margin": margin,
         },
-        witnesses=() if w is None else (_witness_json(w),),
+        runs=[run],
     )
 
 
@@ -333,43 +680,32 @@ def check_metric_dual_cone_nonconvexity(seed: int = 0, force_p: float | None = N
 
 
 def check_metric_double_dual_gap(seed: int = 0, force_p: float | None = None) -> CheckRecord:
-    cid = "04-metric-double-dual-gap"
     p = 3.0 if force_p is None else float(force_p)
-    notes = []
+    rng = _rng(seed, 4)
+    # at the check's exponent, then at 2; once when they coincide
+    runs = [
+        _batch("metric-double-dual-gap", rng, (q,) * _SEARCH_BATCH, seed, q)
+        for q in dict.fromkeys((p, 2.0))
+    ]
     values: dict = {}
-    witnesses = []
-
-    if p == 2.0:
-        main_ok = True
-        notes.append(_NO_WITNESS_NOTE)
-    else:
+    main_ok = True
+    if p != 2.0:
         S, K = _pinned_ray(p)
         u = S.point(_RAY_DIR)
         x = S.point(_MEMBER_A)
         direct = pair(duality_map(u), x)
-        values["pair_ju_with_minus_x"] = -direct
-        member_x = member_metric_dual(K, x)
-        w = metric_double_dual_violation(K, seed=seed, trials=200)
-        main_ok = member_x and (-direct) < -1e-6 and w is not None and w.revalidate()
-        if w is not None:
-            witnesses.append(_witness_json(w))
-            values["witness_margin"] = w.value
-
-    S2, K2 = _pinned_ray(2.0)
-    w2 = metric_double_dual_violation(K2, seed=seed, trials=1000)
-    values["p2_trials"] = 1000
-    values["p2_witness_found"] = w2 is not None
-    if w2 is None:
-        notes.append(_NO_WITNESS_NOTE)
+        margin = next((hit["witness"]["value"] for hit in runs[0].hits if hit.get("pinned")), None)
+        values = {"pair_ju_with_minus_x": -direct, "witness_margin": margin}
+        main_ok = member_metric_dual(K, x) and (-direct) < -1e-6 and margin is not None
 
     return _record(
-        cid,
+        "04-metric-double-dual-gap",
         "a certified dual-cone member separates the pinned ray from its metric "
         "double dual at exponent 3, while 1000 trials at exponent 2 find no gap",
-        main_ok and w2 is None,
+        main_ok,
         values,
-        notes=notes,
-        witnesses=witnesses,
+        notes=[_NO_WITNESS_NOTE for run in runs if not run.hits],
+        runs=runs,
     )
 
 
@@ -394,13 +730,7 @@ def check_cone_projection_identities(seed: int = 0, force_p: float | None = None
         d = np.asarray(_RAY_DIR)
         t_star = float(np.dot(res.point.coords, d) / np.dot(d, d))
         delta = hilbert_identity_violation(K, w)
-        values.update(
-            {
-                "t_star": t_star,
-                "vi_residual": res.vi_residual,
-                "identity_defect": delta,
-            }
-        )
+        values = {"t_star": t_star, "vi_residual": res.vi_residual, "identity_defect": delta}
         main_ok = (
             res.converged
             and abs(t_star - 1.0) <= 1e-6
@@ -408,26 +738,7 @@ def check_cone_projection_identities(seed: int = 0, force_p: float | None = None
             and delta < -1e-3
         )
 
-    worst_hom = 0.0
-    hom_trials = 0
-    for hp in (1.5, 3.0):
-        Sh, Kh = _pinned_ray(hp)
-        for _ in range(50):
-            x = Sh.point(rng.normal(size=3) * 3.0)
-            t = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-            a = metric_project(Kh, t * x)
-            b = metric_project(Kh, x)
-            if not (a.converged and b.converged):
-                continue
-            scaled = t * b.point
-            rel = float(
-                np.max(np.abs(a.point.coords - scaled.coords))
-                / (1.0 + np.max(np.abs(scaled.coords)))
-            )
-            worst_hom = max(worst_hom, rel)
-            hom_trials += 1
-    values["homogeneity_trials"] = hom_trials
-    values["worst_homogeneity_error"] = worst_hom
+    homogeneity = _batch("metric-projection-homogeneity", rng, (1.5,) * 50 + (3.0,) * 50)
 
     worst_p2 = 0.0
     for k in range(100):
@@ -442,15 +753,15 @@ def check_cone_projection_identities(seed: int = 0, force_p: float | None = None
         worst_p2 = max(worst_p2, abs(hilbert_identity_violation(K2, w2)))
     values["worst_p2_identity_defect"] = worst_p2
 
-    ok = main_ok and hom_trials == 100 and worst_hom <= 1e-6 and worst_p2 <= 1e-8
     return _record(
         cid,
         "projection onto the pinned ray lands on its generator with a certified "
         "residual, the inner-product identity defect is strictly negative at "
         "exponent 3 and vanishes at exponent 2, and projection is positively homogeneous",
-        ok,
+        main_ok and worst_p2 <= 1e-8,
         values,
         notes=notes,
+        runs=[homogeneity],
     )
 
 
@@ -573,66 +884,15 @@ def check_projection_solver_oracle(seed: int = 0, force_p: float | None = None) 
 # check 07: generalized double duality on random cones
 
 
-def _pointed_cone(rng, S) -> FinitelyGeneratedCone:
-    m = int(rng.integers(2, 5))
-    raw = rng.normal(size=(m, S.n))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    raw[:, 0] = np.abs(raw[:, 0]) + 0.3
-    return FinitelyGeneratedCone(S.zero(), [S.point(g) for g in raw])
-
-
 def check_generalized_double_duality(seed: int = 0, force_p: float | None = None) -> CheckRecord:
-    rng = _rng(seed, 7)
-    inside_pass = outside_fail = 0
-    route_disagreements = 0
-    certificate_failures = 0
-    exponents = (1.5, 2.0, 3.0)
-    for c in range(20):
-        S = LpSpace(3, exponents[c % 3], weights=rng.uniform(0.4, 2.5, 3))
-        K = _pointed_cone(rng, S)
-        G = np.stack([g.coords for g in K.generators], axis=0)
-        for _ in range(5):
-            z = S.point(rng.uniform(0.0, 2.0, len(K.generators)) @ G)
-            try:
-                if generalized_double_dual_member(K, z):
-                    inside_pass += 1
-            except RuntimeError:
-                route_disagreements += 1
-        for _ in range(5):
-            zc = rng.normal(size=3) * 2.0
-            z = S.point(zc)
-            # keep outsiders decisively outside the half-space holding the cone
-            if K.contains(z) or K.distance(z) < 0.05:
-                zc[0] = -abs(zc[0]) - 0.2
-                z = S.point(zc)
-            try:
-                member = generalized_double_dual_member(K, z)
-            except RuntimeError:
-                route_disagreements += 1
-                continue
-            cert = find_double_dual_certificate(K, z)
-            if not member and cert is not None and cert.revalidate():
-                outside_fail += 1
-            else:
-                certificate_failures += 1
-    ok = (
-        inside_pass == 100
-        and outside_fail == 100
-        and route_disagreements == 0
-        and certificate_failures == 0
-    )
+    # 20 cones, each with 5 sampled members and 5 outsiders
+    exponents = [(1.5, 2.0, 3.0)[c % 3] for c in range(20)]
     return _record(
         "07-generalized-double-duality",
         "on 20 random cones every sampled member passes double-dual membership, "
         "every sampled outsider fails with a validated separating functional, "
         "and the primal and certificate routes never disagree",
-        ok,
-        {
-            "inside_pass": inside_pass,
-            "outside_fail": outside_fail,
-            "route_disagreements": route_disagreements,
-            "certificate_failures": certificate_failures,
-        },
+        runs=[_batch("generalized-double-duality", _rng(seed, 7), exponents)],
     )
 
 
@@ -642,55 +902,11 @@ def check_generalized_double_duality(seed: int = 0, force_p: float | None = None
 
 def check_intersection_dual_union(seed: int = 0, force_p: float | None = None) -> CheckRecord:
     rng = _rng(seed, 8)
-    worst_forward = 0.0
-    worst_backward = 0.0
-    all_ok = True
-    cases = 0
-
-    def run_pair(S, gens_a, gens_b, sub_seed):
-        nonlocal worst_forward, worst_backward, all_ok, cases
-        A = FinitelyGeneratedCone(S.zero(), [S.point(g) for g in gens_a])
-        B = FinitelyGeneratedCone(S.zero(), [S.point(g) for g in gens_b])
-        rep = intersection_dual_check(A, B, seed=sub_seed, trials=50, tol=1e-8)
-        worst_forward = max(worst_forward, rep.forward_margin)
-        worst_backward = max(worst_backward, rep.backward_residual)
-        all_ok = all_ok and rep.ok
-        cases += 1
-
-    plane_a = [(1.0, 0.0), (0.0, 1.0)]
-    plane_b = [(1.0, 1.0), (-1.0, 1.0)]
-    space_a = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
-    space_b = [(1.0, 1.0, 0.0), (0.0, 1.0, 1.0), (1.0, 0.0, 1.0)]
-    for p in (2.0, 3.0):
-        w2 = None if p == 2.0 else rng.uniform(0.4, 2.0, 2)
-        w3 = None if p == 2.0 else rng.uniform(0.4, 2.0, 3)
-        run_pair(LpSpace(2, p, weights=w2), plane_a, plane_b, seed + 81)
-        run_pair(LpSpace(3, p, weights=w3), space_a, space_b, seed + 82)
-
-    S = LpSpace(3, 3.0, weights=rng.uniform(0.4, 2.0, 3))
-    family = [
-        FinitelyGeneratedCone(S.zero(), [S.point(g) for g in space_a]),
-        FinitelyGeneratedCone(S.zero(), [S.point(g) for g in space_b]),
-        FinitelyGeneratedCone(
-            S.zero(), [S.point(g) for g in [(1.0, 2.0, 1.0), (2.0, 1.0, 1.0), (1.0, 1.0, 2.0)]]
-        ),
-    ]
-    rep3 = intersection_dual_check_family(family, seed=seed + 83, trials=50, tol=1e-8)
-    worst_forward = max(worst_forward, rep3.forward_margin)
-    worst_backward = max(worst_backward, rep3.backward_residual)
-    all_ok = all_ok and rep3.ok
-    cases += 1
-
     return _record(
         "08-intersection-dual-union",
         "the generalized dual of an intersection equals the closed conic hull "
         "of the union of duals, on plane and space cone pairs and a three-cone family",
-        all_ok and worst_forward <= 1e-8 and worst_backward <= 1e-8,
-        {
-            "cases": cases,
-            "worst_forward_margin": worst_forward,
-            "worst_backward_residual": worst_backward,
-        },
+        runs=[_batch("intersection-dual-union", rng, (p,), seed, p) for p in (2.0, 3.0)],
     )
 
 
@@ -765,31 +981,12 @@ def check_face_examples(seed: int = 0, force_p: float | None = None) -> CheckRec
 
 def check_ball_classification(seed: int = 0, force_p: float | None = None) -> CheckRecord:
     rng = _rng(seed, 10)
+    classified = _batch("ball-classification", rng, (1.5,) * 500 + (3.0,) * 500)
     r = 2.0
-    rule_errors = 0
-    partition_errors = 0
     accept_hits = reject_hits = 0
-    classified = 0
     for p in (1.5, 3.0):
         S = LpSpace(4, p, weights=rng.uniform(0.4, 2.5, 4))
         B = Ball(S, r)
-        for k in range(500):
-            g = rng.normal(size=4)
-            if k % 2 == 0:
-                y = S.point(g)
-                y = (r * rng.uniform(0.05, 0.98) / norm(y)) * y
-                expect = "internal"
-            else:
-                y = S.point(g)
-                y = (r / norm(y)) * y
-                expect = "cuticle"
-            res = classify_point(B, y)
-            classified += 1
-            if res.verdict != expect:
-                rule_errors += 1
-            if (res.verdict == "internal") != (res.witness is None):
-                partition_errors += 1
-
         for _ in range(50):
             y = S.point(rng.normal(size=4))
             y = (r / norm(y)) * y
@@ -803,26 +1000,14 @@ def check_ball_classification(seed: int = 0, force_p: float | None = None) -> Ch
             if not vision_dual_member(B, y, psi):
                 reject_hits += 1
 
-    ok = (
-        classified == 1000
-        and rule_errors == 0
-        and partition_errors == 0
-        and accept_hits == 100
-        and reject_hits == 100
-    )
     return _record(
         "10-ball-classification",
         "1000 ball points classify exactly by the norm rule with a valid witness "
         "partition, and sphere visions are exactly the nonnegative multiples of "
         "the duality image",
-        ok,
-        {
-            "classified": classified,
-            "rule_errors": rule_errors,
-            "partition_errors": partition_errors,
-            "aligned_accepted": accept_hits,
-            "non_aligned_rejected": reject_hits,
-        },
+        accept_hits == 100 and reject_hits == 100,
+        {"aligned_accepted": accept_hits, "non_aligned_rejected": reject_hits},
+        runs=[classified],
     )
 
 
@@ -830,75 +1015,18 @@ def check_ball_classification(seed: int = 0, force_p: float | None = None) -> Ch
 # check 11: fixed-point equivalences and the dual-cone/vision identity
 
 
-def _random_instance_set(rng, S, shape: int):
-    if shape == 0:
-        return Ray(S.point(rng.normal(size=3)), S.point(rng.normal(size=3)))
-    if shape == 1:
-        a = rng.normal(size=3)
-        return Segment(S.point(a), S.point(a + rng.normal(size=3) * 2.0))
-    verts = rng.normal(size=(4, 3)) * 2.0
-    return Polytope([S.point(v) for v in verts])
-
-
 def check_fixed_point_and_dual_vision(seed: int = 0, force_p: float | None = None) -> CheckRecord:
     rng = _rng(seed, 11)
-    disagreements = 0
-    inconclusive = 0
-    done = 0
-    attempts = 0
-    while done < 100 and attempts < 2000:
-        attempts += 1
-        p = 1.5 if done % 2 == 0 else 3.0
-        S = LpSpace(3, p, weights=rng.uniform(0.4, 2.5, 3))
-        C = _random_instance_set(rng, S, done % 3)
-        u = S.point(rng.normal(size=3) * 2.0)
-        desc = face(C, duality_map(u))
-        if done % 2 == 0 and desc.representatives:
-            y = desc.representatives[0]
-        else:
-            y = C.sample(1, seed=int(rng.integers(10**9)))[0]
-            gap = desc.level - pair(duality_map(u), y)
-            if math.isfinite(desc.level) and gap <= 1e-3 * (1.0 + abs(desc.level)):
-                continue
-        rep = fixed_point_check(C, u, y, tol=1e-6)
-        if rep.inconclusive:
-            inconclusive += 1
-        elif not rep.agree:
-            disagreements += 1
-        done += 1
-
-    dv_checked = 0
-    dv_disagreements = 0
-    for k, p in enumerate((1.5, 3.0, 1.5, 3.0)):
-        S = LpSpace(3, p, weights=rng.uniform(0.4, 2.5, 3))
-        vertex = S.zero() if k < 2 else S.point(rng.normal(size=3))
-        K = FinitelyGeneratedCone(
-            vertex, [S.point(g) for g in rng.normal(size=(3, 3))]
-        )
-        repdv = dual_vision_identity_check(K, seed=seed + 100 + k, trials=50)
-        dv_checked += repdv.checked
-        dv_disagreements += repdv.disagreements
-
-    ok = (
-        done == 100
-        and disagreements == 0
-        and inconclusive == 0
-        and dv_checked == 200
-        and dv_disagreements == 0
-    )
     return _record(
         "11-fixed-point-and-dual-vision",
         "face membership, the metric fixed-point equation, and the generalized "
         "fixed-point equation agree on 100 random instances, and membership in a "
         "generalized dual cone matches face membership of the shifted functional",
-        ok,
-        {
-            "instances": done,
-            "disagreements": disagreements,
-            "inconclusive": inconclusive,
-            "dual_vision_checked": dv_checked,
-            "dual_vision_disagreements": dv_disagreements,
-        },
+        runs=[
+            _batch("fixed-point-equivalence", rng, (1.5, 3.0) * 50),
+            # 20 cones of 10 sampled functionals each
+            _batch("dual-vision-identity", rng, (1.5, 3.0) * 10),
+        ],
     )
 
 
@@ -964,20 +1092,7 @@ def check_primal_vision_nonconvexity(seed: int = 0, force_p: float | None = None
 # ---------------------------------------------------------------------------
 # suite runner
 
-_CHECKS = (
-    check_duality_map_regression,
-    check_duality_identity_sweep,
-    check_metric_dual_cone_nonconvexity,
-    check_metric_double_dual_gap,
-    check_cone_projection_identities,
-    check_projection_solver_oracle,
-    check_generalized_double_duality,
-    check_intersection_dual_union,
-    check_face_examples,
-    check_ball_classification,
-    check_fixed_point_and_dual_vision,
-    check_primal_vision_nonconvexity,
-)
+_CHECKS = tuple(globals()[name] for name in __all__ if name.startswith("check_"))
 
 
 def run_verification_suite(seed: int = 0, force_p: float | None = None) -> SuiteReport:
@@ -998,366 +1113,44 @@ def run_verification_suite(seed: int = 0, force_p: float | None = None) -> Suite
 
 
 # ---------------------------------------------------------------------------
-# fuzz targets
-
-_SET_KINDS = ("segment", "ray", "cone", "polytope", "ball", "line", "subspace")
-
-
-def _random_space(rng, p: float | None) -> LpSpace:
-    pp = p if p is not None else float(rng.choice([1.5, 2.0, 3.0, 4.0]))
-    n = int(rng.integers(2, 5))
-    return LpSpace(n, pp, weights=rng.uniform(0.3, 3.0, n))
-
-
-def _random_set(rng, S, kinds=_SET_KINDS):
-    kind = kinds[int(rng.integers(len(kinds)))]
-    g = lambda: S.point(rng.normal(size=S.n))  # noqa: E731
-    if kind == "segment":
-        return Segment(g(), g())
-    if kind == "ray":
-        return Ray(g(), g())
-    if kind == "cone":
-        return FinitelyGeneratedCone(g(), [g() for _ in range(int(rng.integers(1, 4)))])
-    if kind == "polytope":
-        return Polytope([g() for _ in range(int(rng.integers(2, 6)))])
-    if kind == "ball":
-        return Ball(S, float(rng.uniform(0.5, 3.0)))
-    if kind == "line":
-        return Line(g(), g())
-    return Subspace(S, [g() for _ in range(int(rng.integers(1, S.n + 1)))])
-
-
-def _fuzz_duality_identities(rng, tol, p):
-    S = _random_space(rng, p)
-    x = S.point(rng.normal(size=S.n) * 10.0 ** rng.uniform(-1.0, 1.0))
-    nx = norm(x)
-    if nx == 0.0:
-        return None
-    jx = duality_map(x)
-    bad = (
-        abs(pair(jx, x) - nx**2) > tol * (1.0 + nx**2)
-        or abs(norm(jx) - nx) > tol * (1.0 + nx)
-        or norm(duality_map_inv(jx) - x) > 100.0 * tol * (1.0 + nx)
-        or abs(lyapunov(jx, x)) > tol * (1.0 + nx**2)
-    )
-    return {"x": x} if bad else None
-
-
-def _fuzz_lyapunov_bounds(rng, tol, p):
-    S = _random_space(rng, p)
-    x = S.point(rng.normal(size=S.n) * 2.0)
-    psi = S.functional(rng.normal(size=S.n) * 2.0)
-    v = lyapunov(psi, x)
-    lower = (norm(psi) - norm(x)) ** 2
-    bad = v < lower - tol * (1.0 + lower) or abs(lyapunov(duality_map(x), x)) > tol * (
-        1.0 + norm(x) ** 2
-    )
-    return {"psi": psi, "x": x, "value": v} if bad else None
-
-
-def _fuzz_window_functionals(rng, tol, p):
-    S = _random_space(rng, p)
-    lo = int(rng.integers(1, S.n + 1))
-    hi = int(rng.integers(lo, S.n + 1))
-    idx = list(range(lo, hi + 1))
-    w = window_functional(S, idx)
-    x = S.point(rng.normal(size=S.n) * 3.0)
-    direct = float(np.sum(S.weights[np.array(idx) - 1] * x.coords[np.array(idx) - 1]))
-    bad = abs(pair(w, x) - direct) > tol * (1.0 + abs(direct))
-    return {"indices": idx, "x": x} if bad else None
-
-
-def _fuzz_set_sampling(rng, tol, p):
-    S = _random_space(rng, p)
-    C = _random_set(rng, S)
-    pts = C.sample(5, seed=int(rng.integers(10**9)))
-    bad = any(not C.contains(pt, 1e-7) for pt in pts)
-    return {"set": type(C).__name__} if bad else None
-
-
-def _fuzz_support_bounds(rng, tol, p):
-    S = _random_space(rng, p)
-    C = _random_set(rng, S)
-    psi = S.functional(rng.normal(size=S.n))
-    s = C.support(psi)
-    if not math.isfinite(s):
-        return None
-    for pt in C.sample(5, seed=int(rng.integers(10**9))):
-        if pair(psi, pt) > s + max(tol, 1e-8) * (1.0 + abs(s)):
-            return {"psi": psi, "point": pt, "support": s}
-    return None
-
-
-def _fuzz_metric_projection_vi(rng, tol, p):
-    S = _random_space(rng, p)
-    C = _random_set(rng, S)
-    x = S.point(rng.normal(size=S.n) * 3.0)
-    res = metric_project(C, x)
-    if not res.converged:
-        return {"set": type(C).__name__, "vi_residual": res.vi_residual}
-    check = vi_residual_metric(C, x, res.point)
-    return None if check <= 1e-5 else {"set": type(C).__name__, "vi_residual": check}
-
-
-def _fuzz_metric_projection_idempotent(rng, tol, p):
-    S = _random_space(rng, p)
-    C = _random_set(rng, S)
-    x = S.point(rng.normal(size=S.n) * 3.0)
-    res = metric_project(C, x)
-    if not res.converged:
-        return None
-    again = metric_project(C, res.point)
-    drift = norm(again.point - res.point)
-    return None if drift <= 1e-6 * (1.0 + norm(res.point)) else {"drift": drift}
-
-
-def _fuzz_metric_projection_homogeneity(rng, tol, p):
-    S = _random_space(rng, p)
-    C = _random_set(rng, S, kinds=("ray", "cone"))
-    if not np.all(C.vertex.coords == 0.0):
-        C = FinitelyGeneratedCone(S.zero(), [S.point(r) for r in C.R])
-    x = S.point(rng.normal(size=S.n) * 2.0)
-    t = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
-    a = metric_project(C, t * x)
-    b = metric_project(C, x)
-    if not (a.converged and b.converged):
-        return None
-    err = norm(a.point - t * b.point) / (1.0 + norm(t * b.point))
-    return None if err <= 1e-6 else {"t": t, "error": err}
-
-
-def _fuzz_generalized_projection_vi(rng, tol, p):
-    S = _random_space(rng, p)
-    C = _random_set(rng, S)
-    psi = S.functional(rng.normal(size=S.n) * 2.0)
-    res = generalized_project(C, psi)
-    if not res.converged:
-        return {"set": type(C).__name__, "vi_residual": res.vi_residual}
-    check = vi_residual_generalized(C, psi, res.point)
-    return None if check <= 1e-5 else {"set": type(C).__name__, "vi_residual": check}
-
-
-def _fuzz_generalized_projection_fixed_members(rng, tol, p):
-    S = _random_space(rng, p)
-    C = _random_set(rng, S)
-    x = C.sample(1, seed=int(rng.integers(10**9)))[0]
-    res = generalized_project(C, duality_map(x))
-    if not res.converged:
-        return None
-    drift = norm(res.point - x)
-    return None if drift <= 1e-6 * (1.0 + norm(x)) else {"drift": drift}
-
-
-def _fuzz_metric_dual_convexity(rng, tol, p):
-    pp = p if p is not None else 3.0
-    S = LpSpace(3, pp)
-    K = Ray(S.zero(), S.point(rng.normal(size=3) * 20.0))
-    w = probe_nonconvexity_metric_dual(K, seed=int(rng.integers(10**9)), trials=40)
-    return None if w is None else {"witness": _witness_json(w)}
-
-
-def _fuzz_metric_double_dual_gap(rng, tol, p):
-    pp = p if p is not None else 3.0
-    S = LpSpace(3, pp)
-    K = Ray(S.zero(), S.point(rng.normal(size=3) * 20.0))
-    w = metric_double_dual_violation(K, seed=int(rng.integers(10**9)), trials=40)
-    return None if w is None else {"witness": _witness_json(w)}
-
-
-def _fuzz_generalized_double_duality(rng, tol, p):
-    S = _random_space(rng, p)
-    if S.n != 3:
-        S = LpSpace(3, S.p, weights=rng.uniform(0.3, 3.0, 3))
-    K = _pointed_cone(rng, S)
-    G = np.stack([g.coords for g in K.generators], axis=0)
-    z_in = S.point(rng.uniform(0.0, 2.0, len(K.generators)) @ G)
-    zc = rng.normal(size=3) * 2.0
-    z_out = S.point(zc)
-    if K.contains(z_out) or K.distance(z_out) < 0.05:
-        zc[0] = -abs(zc[0]) - 0.2
-        z_out = S.point(zc)
-    try:
-        ok = generalized_double_dual_member(K, z_in) and not generalized_double_dual_member(
-            K, z_out
-        )
-    except RuntimeError:
-        return {"error": "route disagreement"}
-    return None if ok else {"inside": z_in, "outside": z_out}
-
-
-def _fuzz_intersection_dual_union(rng, tol, p):
-    S = _random_space(rng, p)
-    if S.n != 3:
-        S = LpSpace(3, S.p, weights=rng.uniform(0.3, 3.0, 3))
-    A = _pointed_cone(rng, S)
-    B = _pointed_cone(rng, S)
-    rep = intersection_dual_check(A, B, seed=int(rng.integers(10**9)), trials=20, tol=1e-8)
-    if rep.ok:
-        return None
-    return {"forward": rep.forward_margin, "backward": rep.backward_residual}
-
-
-def _fuzz_face_attainment(rng, tol, p):
-    S = _random_space(rng, p)
-    C = _random_set(rng, S)
-    psi = S.functional(rng.normal(size=S.n))
-    desc = face(C, psi)
-    for rep in desc.representatives:
-        if not C.contains(rep, 1e-7):
-            return {"kind": desc.kind, "rep": rep}
-        if math.isfinite(desc.level):
-            if abs(pair(psi, rep) - desc.level) > 1e-7 * (1.0 + abs(desc.level)):
-                return {"kind": desc.kind, "rep": rep, "level": desc.level}
-            if not face_membership(C, psi, rep):
-                return {"kind": desc.kind, "rep": rep}
-    return None
-
-
-def _fuzz_vision_conjugation(rng, tol, p):
-    S = _random_space(rng, p)
-    C = _random_set(rng, S)
-    y = C.sample(1, seed=int(rng.integers(10**9)))[0]
-    u = S.point(rng.normal(size=S.n) * 2.0)
-    try:
-        vision_conjugation_check(C, y, u)
-    except RuntimeError as exc:
-        return {"error": str(exc)}
-    return None
-
-
-def _fuzz_ball_classification(rng, tol, p):
-    S = _random_space(rng, p)
-    B = Ball(S, float(rng.uniform(0.5, 3.0)))
-    g = S.point(rng.normal(size=S.n))
-    inside = bool(rng.integers(2))
-    scale = rng.uniform(0.05, 0.95) if inside else 1.0
-    y = (B.radius * scale / norm(g)) * g
-    res = classify_point(B, y)
-    want = "internal" if inside else "cuticle"
-    return None if res.verdict == want else {"y": y, "verdict": res.verdict}
-
-
-def _fuzz_fixed_point_equivalence(rng, tol, p):
-    S = _random_space(rng, p)
-    C = _random_set(rng, S, kinds=("segment", "ray", "polytope"))
-    u = S.point(rng.normal(size=S.n) * 2.0)
-    desc = face(C, duality_map(u))
-    if desc.representatives and bool(rng.integers(2)):
-        y = desc.representatives[0]
-    else:
-        y = C.sample(1, seed=int(rng.integers(10**9)))[0]
-        gap = desc.level - pair(duality_map(u), y)
-        if math.isfinite(desc.level) and gap <= 1e-3 * (1.0 + abs(desc.level)):
-            return None
-    rep = fixed_point_check(C, u, y, tol=1e-6)
-    if rep.inconclusive:
-        return None
-    return None if rep.agree else {"u": u, "y": y, "set": type(C).__name__}
-
-
-def _fuzz_dual_vision_identity(rng, tol, p):
-    S = _random_space(rng, p)
-    K = FinitelyGeneratedCone(
-        S.point(rng.normal(size=S.n)),
-        [S.point(rng.normal(size=S.n)) for _ in range(int(rng.integers(1, 4)))],
-    )
-    rep = dual_vision_identity_check(K, seed=int(rng.integers(10**9)), trials=10)
-    return None if rep.ok else {"disagreements": rep.disagreements}
-
-
-# targets claiming a true invariant fail on any witness; the two *-convexity
-# gap targets claim a FALSE statement away from exponent 2, so witnesses are
-# successes there and failures exactly at exponent 2
-_FUZZ_TARGETS = {
-    "duality-identities": (_fuzz_duality_identities, False),
-    "lyapunov-bounds": (_fuzz_lyapunov_bounds, False),
-    "window-functionals": (_fuzz_window_functionals, False),
-    "set-sampling": (_fuzz_set_sampling, False),
-    "support-bounds": (_fuzz_support_bounds, False),
-    "metric-projection-vi": (_fuzz_metric_projection_vi, False),
-    "metric-projection-idempotent": (_fuzz_metric_projection_idempotent, False),
-    "metric-projection-homogeneity": (_fuzz_metric_projection_homogeneity, False),
-    "generalized-projection-vi": (_fuzz_generalized_projection_vi, False),
-    "generalized-projection-fixed-members": (_fuzz_generalized_projection_fixed_members, False),
-    "metric-dual-convexity": (_fuzz_metric_dual_convexity, True),
-    "metric-double-dual-gap": (_fuzz_metric_double_dual_gap, True),
-    "generalized-double-duality": (_fuzz_generalized_double_duality, False),
-    "intersection-dual-union": (_fuzz_intersection_dual_union, False),
-    "face-attainment": (_fuzz_face_attainment, False),
-    "vision-conjugation": (_fuzz_vision_conjugation, False),
-    "ball-classification": (_fuzz_ball_classification, False),
-    "fixed-point-equivalence": (_fuzz_fixed_point_equivalence, False),
-    "dual-vision-identity": (_fuzz_dual_vision_identity, False),
-}
+# fuzz targets: the properties above, one fresh generator per trial
 
 
 def fuzz_target_ids() -> tuple[str, ...]:
-    return tuple(sorted(_FUZZ_TARGETS))
+    return tuple(sorted(_PROPERTIES))
 
 
-def run_fuzz(
-    target: str,
-    trials: int = 200,
-    seed: int = 0,
-    p: float | None = None,
-    tol: float = 1e-9,
-) -> SuiteReport:
-    """Fuzz one named property; deterministic given the seed.
-
-    For witness-seeking targets the first trial is replaced by the pinned
-    instance when the exponent admits one, so the witness stream is never
-    empty away from exponent 2.
-    """
-    if target not in _FUZZ_TARGETS:
+def run_fuzz(target: str, trials: int = 200, seed: int = 0, p: float | None = None) -> SuiteReport:
+    """Fuzz one named property: its pinned instances at ``p`` (3 when None),
+    then ``trials`` draws; deterministic given the seed."""
+    if target not in _PROPERTIES:
         raise ValueError(
             f"unknown fuzz target {target!r}; known: {', '.join(fuzz_target_ids())}"
         )
-    fn, witness_seeking = _FUZZ_TARGETS[target]
-    index = sorted(_FUZZ_TARGETS).index(target)
-    t0 = time.perf_counter()
-    hits: list[dict] = []
-    checked = 0
-    for t in range(int(trials)):
-        rng = _rng(seed, index, t)
-        out = fn(rng, tol, p)
-        checked += 1
-        if out is not None:
-            hits.append({**out, "trial": t})
-
+    prop = _PROPERTIES[target]
+    index = fuzz_target_ids().index(target)
     pp = p if p is not None else 3.0
+    t0 = time.perf_counter()
+    run = _test(prop, ((_rng(seed, index, t), p) for t in range(int(trials))), pp, seed)
+
     notes = []
-    if witness_seeking:
-        if pp == 2.0:
-            failures = len(hits)
-            if failures == 0:
-                notes.append(_NO_WITNESS_NOTE)
-        else:
-            S, K = _pinned_ray(pp)
-            seeded = (
-                probe_nonconvexity_metric_dual(K, seed=seed, trials=10)
-                if target == "metric-dual-convexity"
-                else metric_double_dual_violation(K, seed=seed, trials=10)
-            )
-            if seeded is not None:
-                hits.insert(0, {"witness": _witness_json(seeded), "pinned": True})
-            failures = 0 if hits else 1
-            notes.append(f"{len(hits)} witnesses found (successes for this target)")
-    else:
-        failures = len(hits)
+    if prop.seeks_witness and pp != 2.0:
+        notes.append(f"{len(run.hits)} witnesses found (successes for this target)")
+    elif prop.seeks_witness and not run.hits:
+        notes.append(_NO_WITNESS_NOTE)
 
     record = CheckRecord(
         f"fuzz-{target}",
         f"randomized property run for '{target}'",
-        "pass" if failures == 0 else "fail",
+        "pass" if run.failures == 0 else "fail",
         {
             "target": target,
-            "trials": checked,
-            "failures": failures,
-            "witness_count": len(hits),
-            "p": pp if witness_seeking else (p if p is not None else None),
-            "tol": tol,
+            "trials": run.trials,
+            "failures": run.failures,
+            "witness_count": len(run.hits),
+            "p": pp if prop.seeks_witness else p,
         },
         tuple(notes),
-        tuple(hits[:8]),
+        tuple(run.hits[:8]),
     )
     return SuiteReport("fuzz", int(seed), (record,), time.perf_counter() - t0, p)

@@ -232,6 +232,16 @@ def test_unknown_fuzz_target_is_an_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify", "--tol", "1"], ["verify", "--trials", "5"],
+             ["fuzz", "--target", "set-sampling", "--tol", "1"]]
+)
+def test_suite_commands_take_no_tolerance_or_verify_trials(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_fuzz_run_emits_a_valid_report(capsys):
     code, out = _run(
         capsys,

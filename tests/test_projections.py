@@ -6,6 +6,7 @@ import pytest
 from lpgeom.projections import (
     ProjectionResult,
     SolverOptions,
+    _arc_search,
     _project_simplex,
     generalized_project,
     inverse_image_member_metric,
@@ -15,7 +16,7 @@ from lpgeom.projections import (
 )
 from lpgeom.sets import Ball, FinitelyGeneratedCone, Line, Polytope, Ray, Segment, Subspace
 from lpgeom.spaces import LpSpace, duality_map, duality_map_inv, lyapunov, norm, pair
-from lpgeom.suite import _fuzz_metric_projection_vi, _rng, fuzz_target_ids
+from lpgeom.suite import _PROPERTIES, _rng, fuzz_target_ids
 
 from _oracles import (
     euclid_project_ball,
@@ -343,7 +344,8 @@ def test_metric_projection_vi_fuzz_trials_certify(seed, p, trial):
     # rebuilt from (seed, target, trial); (0, 2.0, 840) starts at a simplex vertex;
     # (0, 1.1, 75) runs out of steps if shrunk steps must also pass the overshoot test
     index = fuzz_target_ids().index("metric-projection-vi")
-    assert _fuzz_metric_projection_vi(_rng(seed, index, trial), 1e-9, p) is None
+    prop = _PROPERTIES["metric-projection-vi"]
+    assert prop.holds(*prop.sample(_rng(seed, index, trial), p)) is None
 
 
 @pytest.mark.parametrize(
@@ -411,3 +413,18 @@ def test_one_direction_solves_take_few_newton_steps():
         assert res.converged, (trial, res.vi_residual)
         worst = max(worst, res.iterations)
     assert worst <= 40
+
+
+def test_arc_search_stops_once_no_smaller_step_can_pass():
+    # a flat objective whose gradient mapping no step halves; the coefficient at
+    # zero keeps the move from ever rounding away, so halving alone runs 60 times
+    evals = []
+
+    def f_t(t):
+        evals.append(t)
+        return 1.0
+
+    g = np.array([0.0, 1e-12])
+    t = np.array([1.0, 0.0])
+    assert _arc_search(f_t, lambda u: g, lambda u: u, t, 1.0, g, 1e-12, -g, 1.0, 1e-14) is None
+    assert len(evals) < 20

@@ -6,7 +6,50 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from lpgeom.suite import _fuzz_metric_dual_convexity, _rng, fuzz_target_ids, run_fuzz, run_verification_suite
+import lpgeom.suite as suite
+from lpgeom.suite import _PROPERTIES, _rng, fuzz_target_ids, run_fuzz, run_verification_suite
+
+# (check id, claim) of the twelve checks, as the suite has always stated them
+CLAIMS = [
+    ("01-duality-map-regression",
+     "duality map at exponent 3 reproduces both pinned vector images to 1e-12"),
+    ("02-duality-identity-sweep",
+     "pairing, norm, inversion, and bracket identities of the duality map hold across 1000 "
+     "random weighted spaces at exponents 1.5, 2, 3, 4"),
+    ("03-metric-dual-cone-nonconvexity",
+     "two certified members of the metric dual cone of the pinned ray have a convex combination "
+     "that escapes with violation -14*4^(1/3) per unit coefficient"),
+    ("04-metric-double-dual-gap",
+     "a certified dual-cone member separates the pinned ray from its metric double dual at "
+     "exponent 3, while 1000 trials at exponent 2 find no gap"),
+    ("05-cone-projection-identities",
+     "projection onto the pinned ray lands on its generator with a certified residual, the "
+     "inner-product identity defect is strictly negative at exponent 3 and vanishes at "
+     "exponent 2, and projection is positively homogeneous"),
+    ("06-projection-solver-oracle",
+     "solver objectives match an independent golden-section oracle on 200 ray and segment "
+     "instances, and Euclidean closed forms at exponent 2"),
+    ("07-generalized-double-duality",
+     "on 20 random cones every sampled member passes double-dual membership, every sampled "
+     "outsider fails with a validated separating functional, and the primal and certificate "
+     "routes never disagree"),
+    ("08-intersection-dual-union",
+     "the generalized dual of an intersection equals the closed conic hull of the union of "
+     "duals, on plane and space cone pairs and a three-cone family"),
+    ("09-face-examples",
+     "the pinned ray face trichotomy and the window-functional ball faces come out exactly, "
+     "and the level discrepancy at exponents above 1 is flagged"),
+    ("10-ball-classification",
+     "1000 ball points classify exactly by the norm rule with a valid witness partition, and "
+     "sphere visions are exactly the nonnegative multiples of the duality image"),
+    ("11-fixed-point-and-dual-vision",
+     "face membership, the metric fixed-point equation, and the generalized fixed-point "
+     "equation agree on 100 random instances, and membership in a generalized dual cone "
+     "matches face membership of the shifted functional"),
+    ("12-primal-vision-nonconvexity",
+     "two points that see the pinned segment endpoint combine to one that does not, with the "
+     "expected pairing signs"),
+]
 
 
 def _schema(name):
@@ -18,6 +61,21 @@ def test_suite_passes_and_validates():
     assert rep.ok
     assert len(rep.records) == 12
     jsonschema.validate(rep.to_json(), _schema("report.schema.json"))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_checks_keep_their_ids_and_claims_and_pass(seed):
+    rep = run_verification_suite(seed=seed)
+    assert [(r.check_id, r.claim) for r in rep.records] == CLAIMS
+    assert rep.ok, [(r.check_id, r.values) for r in rep.records if r.status != "pass"]
+
+
+def test_check_and_fuzz_target_share_one_predicate(monkeypatch):
+    name = "generalized-double-duality"
+    always_hit = _PROPERTIES[name]._replace(holds=lambda *case: {"forced": True})
+    monkeypatch.setitem(_PROPERTIES, name, always_hit)
+    assert suite.check_generalized_double_duality(seed=0).status == "fail"
+    assert not run_fuzz(name, trials=3, seed=0).ok
 
 
 def test_suite_is_deterministic_for_a_seed():
@@ -67,6 +125,7 @@ def test_fuzz_hits_replay_from_seed_target_and_trial():
     hits = [h for h in rep.records[0].witnesses if not h.get("pinned")]
     assert hits
     index = fuzz_target_ids().index(target)
+    prop = _PROPERTIES[target]
     for hit in hits:
-        again = _fuzz_metric_dual_convexity(_rng(seed, index, hit["trial"]), 1e-9, 3.0)
+        again = prop.holds(*prop.sample(_rng(seed, index, hit["trial"]), 3.0))
         assert {**again, "trial": hit["trial"]} == hit
