@@ -411,7 +411,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the full reproducible verification suite")
     add_common(ver, problem=False)
-    ver.add_argument("--p", type=float, default=None, help="force the witness checks to this exponent")
+    ver.add_argument(
+        "--p", type=float, choices=(2.0, 3.0), default=None,
+        help="run the witness checks at exponent 2 (where they confirm the empty search) or 3",
+    )
 
     fz = sub.add_parser("fuzz", help="randomized property run for one target")
     add_common(fz, problem=False)

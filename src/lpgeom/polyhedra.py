@@ -1,9 +1,10 @@
-"""Exact polyhedral linear algebra in raw coordinates (rank at most 3).
+"""Exact polyhedral linear algebra in raw coordinates, in any dimension.
 
-Helpers for cones of the form {phi : <row_i, phi> <= 0}: extreme-ray and
-lineality enumeration, and generator computation for intersections of
-finitely generated cones in R^2 / R^3.  Everything here is Euclidean;
-callers fold any weighted pairing into the constraint rows.
+Helpers for cones of the form {phi : <row_i, phi> <= 0}: extreme rays by
+the double description method plus the lineality space, and generators
+of the intersection of two finitely generated cones, computed by the same
+method.  Everything here is Euclidean; callers fold any weighted pairing
+into the constraint rows.
 
 The module imports nothing from lpgeom, so it also holds the two
 primitives that sets, cones and faces share: a numpy null space and
@@ -14,13 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["UnsupportedGeometryError", "polar_cone_generators", "intersect_cone_generators"]
+__all__ = ["polar_cone_generators", "intersect_cone_generators"]
 
 _FEAS_TOL = 1e-10
-
-
-class UnsupportedGeometryError(ValueError):
-    """The polyhedral computation is outside the supported rank-3 cases."""
 
 
 def _nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -65,17 +62,46 @@ def _dedupe_directions(cands: list[np.ndarray], tol: float = 1e-9) -> list[np.nd
     return out
 
 
-def _feasible(rows: np.ndarray, cand: np.ndarray) -> bool:
-    return bool(np.all(rows @ cand <= _FEAS_TOL))
+def _extreme_rays(R: np.ndarray) -> list[np.ndarray]:
+    """Extreme rays of the pointed cone {z : R @ z <= 0}, R of full column rank.
+
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996): start
+    from the simplicial cone of r independent rows, then add the other rows
+    one at a time.  Each keeps the rays on its side and joins every adjacent
+    pair it separates; two rays are adjacent when the rows tight at both
+    have rank r - 2.  Rows are unit vectors and rays stay unit vectors, so
+    one absolute tolerance decides both sides and tightness.
+    """
+    m, r = R.shape
+    start, rest = [], R
+    for _ in range(r):  # pivoted Gram-Schmidt picks a well-conditioned start
+        i = int(np.argmax(np.linalg.norm(rest, axis=1)))
+        start.append(i)
+        q = rest[i] / np.linalg.norm(rest[i])
+        rest = rest - np.outer(rest @ q, q)
+    R = R[start + [i for i in range(m) if i not in start]]
+    Z = -np.linalg.inv(R[:r]).T
+    for k in range(r, m):
+        Z = Z / np.linalg.norm(Z, axis=1, keepdims=True)
+        s = Z @ R[k]
+        tight = np.abs(R[:k] @ Z.T) <= _FEAS_TOL
+        joined = [
+            s[j] * Z[i] - s[i] * Z[j]
+            for i in np.flatnonzero(s < -_FEAS_TOL)
+            for j in np.flatnonzero(s > _FEAS_TOL)
+            if len(c := R[:k][tight[:, i] & tight[:, j]]) >= r - 2 and _svd_rank(c, 1e-9)[0] == r - 2
+        ]
+        Z = np.vstack([Z[s <= _FEAS_TOL], *joined])
+    return list(Z / np.linalg.norm(Z, axis=1, keepdims=True))
 
 
 def polar_cone_generators(rows: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Generators of P = {phi : rows @ phi <= 0}.
+    """Generators of P = {phi : rows @ phi <= 0}, in any dimension.
 
     Returns (extreme_rays, lineality_basis); P is the conic hull of the rays
     plus the span of the lineality basis, so ``rays + [b, -b for b in lin]``
-    generates P with nonnegative coefficients.  Rows are normalized first.
-    Requires rank(rows) <= 3.
+    generates P with nonnegative coefficients.  Rows are normalized first;
+    the rays are unit vectors in the row space, where P is pointed.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] == 0:
@@ -86,93 +112,26 @@ def polar_cone_generators(rows: np.ndarray) -> tuple[list[np.ndarray], list[np.n
     rows = rows / norms[:, None]
 
     rank, vt = _svd_rank(rows, rcond=1e-12)
-    if rank > 3:
-        raise UnsupportedGeometryError(f"constraint rank {rank} exceeds 3")
-    lineality = list(vt[rank:])
-
-    # Work inside the row space W; the cone is pointed there.
-    B = vt[:rank].T  # n x rank orthonormal basis of W
-    R = rows @ B  # constraints in W coordinates
-
-    if rank == 1:
-        dirs = _dedupe_directions([R[i] for i in range(R.shape[0])])
-        cands = [-d for d in dirs]
-    elif rank == 2:
-        cands = []
-        for i in range(R.shape[0]):
-            a = R[i]
-            rot = np.array([-a[1], a[0]])
-            cands.extend([rot, -rot])
-    else:
-        cands = []
-        for i in range(R.shape[0]):
-            for j in range(i + 1, R.shape[0]):
-                c = np.cross(R[i], R[j])
-                cands.extend([c, -c])
-
-    rays = [c for c in _dedupe_directions(cands) if _feasible(R, c)]
-    return [B @ c for c in rays], lineality
-
-
-def _in_cone(generators: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> bool:
-    _, resid = _nnls(generators, x)
-    return resid <= tol * (1.0 + float(np.linalg.norm(x)))
-
-
-def _facet_normals_3d(G: np.ndarray) -> list[np.ndarray]:
-    """Outer normals of the facets of cone(G) in R^3 (pointed or not)."""
-    m = G.shape[1]
-    normals = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            c = np.cross(G[:, i], G[:, j])
-            if np.linalg.norm(c) <= 1e-12:
-                continue
-            c = c / np.linalg.norm(c)
-            vals = G.T @ c
-            if np.all(vals <= _FEAS_TOL):
-                normals.append(c)
-            elif np.all(vals >= -_FEAS_TOL):
-                normals.append(-c)
-    if m == 1:
-        # a single ray: every plane containing it supports the cone
-        basis = _null_space(G[:, 0][None, :])
-        normals.extend([basis[:, 0], -basis[:, 0], basis[:, 1], -basis[:, 1]])
-    return normals
+    B = vt[:rank].T  # n x rank orthonormal basis of the row space
+    rays = _dedupe_directions(_extreme_rays(rows @ B))
+    return [B @ c for c in rays], list(vt[rank:])
 
 
 def intersect_cone_generators(GA: np.ndarray, GB: np.ndarray) -> list[np.ndarray]:
     """Generators of cone(GA) intersected with cone(GB), both with vertex 0.
 
-    Supported in R^2 and R^3 via candidate enumeration: generators of one
-    cone inside the other plus facet-facet intersection lines.  Returns a
+    x = GA a = GB b with a, b >= 0: the pairs (a, b) = N z over a basis N of
+    the null space of [GA, -GB] form the pointed cone {z : -N z <= 0}, and
+    GA a over its extreme rays generates the intersection.  Returns a
     deduplicated list of unit directions (empty when the intersection is
     the origin alone).
     """
     GA = np.asarray(GA, dtype=float)
     GB = np.asarray(GB, dtype=float)
-    n = GA.shape[0]
-    if GB.shape[0] != n:
+    if GB.shape[0] != GA.shape[0]:
         raise ValueError("dimension mismatch")
-    if n not in (2, 3):
-        raise UnsupportedGeometryError(f"cone intersection implemented for R^2/R^3, not R^{n}")
-
-    cands = []
-    for k in range(GA.shape[1]):
-        if _in_cone(GB, GA[:, k]):
-            cands.append(GA[:, k])
-    for k in range(GB.shape[1]):
-        if _in_cone(GA, GB[:, k]):
-            cands.append(GB[:, k])
-
-    if n == 3:
-        for na in _facet_normals_3d(GA):
-            for nb in _facet_normals_3d(GB):
-                d = np.cross(na, nb)
-                if np.linalg.norm(d) <= 1e-12:
-                    continue
-                for cand in (d, -d):
-                    if _in_cone(GA, cand) and _in_cone(GB, cand):
-                        cands.append(cand)
-
-    return _dedupe_directions(cands)
+    N = _null_space(np.hstack([GA, -GB]))
+    if N.shape[1] == 0:
+        return []
+    rays, _ = polar_cone_generators(-N[np.linalg.norm(N, axis=1) > 1e-9])
+    return _dedupe_directions([GA @ (N[: GA.shape[1]] @ z) for z in rays])

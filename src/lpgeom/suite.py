@@ -24,9 +24,10 @@ from ``SeedSequence([seed, k])``, and fuzz trial t of target i from
 reports bit for bit, timing aside, and a fuzz hit replays from (seed,
 target, trial) alone.  Reports sort their records by check id.
 
-``force_p`` reruns the witness-seeking checks at a chosen exponent; at
-exponent 2 the negative phenomena legitimately vanish and those checks
-pass by confirming the empty search instead.
+``force_p`` reruns the witness-seeking checks at exponent 2 or 3, the
+only exponents their pinned closed forms hold at; at exponent 2 the
+negative phenomena legitimately vanish and those checks pass by
+confirming the empty search instead.
 """
 
 from __future__ import annotations
@@ -459,13 +460,13 @@ def _witness_search(search) -> Property:
 
 
 def _sample_cone_and_points(rng, p):
-    S = _random_space(rng, p, dims=(3, 4))
+    S = _random_space(rng, p, dims=(2, 7))
     K = _pointed_cone(rng, S)
     G = np.stack([g.coords for g in K.generators], axis=0)
     inside = [S.point(rng.uniform(0.0, 2.0, len(G)) @ G) for _ in range(5)]
     outside = []
     for _ in range(5):
-        zc = rng.normal(size=3) * 2.0
+        zc = rng.normal(size=S.n) * 2.0
         # keep outsiders decisively outside the half-space holding the cone
         if K.contains(S.point(zc)) or K.distance(S.point(zc)) < 0.05:
             zc[0] = -abs(zc[0]) - 0.2
@@ -490,19 +491,23 @@ def _generalized_double_duality(K, inside, outside):
 
 
 def _sample_cone_pair(rng, p):
-    S = _random_space(rng, p, dims=(3, 4))
+    S = _random_space(rng, p, dims=(2, 7))
     return [_pointed_cone(rng, S), _pointed_cone(rng, S)], int(rng.integers(10**9))
 
 
 _PLANE_PAIR = (np.eye(2), [(1.0, 1.0), (-1.0, 1.0)])
 _SPACE_PAIR = (np.eye(3), [(1.0, 1.0, 0.0), (0.0, 1.0, 1.0), (1.0, 0.0, 1.0)])
 _THIRD_CONE = [(1.0, 2.0, 1.0), (2.0, 1.0, 1.0), (1.0, 1.0, 2.0)]
+_R4_PAIR = (
+    np.eye(4),
+    [(1.0, 1.0, -1.0, 0.0), (0.0, 1.0, 1.0, -1.0), (-1.0, 0.0, 1.0, 1.0), (1.0, -1.0, 0.0, 1.0)],
+)
 
 
 def _pinned_families(p, seed):
-    """A plane pair, a space pair and a three-cone family, unweighted: weights cancel here."""
+    """Plane, space and R^4 pairs and a three-cone family, unweighted: weights cancel here."""
     out = []
-    for k, family in enumerate((_PLANE_PAIR, _SPACE_PAIR, (*_SPACE_PAIR, _THIRD_CONE))):
+    for k, family in enumerate((_PLANE_PAIR, _SPACE_PAIR, (*_SPACE_PAIR, _THIRD_CONE), _R4_PAIR)):
         S = LpSpace(len(family[1][0]), p)
         cones = [FinitelyGeneratedCone(S.zero(), [S.point(g) for g in gens]) for gens in family]
         out.append((cones, seed + 81 + k))
@@ -1097,8 +1102,8 @@ _CHECKS = tuple(globals()[name] for name in __all__ if name.startswith("check_")
 
 def run_verification_suite(seed: int = 0, force_p: float | None = None) -> SuiteReport:
     """Run all twelve checks and aggregate a deterministic report."""
-    if force_p is not None and not (1.0 < float(force_p) < math.inf):
-        raise ValueError("force_p must lie strictly between 1 and infinity")
+    if force_p is not None and float(force_p) not in (2.0, 3.0):
+        raise ValueError("force_p must be 2 or 3: the pinned closed forms hold only there")
     t0 = time.perf_counter()
     records = sorted(
         (fn(seed=seed, force_p=force_p) for fn in _CHECKS), key=lambda r: r.check_id

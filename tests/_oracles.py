@@ -5,6 +5,7 @@ plain Euclidean linear algebra.  None of it calls the solver paths it
 is used to check.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -67,3 +68,34 @@ def euclid_project_subspace(x, basis):
     B = np.stack([np.asarray(b, dtype=float) for b in basis], axis=1)
     coef, *_ = np.linalg.lstsq(B, np.asarray(x, dtype=float), rcond=None)
     return B @ coef
+
+
+# -- polyhedral cones, by brute force -----------------------------------------
+
+
+def polar_cone_by_enumeration(rows, tol=1e-9):
+    """(extreme rays, lineality dimension) of {z : rows @ z <= 0}, by brute force.
+
+    Every extreme ray of the pointed part is the null direction of some
+    r - 1 rows inside the r-dimensional row space, so try each (r - 1)-subset,
+    keep the feasible sign of its null vector, and dedupe.
+    """
+    rows = np.asarray(rows, dtype=float)
+    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    _, s, vt = np.linalg.svd(rows)
+    r = int(np.sum(s > 1e-12 * s[0]))
+    basis = vt[:r]  # r x n, orthonormal rows spanning the row space
+    local = rows @ basis.T
+    rays = []
+    for subset in itertools.combinations(range(len(rows)), r - 1):
+        if subset:
+            _, ss, svt = np.linalg.svd(local[list(subset)])
+            if np.sum(ss > 1e-9) != r - 1:
+                continue
+            z = svt[-1]
+        else:
+            z = np.ones(1)
+        for c in (z, -z):
+            if np.all(local @ c <= tol) and not any(np.linalg.norm(c - d) <= tol for d in rays):
+                rays.append(c)
+    return [c @ basis for c in rays], rows.shape[1] - r

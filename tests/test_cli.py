@@ -1,10 +1,10 @@
 """End-to-end checks of the command-line surface.
 
 Everything runs in-process through ``main(argv)`` except the tests that
-need a fresh interpreter: one proves the module entry point works, and
-the import-guard tests check which commands load scipy.  Documents are
-validated here against the published schemas independently of the
-validation the CLI performs before emitting.
+need a fresh interpreter: one proves the module entry point works, the
+import-guard tests check which commands load scipy, and one runs the
+demos.  Documents are validated here against the published schemas
+independently of the validation the CLI performs before emitting.
 """
 
 import io
@@ -196,6 +196,28 @@ def test_dualcone_generalized_identity(tmp_path, capsys):
     assert parsed["result"]["ok"] is True
 
 
+def test_dualcone_generalized_identity_in_r4(tmp_path, capsys):
+    doc = {
+        "operation": "dualcone",
+        "space": {"n": 4, "p": 3},
+        "sets": [
+            {"type": "cone", "vertex": [0, 0, 0, 0],
+             "generators": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+            {"type": "cone", "vertex": [0, 0, 0, 0],
+             "generators": [[1, 1, -1, 0], [0, 1, 1, -1], [-1, 0, 1, 1], [1, -1, 0, 1]]},
+        ],
+    }
+    code, out = _run(
+        capsys,
+        ["dualcone", "--input", _write(tmp_path, doc), "--kind", "generalized", "--check", "identity",
+         "--json"],
+    )
+    assert code == 0
+    parsed = json.loads(out)
+    jsonschema.validate(parsed, _schema("result.schema.json"))
+    assert parsed["result"]["ok"] is True
+
+
 def test_unknown_field_is_rejected(tmp_path, capsys):
     doc = dict(_RAY_PROBLEM, bogus_field=1)
     code, _ = _run(capsys, ["project", "--input", _write(tmp_path, doc)])
@@ -239,6 +261,12 @@ def test_unknown_fuzz_target_is_an_error(capsys):
 def test_suite_commands_take_no_tolerance_or_verify_trials(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
+    assert exc.value.code == 2
+
+
+def test_verify_forces_only_exponents_two_and_three():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--p", "4"])
     assert exc.value.code == 2
 
 
@@ -360,3 +388,10 @@ def test_cold_cone_projection_loads_nnls_on_demand(tmp_path):
     assert run["code"] == 0
     assert json.loads(run["out"])["result"]["converged"] is True
     assert run["scipy"] is True
+
+
+def test_demos_run():
+    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    assert len(demos) == 5
+    for demo in demos:
+        _fresh_python(str(demo))

@@ -105,6 +105,43 @@ def test_generalized_double_dual_is_involutive():
             assert pair(phi, cand - v) > 0.0
 
 
+_CONES_BEYOND_R3 = {
+    4: [[1.0, 0.0, 0.0, 0.2], [0.0, 1.0, 0.3, 0.0], [0.2, 0.0, 1.0, 0.0], [0.0, 0.1, 0.0, 1.0]],
+    5: [[1.0, 0.2, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.3, 0.0], [0.0, 0.0, 1.0, 0.0, 0.1],
+        [0.2, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.3, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_generalized_double_duality_beyond_three_dimensions(n):
+    S = LpSpace(n, 3.0, weights=np.linspace(0.5, 2.0, n))
+    gens = [S.point(g) for g in _CONES_BEYOND_R3[n]]
+    K = ConeWithVertex.of(FinitelyGeneratedCone(S.zero(), gens))
+    inside = S.point(sum((k + 1.0) * g.coords for k, g in enumerate(gens)))
+    assert generalized_double_dual_member(K, inside)
+    assert find_double_dual_certificate(K, inside) is None
+    outside = S.point(-np.ones(n))
+    assert not generalized_double_dual_member(K, outside)
+    cert = find_double_dual_certificate(K, outside)
+    assert cert is not None and cert.revalidate()
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_intersection_dual_identity_beyond_three_dimensions(n):
+    S = LpSpace(n, 3.0, weights=np.linspace(0.5, 2.0, n))
+    orthant = FinitelyGeneratedCone(S.zero(), [S.point(e) for e in np.eye(n)])
+    # each generator has one negative coordinate, so the cone is not inside the orthant
+    twisted = FinitelyGeneratedCone(
+        S.zero(), [S.point(np.roll([1.0, 1.0, -0.5] + [0.0] * (n - 3), k)) for k in range(n)]
+    )
+    rep = intersection_dual_check(orthant, twisted, seed=4)
+    assert rep.ok
+    assert rep.forward_margin <= 1e-8 and rep.backward_residual <= 1e-8
+    assert rep.intersection_generators
+    for g in rep.intersection_generators:
+        assert orthant.contains(g) and twisted.contains(g)
+
+
 def test_generalized_dual_membership_translates_with_vertex():
     S = LpSpace(3, 3.0, weights=[0.8, 1.0, 1.3])
     v = S.point([0.5, -1.0, 2.0])

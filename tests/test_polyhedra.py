@@ -1,16 +1,23 @@
-"""The numpy null-space helper of ``lpgeom.polyhedra`` against scipy.
+"""``lpgeom.polyhedra`` against scipy and a brute-force oracle.
 
 lpgeom replaced ``scipy.linalg.null_space`` with its own SVD so that
 importing the package does not load scipy; its polyhedral answers stay
 the same only if the helper returns the same bits, including the rank
 it picks under scipy's rule.
+
+The double description routine behind ``polar_cone_generators`` and
+``intersect_cone_generators`` is checked against an enumeration over row
+subsets that shares no code with it, by the bipolar property, and on
+degenerate generator sets, in dimensions 2 to 6.
 """
 
 import numpy as np
 import pytest
 from scipy.linalg import null_space
+from scipy.optimize import nnls
 
-from lpgeom.polyhedra import _null_space
+from _oracles import polar_cone_by_enumeration
+from lpgeom.polyhedra import _null_space, intersect_cone_generators, polar_cone_generators
 
 
 def _same_bits(got, want):
@@ -46,3 +53,115 @@ def test_null_space_edge_cases_match_scipy(A, rcond):
     got = _null_space(A, rcond)
     assert _same_bits(got, null_space(A, rcond=rcond))
     assert got.shape == (3, 3 - np.linalg.matrix_rank(A))
+
+
+def _same_rays(got, want, tol=1e-9):
+    return len(got) == len(want) and all(min(np.linalg.norm(g - w) for w in want) <= tol for g in got)
+
+
+def _generators(rays, lin):
+    return list(rays) + [s * b for b in lin for s in (1.0, -1.0)]
+
+
+def _in_cone(gens, x, tol=1e-9):
+    if not gens:
+        return np.linalg.norm(x) <= tol
+    return nnls(np.stack(gens, axis=1), x)[1] <= tol * (1.0 + np.linalg.norm(x))
+
+
+def _same_cone(gens_a, gens_b):
+    return all(_in_cone(gens_b, g) for g in gens_a) and all(_in_cone(gens_a, g) for g in gens_b)
+
+
+def _constraint_rows(rng, n):
+    m = int(rng.integers(1, n + 5))
+    if rng.integers(2):
+        return rng.normal(size=(m, n))
+    # small integer rows: many rows tight at one ray, repeats and opposite pairs
+    rows = rng.integers(-1, 2, size=(m, n)).astype(float)
+    rows[~rows.any(axis=1), 0] = 1.0
+    return np.vstack([rows, rows[: int(rng.integers(0, 3))]])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_polar_rays_match_subset_enumeration(n):
+    rng = np.random.default_rng(400 + n)
+    for _ in range(60):
+        rows = _constraint_rows(rng, n)
+        rays, lin = polar_cone_generators(rows)
+        want, lin_dim = polar_cone_by_enumeration(rows)
+        assert _same_rays(rays, want), rows
+        assert len(lin) == lin_dim, rows
+        if lin:
+            assert np.allclose(rows @ np.stack(lin, axis=1), 0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_polar_of_the_polar_is_the_cone(n):
+    rng = np.random.default_rng(500 + n)
+    for _ in range(20):
+        G = rng.normal(size=(int(rng.integers(1, n + 3)), n))
+        polar = _generators(*polar_cone_generators(G))
+        if not polar:  # the polar is {0}: the generators span the whole space
+            assert _same_cone(list(G), [s * e for e in np.eye(n) for s in (1.0, -1.0)])
+            continue
+        assert _same_cone(list(G), _generators(*polar_cone_generators(np.stack(polar))))
+
+
+@pytest.mark.parametrize(
+    "generators, rays, lineality_dim",
+    [
+        ([[1, 0, 0], [1, 0, 0], [0, 1, 0]], [[-1, 0, 0], [0, -1, 0]], 1),
+        ([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]], [[-1, 0, 0], [0, -1, 0], [0, 0, -1]], 0),
+        ([[1, 0, 0], [-1, 0, 0], [0, 1, 0]], [[0, -1, 0]], 1),
+        ([[0, 0, 2]], [[0, 0, -1]], 2),
+        ([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], [], 0),
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [-1, -1, -1, 0]], [], 1),
+    ],
+    ids=["repeated", "non-extreme", "opposite-pair", "one-generator", "whole-space", "whole-subspace"],
+)
+def test_polar_of_degenerate_generator_sets(generators, rays, lineality_dim):
+    G = np.array(generators, dtype=float)
+    got, lin = polar_cone_generators(G)
+    assert _same_rays(got, [np.array(r, dtype=float) for r in rays])
+    assert len(lin) == lineality_dim
+    assert _same_rays(polar_cone_by_enumeration(G)[0], got)
+
+
+def _enumerated_polar(rows):
+    rays, lin_dim = polar_cone_by_enumeration(rows)
+    return rays, list(null_space(np.asarray(rows)).T) if lin_dim else []
+
+
+def _pointed_generators(rng, n):
+    G = rng.normal(size=(n, int(rng.integers(1, n + 3))))
+    G[0] = np.abs(G[0]) + 0.3
+    return G
+
+
+@pytest.mark.parametrize("n", range(2, 6))  # the oracle's subsets grow too many at n = 6
+def test_intersection_matches_the_stacked_inequalities(n):
+    rng = np.random.default_rng(600 + n)
+    for _ in range(20):
+        GA, GB = _pointed_generators(rng, n), _pointed_generators(rng, n)
+        got = intersect_cone_generators(GA, GB)
+        # A and B as inequalities, through the oracle alone
+        rows = [c for G in (GA, GB) for c in _generators(*_enumerated_polar(G.T))]
+        want = _generators(*_enumerated_polar(np.stack(rows)))
+        assert _same_cone(got, want), (GA, GB)
+
+
+def test_intersection_of_degenerate_pairs():
+    eye = np.eye(3)
+    whole = np.hstack([eye, -eye])
+    line = np.array([[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]])
+    assert _same_cone(intersect_cone_generators(eye, whole), list(eye.T))
+    assert _same_cone(intersect_cone_generators(line, line), list(line.T))
+    assert _same_cone(intersect_cone_generators(line, eye), [eye[0]])
+    assert intersect_cone_generators(eye, -eye) == []
+    # a rotated line through one generator of a cone: the null space of
+    # [line, -cone] has roundoff-sized rows that must not act as constraints
+    Q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    cone = np.stack([2.0 * Q[:, 0], Q[:, 1] + Q[:, 2], Q[:, 1] - Q[:, 2]], axis=1)
+    got = intersect_cone_generators(np.stack([Q[:, 0], -Q[:, 0]], axis=1), cone)
+    assert _same_rays(got, [Q[:, 0]])

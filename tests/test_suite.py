@@ -96,6 +96,9 @@ def test_forcing_exponent_two_degrades_gracefully():
 def test_force_p_must_be_smooth():
     with pytest.raises(ValueError):
         run_verification_suite(force_p=1.0)
+    # smooth but unpinned: checks 03, 05 and 12 hold only at exponents 2 and 3
+    with pytest.raises(ValueError, match="2 or 3"):
+        run_verification_suite(force_p=4.0)
 
 
 def test_unknown_fuzz_target_raises():
