@@ -39,9 +39,14 @@ def _svd_rank(A: np.ndarray, rcond: float | None = None) -> tuple[int, np.ndarra
     vt[rank:] its null space.
     """
     _, s, vt = np.linalg.svd(A)
+    return _rank(s, A.shape, rcond), vt
+
+
+def _rank(s: np.ndarray, shape: tuple[int, ...], rcond: float | None = None) -> int:
+    """How many singular values s of a matrix of this shape count, by _svd_rank's rule."""
     if rcond is None:
-        rcond = np.finfo(s.dtype).eps * max(A.shape)
-    return int(np.sum(s > np.amax(s, initial=0.0) * rcond)), vt
+        rcond = np.finfo(s.dtype).eps * max(shape)
+    return int(np.count_nonzero(s > s.max(initial=0.0) * rcond))
 
 
 def _null_space(A: np.ndarray, rcond: float | None = None) -> np.ndarray:

@@ -12,17 +12,23 @@ variational characterizations
 whose worst violation over the set reduces to finitely many pairings
 (vertices, and rays and lineality directions per unit coefficient, or
 the ball's support function).  A nonpositive residual certifies optimality.
+The certificate also proves u in C.  For a solver answer the proof is the
+solver's own chart coefficients t: they lie in the chart's domain and
+rebuild u = base + D t within the membership tolerance.  A caller's u
+that comes without such a witness is tested by a nonnegative
+least-squares fit instead, so ``vi_residual_*`` stay an independent check.
 
 Solver strategy: both projections minimize ||u - c||^2 - 2 <ell, u> plus
 a constant, with c = x, ell = 0 (metric) or c = 0, ell = psi
-(generalized).  Balls, and members that are their own projection, take a
-closed form.  Every other set, one chart direction or many, takes one
-projected Newton loop on its chart coefficients: the exact Hessian of the
-squared norm, a projected gradient fallback, and Armijo backtracking that
-refuses full steps jumping across the minimum.  It starts from the weighted
-least-squares fit of the unconstrained minimizer.  That loop keeps the
-method label "projected-gradient", which reports and the result schema
-read; ``stop_reason`` says why it stopped.
+(generalized).  Balls take a closed form.  On every other set the
+weighted least-squares fit of the unconstrained minimizer c + J*(ell)
+comes first.  When it rebuilds that minimizer, the minimizer is a member
+and its own projection, returned as a closed form.  Otherwise the fit is
+the warm start of one projected Newton loop on the chart coefficients:
+the exact Hessian of the squared norm, a projected gradient fallback, and
+Armijo backtracking that refuses full steps jumping across the minimum.
+That loop keeps the method label "projected-gradient", which reports and
+the result schema read; ``stop_reason`` says why it stopped.
 """
 
 from __future__ import annotations
@@ -189,21 +195,51 @@ def _arc_search(f_t, grad_t, project, t, fval, g, gap, d, step, flat):
     return None
 
 
-def _solve_parameterized(C: ConvexSet, c: np.ndarray, ell: np.ndarray, opts: SolverOptions):
+def _warm_start(C: ConvexSet, y: PrimalVec) -> np.ndarray:
+    """Chart coefficients of the weighted least-squares fit of y, projected onto the domain.
+
+    The fit's normal equations are k x k, far cheaper than an n x k lstsq.
+    They are solved directly when the chart's directions are independent,
+    and in the least-squares sense otherwise.
+    """
+    pm = C.parameterize()
+    sw = np.sqrt(C.space.weights)
+    A = sw[:, None] * C._D
+    rhs = A.T @ (sw * (y.coords - pm.base.coords))
+    return _coefficient_projector(pm.feasible)(_model_step(A.T @ A, rhs, C._independent_directions()))
+
+
+def _member_witness(C: ConvexSet, y: PrimalVec, t: np.ndarray) -> tuple[bool, np.ndarray | None]:
+    """Whether the unconstrained minimizer y lies in C, and coefficients witnessing it.
+
+    The warm start t is y's fit.  When it rebuilds y within the shortcut's
+    threshold it is the witness.  A miss proves y is outside only when the
+    chart's directions are independent; otherwise a nonnegative
+    least-squares fit decides, and there is no witness.
+    """
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(y.coords))))
+    if C._fits(y, t, tol):
+        return True, t
+    if C._independent_directions():
+        return False, None
+    return C.contains(y, tol), None
+
+
+def _solve_parameterized(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.ndarray, opts: SolverOptions):
     """Minimize F(u) = ||u - c||^2 - 2 <ell, u> + ||ell||_*^2 over C on its chart.
 
-    Projected Newton (Bertsekas 1982) on the coefficients t, from the
-    weighted least-squares fit of the unconstrained minimizer c + J*(ell):
+    Projected Newton (Bertsekas 1982) on the coefficients, from the warm
+    start t, the fit of the unconstrained minimizer c + J*(ell):
     coefficients at their bound whose gradient pushes outward go to the
     bound, and the free block takes a Newton step with the exact Hessian
     D^T (diag(h) + beta a a^T) D, bordered by the sum constraint on the
-    simplex.  Returns the point, F there, the accepted steps, the trace
-    and the stop reason.
+    simplex.  Returns the point, its coefficients, F there, the accepted
+    steps, the trace and the stop reason.
     """
     space = C.space
     pm = C.parameterize()
     base = pm.base.coords
-    D = pm.direction_matrix()
+    D = C._D
     w = space.weights
     wl = w * ell
     ell_sq = space.dual().norm_of(ell) ** 2
@@ -221,11 +257,6 @@ def _solve_parameterized(C: ConvexSet, c: np.ndarray, ell: np.ndarray, opts: Sol
     # n + 2; larger systems are singular
     rank_cap = space.n + 2 if simplex else space.n
     data_sq = space.norm_of(c) ** 2 + ell_sq
-    sw = np.sqrt(w)
-    warm = c + space.dual().jmap(ell)
-    # the fit's normal equations are k x k, far cheaper than an n x k lstsq
-    A = sw[:, None] * D
-    t = project(_model_step(A.T @ A, A.T @ (sw * (warm - base)), D.shape[1] <= space.n))
     fval, g = f_t(t), grad_t(t)
     gap = float(np.linalg.norm(t - project(t - g)))
     trace = [fval] if opts.collect_trace else None
@@ -249,14 +280,21 @@ def _solve_parameterized(C: ConvexSet, c: np.ndarray, ell: np.ndarray, opts: Sol
         active = near & (g > level)
         while True:
             free = ~active
-            H = hess[np.ix_(free, free)]
-            rhs = -g[free]
+            held = active.any()
+            m = int(free.sum())
             if simplex:
-                k = rhs.size
-                H = np.block([[H, np.ones((k, 1))], [np.ones((1, k)), np.zeros((1, 1))]])
-                rhs = np.append(rhs, np.sum(t[active]))
+                # the free block bordered by the sum constraint
+                H = np.zeros((m + 1, m + 1))
+                H[:m, :m] = hess[np.ix_(free, free)] if held else hess
+                H[:m, m] = H[m, :m] = 1.0
+                rhs = np.empty(m + 1)
+                rhs[:m] = -g[free]
+                rhs[m] = np.sum(t[active])
+            else:
+                H = hess[np.ix_(free, free)] if held else hess
+                rhs = -g[free]
             newton = -t  # active coefficients go to their bound
-            newton[free] = _model_step(H, rhs, rhs.size <= rank_cap)[: free.sum()]
+            newton[free] = _model_step(H, rhs, rhs.size <= rank_cap)[:m]
             # a free coefficient at its bound that the step pushes outward is held there
             blocked = free & near & (newton < 0.0)
             if not blocked.any():
@@ -277,7 +315,7 @@ def _solve_parameterized(C: ConvexSet, c: np.ndarray, ell: np.ndarray, opts: Sol
         iters += 1
         if trace is not None:
             trace.append(fval)
-    return base + D @ t, fval, iters, trace, stop
+    return base + D @ t, t, fval, iters, trace, stop
 
 
 def _ball_projection(C: ConvexSet, y: PrimalVec, by) -> PrimalVec | None:
@@ -316,13 +354,15 @@ def metric_project(C: ConvexSet, x: PrimalVec, opts: SolverOptions | None = None
     if u is not None:
         return _certified(u, space.norm_of(x.coords - u.coords) ** 2, vi_residual_metric(C, x, u), opts)
 
+    t = _warm_start(C, x)
     # a member is its own projection: <J(x - x), x - z> = 0 holds exactly
-    if C.contains(x, 1e-12 * (1.0 + float(np.max(np.abs(x.coords))))):
-        return _certified(x, 0.0, vi_residual_metric(C, x, x), opts)
+    member, witness = _member_witness(C, x, t)
+    if member:
+        return _certified(x, 0.0, vi_residual_metric(C, x, x, witness=witness), opts)
 
-    u_arr, fval, iters, trace, stop = _solve_parameterized(C, x.coords, np.zeros(space.n), opts)
+    u_arr, t, fval, iters, trace, stop = _solve_parameterized(C, x.coords, np.zeros(space.n), t, opts)
     u = space.point(u_arr)
-    return _certified(u, fval, vi_residual_metric(C, x, u), opts, iters, stop, trace)
+    return _certified(u, fval, vi_residual_metric(C, x, u, witness=t), opts, iters, stop, trace)
 
 
 def generalized_project(C: ConvexSet, psi: DualVec, opts: SolverOptions | None = None) -> ProjectionResult:
@@ -338,15 +378,17 @@ def generalized_project(C: ConvexSet, psi: DualVec, opts: SolverOptions | None =
     if y is not None:
         return _certified(y, lyapunov(psi, y), vi_residual_generalized(C, psi, y), opts)
 
+    t = _warm_start(C, inv)
     # when the inverse duality image lies in C it is the unconstrained minimizer
-    if C.contains(inv, 1e-12 * (1.0 + float(np.max(np.abs(inv.coords))))):
-        res = vi_residual_generalized(C, psi, inv)
+    member, witness = _member_witness(C, inv, t)
+    if member:
+        res = vi_residual_generalized(C, psi, inv, witness=witness)
         if res <= opts.vi_tol:
             return _certified(inv, lyapunov(psi, inv), res, opts)
 
-    u_arr, fval, iters, trace, stop = _solve_parameterized(C, np.zeros(space.n), psi.coords, opts)
+    u_arr, t, fval, iters, trace, stop = _solve_parameterized(C, np.zeros(space.n), psi.coords, t, opts)
     y = space.point(u_arr)
-    return _certified(y, fval, vi_residual_generalized(C, psi, y), opts, iters, stop, trace)
+    return _certified(y, fval, vi_residual_generalized(C, psi, y, witness=t), opts, iters, stop, trace)
 
 
 def _vi_reduction(C: ConvexSet, phi: DualVec, u: PrimalVec) -> float:
@@ -359,30 +401,48 @@ def _vi_reduction(C: ConvexSet, phi: DualVec, u: PrimalVec) -> float:
     """
     if isinstance(C, Ball):
         return C.radius * norm(phi) - pair(phi, u)
-    pairing = C.space.pairing
-    return max(
-        [pairing(phi.coords, v - u.coords) for v in C.V]
-        + [pairing(phi.coords, r) for r in C.R]
-        + [abs(pairing(phi.coords, l)) for l in C.L]
-    )
+    # one product pairs phi with every row of V, R and L
+    wphi = C.space.weights * phi.coords
+    vals = C._rows @ wphi
+    nv, nr = len(C.V), len(C.R)
+    vals[:nv] -= float(np.dot(wphi, u.coords))
+    vals[nv + nr:] = np.abs(vals[nv + nr:])
+    return float(np.max(vals))
 
 
-def vi_residual_metric(C: ConvexSet, x: PrimalVec, u: PrimalVec, membership_tol: float = 1e-6) -> float:
+def _require_member(C: ConvexSet, u: PrimalVec, membership_tol: float, witness: np.ndarray | None) -> None:
+    member = C.contains(u, membership_tol) if witness is None else C._fits(u, witness, membership_tol)
+    if not member:
+        raise ValueError("candidate projection is not a member of the set")
+
+
+def vi_residual_metric(
+    C: ConvexSet, x: PrimalVec, u: PrimalVec, membership_tol: float = 1e-6, witness: np.ndarray | None = None
+) -> float:
     """Certificate for u = metric projection of x: nonpositive iff certified.
 
-    Raises when u is not a member of C within ``membership_tol``.
+    Raises when u is not a member of C within ``membership_tol``.  Without
+    a ``witness`` membership is a nonnegative least-squares fit.  A witness
+    is chart coefficients t of a polyhedral C (``C.parameterize()``) that
+    the solver built u from: then u is a member when t lies in the chart's
+    domain and base + D t reproduces u within that tolerance, and nothing
+    is fitted.  A witness that passes always passes ``C.contains`` too.
     """
     _require_smooth(C.space)
-    if not C.contains(u, membership_tol):
-        raise ValueError("candidate projection is not a member of the set")
+    _require_member(C, u, membership_tol, witness)
     return _vi_reduction(C, duality_map(x - u), u)
 
 
-def vi_residual_generalized(C: ConvexSet, psi: DualVec, y: PrimalVec, membership_tol: float = 1e-6) -> float:
-    """Certificate for y = generalized projection of psi onto C."""
+def vi_residual_generalized(
+    C: ConvexSet, psi: DualVec, y: PrimalVec, membership_tol: float = 1e-6, witness: np.ndarray | None = None
+) -> float:
+    """Certificate for y = generalized projection of psi onto C.
+
+    Membership is decided as in ``vi_residual_metric``, by the ``witness``
+    coefficients when given.
+    """
     _require_smooth(C.space)
-    if not C.contains(y, membership_tol):
-        raise ValueError("candidate projection is not a member of the set")
+    _require_member(C, y, membership_tol, witness)
     return _vi_reduction(C, psi - duality_map(y), y)
 
 

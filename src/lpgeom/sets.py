@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polyhedra import _nnls
+from .polyhedra import _nnls, _rank
 from .spaces import DualVec, LpSpace, PrimalVec
 
 __all__ = [
@@ -45,6 +45,8 @@ UNRESTRICTED = "unrestricted"
 
 # coefficient range of each one-dimensional domain
 _INTERVALS = {UNIT_INTERVAL: (0.0, 1.0), NONNEGATIVE: (0.0, math.inf), UNRESTRICTED: (-math.inf, math.inf)}
+# rank rule of a Gram matrix D^T D: its entries carry roundoff of order eps max(D^T D)
+_GRAM_RCOND = math.sqrt(float(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,7 @@ class ConvexSet:
     def contains(self, x: PrimalVec, tol: float = 1e-9) -> bool:
         """True when x is within ``tol`` (scaled by magnitude) of the set."""
         self._check_point(x)
-        scale = 1.0 + float(np.linalg.norm(x.coords)) + self._scale()
-        return self.distance(x) <= tol * scale
+        return self.distance(x) <= self._slack(x, tol)
 
     def distance(self, x: PrimalVec) -> float:
         """Distance from x to the set in the Euclidean coefficient sense.
@@ -120,6 +121,14 @@ class ConvexSet:
     def _scale(self) -> float:
         raise NotImplementedError
 
+    def _slack(self, x: PrimalVec, tol: float) -> float:
+        """The distance ``contains`` allows: tol scaled by the sizes of x and the set."""
+        return tol * (1.0 + float(np.linalg.norm(x.coords)) + self._scale())
+
+    def _fits(self, x: PrimalVec, t, tol: float) -> bool:
+        """True when chart coefficients t witness that x is a member within ``tol``."""
+        raise TypeError(f"{type(self).__name__} has no chart coefficients to witness membership")
+
     def _check_point(self, x: PrimalVec):
         if not isinstance(x, PrimalVec):
             raise TypeError("expected a PrimalVec")
@@ -148,8 +157,10 @@ class _Polyhedral(ConvexSet):
         self.V, self.R, self.L = (_frozen_rows(M, space.n) for M in (V, R, L))
         self._chart = chart
         self._D = chart.direction_matrix()
-        reach = np.max(np.linalg.norm(np.vstack([self.R, self.L]), axis=1), initial=0.0)
+        self._rows = np.vstack([self.V, self.R, self.L])
+        reach = np.max(np.linalg.norm(self._rows[len(self.V):], axis=1), initial=0.0)
         self._extent = float(np.max(np.linalg.norm(self.V, axis=1)) + reach)
+        self._independent: bool | None = None  # set by _independent_directions on first use
 
     def distance(self, x: PrimalVec) -> float:
         self._check_point(x)
@@ -166,11 +177,57 @@ class _Polyhedral(ConvexSet):
             # Convex-combination fit: stack the affine constraint sum(c) = 1 as
             # an extra row so one nonnegative least-squares solve handles both.
             # The blended residual vanishes exactly on members.
-            rho = max(1.0, float(np.linalg.norm(x.coords)), self._scale())
+            rho = self._sum_weight(x)
             A = np.vstack([D, rho * np.ones(D.shape[1])])
             return float(_nnls(A, np.concatenate([r, [rho]]))[1])
         coef, *_ = np.linalg.lstsq(D, r, rcond=None)
         return float(np.linalg.norm(r - D @ coef))
+
+    def _fits(self, x: PrimalVec, t, tol: float) -> bool:
+        """True when chart coefficients t witness that x is a member within ``tol``.
+
+        t must lie in the chart's domain (the simplex's sum is judged by the
+        residual), and base + D t must reproduce x within the distance that
+        ``contains`` allows.  The residual is the one ``distance`` minimizes
+        over the domain, sum row included, so distance(x) never exceeds it
+        and a pass here implies contains(x, tol).  Nothing is fitted.
+        """
+        self._check_point(x)
+        t = np.asarray(t, dtype=float)
+        if t.shape != (self._D.shape[1],):
+            raise ValueError(f"a witness needs {self._D.shape[1]} chart coefficients, got shape {t.shape}")
+        feasible = self._chart.feasible
+        lo, hi = _INTERVALS.get(feasible, (0.0, math.inf))
+        if not np.all((t >= lo) & (t <= hi)):
+            return False
+        res = float(np.linalg.norm(self._D @ t - (x.coords - self._chart.base.coords)))
+        if feasible == SIMPLEX:
+            res = math.hypot(res, self._sum_weight(x) * (float(np.sum(t)) - 1.0))
+        return res <= self._slack(x, tol)
+
+    def _independent_directions(self) -> bool:
+        """True when the chart's directions are independent, with room for roundoff.
+
+        Then each member has one coefficient vector, which the normal
+        equations D^T D t = D^T r recover, so a fit that misses x proves x is
+        not a member.  Decided on the first call by ``polyhedra._svd_rank``'s
+        rule on the singular values of the k x k matrix D^T D, with
+        rcond = sqrt(eps) to clear the roundoff of forming it; so cond(D) is
+        below eps^(-1/4), about 1e4.  More directions than the dimension are
+        dependent.  No n x k factorization is taken: with BLAS threads on a
+        2-CPU Xeon, an SVD of 200 x 50 stalled for about 50 ms.
+        """
+        if self._independent is None:
+            n, k = self._D.shape
+            gram = self._D.T @ self._D
+            # a 1 x 1 Gram matrix is its own singular value
+            s = np.linalg.svd(gram, compute_uv=False) if k > 1 else gram.ravel()
+            self._independent = k <= n and _rank(s, gram.shape, _GRAM_RCOND) == k
+        return self._independent
+
+    def _sum_weight(self, x: PrimalVec) -> float:
+        # weight of the simplex's sum row in a fit of x: on the scale of x and the set
+        return max(1.0, float(np.linalg.norm(x.coords)), self._scale())
 
     def support(self, psi: DualVec, tol: float = 0.0) -> float:
         self._check_functional(psi)

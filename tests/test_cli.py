@@ -376,18 +376,44 @@ def test_cold_commands_on_the_readme_ray_do_not_load_scipy(tmp_path, argv, doc):
     assert run["scipy"] is False
 
 
-def test_cold_cone_projection_loads_nnls_on_demand(tmp_path):
-    doc = {
-        "operation": "project",
-        "space": {"n": 3, "p": 3},
-        "set": {"type": "cone", "vertex": [0, 0, 0],
-                "generators": [[1, 0, 0], [1, 1, 0], [1, 1, 1]]},
-        "point": [-1, 2, 3],
-    }
-    run = _fresh_cli(tmp_path, ["project"], doc)
+_CONE_PROBLEM = {
+    "operation": "project",
+    "space": {"n": 3, "p": 3},
+    "set": {"type": "cone", "vertex": [0, 0, 0], "generators": [[1, 0, 0], [1, 1, 0], [1, 1, 1]]},
+    "point": [-1, 2, 3],
+}
+
+
+def test_cold_cone_projection_certifies_without_scipy(tmp_path):
+    # the certificate takes membership from the solver's own coefficients
+    run = _fresh_cli(tmp_path, ["project"], _CONE_PROBLEM)
     assert run["code"] == 0
     assert json.loads(run["out"])["result"]["converged"] is True
+    assert run["scipy"] is False
+
+
+def test_cold_cone_dual_membership_loads_nnls_on_demand(tmp_path):
+    doc = dict(_CONE_PROBLEM, operation="dualcone")
+    run = _fresh_cli(tmp_path, ["dualcone", "--kind", "metric", "--check", "member"], doc)
+    assert run["code"] == 0
     assert run["scipy"] is True
+
+
+_LARGE_PROJECTIONS = """import sys
+import numpy as np
+import lpgeom
+rng = np.random.default_rng(5)
+S = lpgeom.LpSpace(50, 3.0, weights=rng.uniform(0.3, 3.0, 50))
+pts = lambda k: [S.point(rng.normal(size=50)) for _ in range(k)]
+for C in (lpgeom.FinitelyGeneratedCone(pts(1)[0], pts(12)), lpgeom.Polytope(pts(12))):
+    assert lpgeom.metric_project(C, S.point(3.0 * rng.normal(size=50))).converged
+    assert lpgeom.generalized_project(C, S.functional(2.0 * rng.normal(size=50))).converged
+print("scipy" in sys.modules)
+"""
+
+
+def test_large_cone_and_polytope_projections_do_not_load_scipy():
+    assert _fresh_python("-c", _LARGE_PROJECTIONS).strip() == "False"
 
 
 def test_demos_run():

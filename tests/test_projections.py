@@ -14,7 +14,18 @@ from lpgeom.projections import (
     vi_residual_generalized,
     vi_residual_metric,
 )
-from lpgeom.sets import Ball, FinitelyGeneratedCone, Line, Polytope, Ray, Segment, Subspace
+from lpgeom.sets import (
+    SIMPLEX,
+    UNIT_INTERVAL,
+    UNRESTRICTED,
+    Ball,
+    FinitelyGeneratedCone,
+    Line,
+    Polytope,
+    Ray,
+    Segment,
+    Subspace,
+)
 from lpgeom.spaces import LpSpace, duality_map, duality_map_inv, lyapunov, norm, pair
 from lpgeom.suite import _PROPERTIES, _rng, fuzz_target_ids
 
@@ -155,22 +166,147 @@ def test_trace_is_monotone_nonincreasing():
     assert np.all(diffs <= 1e-12)
 
 
+def _polyhedral_family(rng, n):
+    """A space and one set of each type in R^n, with independent and dependent charts.
+
+    Cones and polytopes come three ways: at most n generic directions, n + 2
+    of them, and k <= n drawn inside an r-dimensional subspace, r < k.
+    """
+    S = LpSpace(n, float(rng.choice([1.5, 2.0, 3.0, 4.0])), weights=rng.uniform(0.5, 2.0, n))
+    pts = lambda k: [S.point(v) for v in rng.normal(size=(k, n))]  # noqa: E731
+    r = int(rng.integers(1, n))
+    basis = rng.normal(size=(r, n))
+    flat = [S.point(c @ basis) for c in rng.normal(size=(int(rng.integers(r + 1, n + 1)), r))]
+    few = int(rng.integers(1, n + 1))
+    return S, [
+        Segment(*pts(2)),
+        Ray(*pts(2)),
+        Line(*pts(2)),
+        FinitelyGeneratedCone(pts(1)[0], pts(few)),
+        FinitelyGeneratedCone(pts(1)[0], pts(n + 2)),
+        FinitelyGeneratedCone(pts(1)[0], flat),
+        Polytope(pts(few)),
+        Polytope(pts(n + 2)),
+        Polytope(flat),
+        Subspace(S, pts(int(rng.integers(1, n)))),
+    ]
+
+
+def _chart_member(C, rng, zeros=0):
+    """A member base + D t of C with t in the chart's domain, ``zeros`` coefficients at 0 where it has a bound."""
+    pm = C.parameterize()
+    k = len(pm.directions)
+    if pm.feasible == SIMPLEX:
+        t = rng.dirichlet(np.ones(k))
+    elif pm.feasible == UNIT_INTERVAL:
+        t = rng.uniform(0.0, 1.0, k)
+    else:
+        t = rng.uniform(0.1, 3.0, k) * (rng.choice([-1.0, 1.0], k) if pm.feasible == UNRESTRICTED else 1.0)
+    if pm.feasible != UNRESTRICTED and k > 1:
+        t[rng.choice(k, size=min(zeros, k - 1), replace=False)] = 0.0
+        if pm.feasible == SIMPLEX:
+            t /= t.sum()
+    return C.space.point(pm.base.coords + C._D @ t), t
+
+
 def test_members_are_fixed_points():
-    S = LpSpace(3, 3.0, weights=[0.6, 1.0, 1.4])
-    ball = Ball(S, 2.0)
-    inside = S.point([0.3, -0.2, 0.1])
-    assert np.max(np.abs(metric_project(ball, inside).point.coords - inside.coords)) <= 1e-12
+    # every set type returns a member bit for bit, without a solver step, whatever its chart
+    rng = np.random.default_rng(61)
+    checked = 0
+    for trial in range(12):
+        S, family = _polyhedral_family(rng, 2 + trial % 5)
+        for C in family + [Ball(S, 2.0)]:
+            members = C.sample(2, seed=trial)
+            if not isinstance(C, Ball):
+                members += [_chart_member(C, rng, zeros)[0] for zeros in (0, 1, 2)]
+            for x in members:
+                res = metric_project(C, x)
+                assert res.point.coords.tobytes() == x.coords.tobytes(), (trial, C)
+                assert res.objective == 0.0 and res.stop_reason == "closed-form" and res.converged
+                # V(J x, x) = 0, so the generalized projection of J x is J*(J x), the unconstrained minimizer
+                psi = duality_map(x)
+                gres = generalized_project(C, psi)
+                assert gres.point.coords.tobytes() == duality_map_inv(psi).coords.tobytes(), (trial, C)
+                assert gres.stop_reason == "closed-form" and gres.converged
+                assert lyapunov(psi, gres.point) <= 1e-10 * (1.0 + norm(x) ** 2)
+                checked += 1
+    assert checked >= 12 * 11 * 2
 
-    K = FinitelyGeneratedCone(S.zero(), [S.point([1.0, 0.0, 0.0]), S.point([0.0, 1.0, 0.0])])
-    member = S.point([1.5, 0.7, 0.0])
-    got = metric_project(K, member).point.coords
-    assert np.max(np.abs(got - member.coords)) <= 1e-7
 
-    # V(J x, x) = 0, so the generalized projection of J x is x itself
-    psi = duality_map(member)
-    gres = generalized_project(K, psi)
-    assert np.max(np.abs(gres.point.coords - member.coords)) <= 1e-7
-    assert lyapunov(psi, gres.point) <= 1e-10
+def _refuse_nnls(*args):
+    raise AssertionError("nonnegative least squares on the projection path")
+
+
+def test_projections_certify_without_nnls(monkeypatch):
+    import lpgeom.polyhedra
+    import lpgeom.sets
+
+    monkeypatch.setattr(lpgeom.sets, "_nnls", _refuse_nnls)
+    monkeypatch.setattr(lpgeom.polyhedra, "_nnls", _refuse_nnls)
+    rng = np.random.default_rng(62)
+    n, k = 50, 12
+    S = LpSpace(n, 3.0, weights=rng.uniform(0.3, 3.0, n))
+    pts = lambda m: [S.point(v) for v in rng.normal(size=(m, n))]  # noqa: E731
+    for C in (FinitelyGeneratedCone(pts(1)[0], pts(k)), Polytope(pts(k)), Subspace(S, pts(k))):
+        for _ in range(3):
+            res = metric_project(C, S.point(3.0 * rng.normal(size=n)))
+            assert res.converged and res.stop_reason != "closed-form", C
+            assert generalized_project(C, S.functional(2.0 * rng.normal(size=n))).converged, C
+        for zeros in (0, 3):
+            x, _ = _chart_member(C, rng, zeros)
+            res = metric_project(C, x)
+            assert res.converged and res.point.coords.tobytes() == x.coords.tobytes(), C
+            gres = generalized_project(C, duality_map(x))
+            assert gres.converged and gres.stop_reason == "closed-form", C
+
+
+def test_witness_is_sound():
+    # a witness is rejected whenever it is off its domain or does not rebuild u,
+    # and one that is accepted always passes the independent NNLS membership test
+    rng = np.random.default_rng(63)
+    accepted = 0
+    for trial in range(20):
+        S, family = _polyhedral_family(rng, 2 + trial % 5)
+        for C in family:
+            pm = C.parameterize()
+            x = S.point(rng.normal(size=S.n))
+            u, t = _chart_member(C, rng, zeros=trial % 3)
+            vi_residual_metric(C, x, u, witness=t)  # the true witness passes
+            scale = 1.0 + float(np.linalg.norm(u.coords)) + C._scale()
+
+            def rejects(v, tw):
+                with pytest.raises(ValueError):
+                    vi_residual_metric(C, x, v, witness=tw)
+
+            rebuilt = lambda tw: S.point(pm.base.coords + C._D @ tw)  # noqa: E731
+            if pm.feasible != UNRESTRICTED:
+                neg = t.copy()
+                neg[rng.integers(t.size)] = -1e-3
+                rejects(rebuilt(neg), neg)
+            if pm.feasible == UNIT_INTERVAL:
+                rejects(rebuilt(np.array([1.0 + 1e-3])), np.array([1.0 + 1e-3]))
+            if pm.feasible == SIMPLEX:
+                off = t * (1.0 + 1e-3)
+                rejects(rebuilt(off), off)
+            step = rng.normal(size=S.n)
+            rejects(S.point(u.coords + 1e-3 * scale * step / np.linalg.norm(step)), t)
+            # near the acceptance threshold, acceptance implies the NNLS test
+            for size in (1e-9, 1e-7, 1e-6, 3e-6, 1e-5):
+                step = rng.normal(size=S.n)
+                v = S.point(u.coords + size * scale * step / np.linalg.norm(step))
+                tw = t + size * rng.normal(size=t.size)
+                for w in (t, tw):
+                    try:
+                        vi_residual_metric(C, x, v, witness=w)
+                    except ValueError:
+                        continue
+                    assert C.contains(v, 1e-6), (trial, C, size)
+                    accepted += 1
+    assert accepted >= 200
+    # a ball has no chart, so nothing can witness membership in it
+    ball = Ball(S, 1.0)
+    with pytest.raises(TypeError):
+        vi_residual_metric(ball, S.point(np.ones(S.n)), S.zero(), witness=np.zeros(1))
 
 
 def test_nonconvergence_is_reported_honestly():
