@@ -21,7 +21,7 @@ from importlib import resources
 import jsonschema
 
 from .cones import (
-    ConeWithVertex,
+    _vertex_and_generators,
     find_double_dual_certificate,
     generalized_double_dual_member,
     intersection_dual_check_family,
@@ -195,8 +195,6 @@ def _op_dualcone(space, doc, tol, seed, trials, kind, check):
     if kind == "generalized" and check == "identity":
         sets_doc = _need(doc, "sets")
         cones = [_set_from(space, d) for d in sets_doc]
-        for c in cones:
-            ConeWithVertex.of(c)
         rep = intersection_dual_check_family(cones, seed=seed, trials=trials, tol=tol)
         out = {
             "ok": bool(rep.ok),
@@ -207,7 +205,8 @@ def _op_dualcone(space, doc, tol, seed, trials, kind, check):
         }
         return out, "pass" if rep.ok else "fail"
 
-    K = ConeWithVertex.of(_the_set(space, doc))
+    K = _the_set(space, doc)
+    v, _ = _vertex_and_generators(K)
 
     if check == "member":
         if kind == "metric":
@@ -225,7 +224,7 @@ def _op_dualcone(space, doc, tol, seed, trials, kind, check):
                 "trials": trials,
             }
             return out, "pass"
-        escapes, pairs = _generalized_convexity_probe(K, seed, trials, tol)
+        escapes, pairs = _generalized_convexity_probe(K, v, seed, trials, tol)
         out = {
             "witness_found": escapes > 0,
             "witness": None,
@@ -254,22 +253,22 @@ def _op_dualcone(space, doc, tol, seed, trials, kind, check):
         return out, "pass"
 
     # identity, metric kind: the inner-product defect of the projection
-    if any(c != 0.0 for c in K.vertex.coords):
+    if any(c != 0.0 for c in v.coords):
         raise ValueError("the identity check is defined for cones with vertex at the origin")
     w = space.point(_need(doc, "point"))
-    res = metric_project(K.to_set(), w, SolverOptions(vi_tol=tol if tol < 1e-6 else 1e-6))
+    res = metric_project(K, w, SolverOptions(vi_tol=tol if tol < 1e-6 else 1e-6))
     if not res.converged:
         raise RuntimeError("projection did not certify; defect value would be unreliable")
     defect = pair(duality_map(w), res.point) - norm(res.point) ** 2
     return {"defect": float(defect), "point": _vec(res.point)}, "pass"
 
 
-def _generalized_convexity_probe(K, seed, trials, tol):
+def _generalized_convexity_probe(K, v, seed, trials, tol):
     """Convex combinations of generalized dual members must stay members."""
     import numpy as np
 
     space = K.space
-    jv = duality_map(K.vertex)
+    jv = duality_map(v)
     rng = np.random.default_rng(seed)
     pairs = escapes = 0
     attempts = 0

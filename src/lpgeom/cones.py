@@ -14,24 +14,25 @@ survive dualizing twice.  The generalized dual cone
 is always convex, and dualizing twice returns K exactly.  Routines here
 decide membership by two independent routes where possible and refuse to
 reconcile disagreements silently.
+
+Every routine takes the ray or finitely generated cone itself and reads
+the vertex from its one row of ``V`` and the generators from the rows of
+``R``; the polar cone comes from the set, which computes it once.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .polyhedra import _nnls, intersect_cone_generators, polar_cone_generators
 from .projections import SolverOptions, metric_project, vi_residual_metric
-from .sets import FinitelyGeneratedCone
 from .spaces import DualVec, PrimalVec, duality_map, norm, pair
 
 __all__ = [
-    "ConeWithVertex",
     "Witness",
     "member_metric_dual",
     "member_generalized_dual",
@@ -44,45 +45,6 @@ __all__ = [
     "intersection_dual_check_family",
     "hilbert_identity_violation",
 ]
-
-
-@dataclass(frozen=True)
-class ConeWithVertex:
-    """Uniform (vertex, generators) view of a set with one vertex, rays and no lineality."""
-
-    vertex: PrimalVec
-    generators: tuple[PrimalVec, ...]
-
-    @classmethod
-    def of(cls, K) -> "ConeWithVertex":
-        if isinstance(K, ConeWithVertex):
-            return K
-        V, R, L = (getattr(K, name, ()) for name in ("V", "R", "L"))
-        if len(V) != 1 or not len(R) or len(L):
-            raise TypeError("expected a ray or a finitely generated cone")
-        space = K.space
-        return cls(space.point(V[0]), tuple(space.point(r) for r in R))
-
-    @property
-    def space(self):
-        return self.vertex.space
-
-    def to_set(self) -> FinitelyGeneratedCone:
-        return FinitelyGeneratedCone(self.vertex, self.generators)
-
-    def generator_matrix(self) -> np.ndarray:
-        return np.stack([g.coords for g in self.generators], axis=0)
-
-    @functools.cached_property
-    def polar(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Extreme rays and lineality of the polar cone, in pairing coordinates.
-
-        With c_k = mu_k phi_k the weighted constraints <phi, g_i> <= 0 become
-        plain dot products dot(c, g_i) <= 0, and so does the pairing against
-        any primal vector; the weights cancel end to end, so the Euclidean
-        polar serves both duals directly.  Computed once per cone view.
-        """
-        return polar_cone_generators(self.generator_matrix())
 
 
 @dataclass(frozen=True)
@@ -99,19 +61,34 @@ class Witness:
         return math.isfinite(fresh) and fresh > 0.0
 
 
-def _require_origin_vertex(cone: ConeWithVertex):
-    if not np.all(cone.vertex.coords == 0.0):
+def _vertex_and_generators(K) -> tuple[PrimalVec, np.ndarray]:
+    """(vertex, generator rows) of a set with one vertex, some rays and no lineality."""
+    V, R, L = (getattr(K, name, ()) for name in ("V", "R", "L"))
+    if len(V) != 1 or not len(R) or len(L):
+        raise TypeError("expected a ray or a finitely generated cone")
+    return K.space.point(V[0]), R
+
+
+def _require_origin_vertex(v: PrimalVec):
+    if not np.all(v.coords == 0.0):
         raise ValueError("this check is defined for cones with vertex at the origin")
+
+
+def _pairings(phi: DualVec, R: np.ndarray) -> tuple[float, ...]:
+    """<phi, g_i> for every generator row g_i; phi passes the dual test when none is positive."""
+    return tuple(phi.space.pairing(phi.coords, g) for g in R)
+
+
+def _dual_margin(v: PrimalVec, R: np.ndarray, x: PrimalVec) -> float:
+    return max(_pairings(duality_map(x - v), R))
 
 
 def member_metric_dual(K, x: PrimalVec, tol: float = 1e-9) -> bool:
     """Membership of x in the metric dual cone of K."""
-    cone = ConeWithVertex.of(K)
-    v = cone.vertex
-    phi = duality_map(x - v)
-    worst = max(pair(phi, g) for g in cone.generators)
+    v, R = _vertex_and_generators(K)
+    worst = _dual_margin(v, R, x)
     # same reduction through the projection certificate; must agree
-    vi = vi_residual_metric(cone.to_set(), x, v)
+    vi = vi_residual_metric(K, x, v)
     if abs(max(worst, 0.0) - max(vi, 0.0)) > 1e-12 * (1.0 + abs(worst)):
         raise RuntimeError(f"metric dual routes disagree: generators {worst:.3e}, certificate {vi:.3e}")
     return worst <= tol
@@ -119,14 +96,8 @@ def member_metric_dual(K, x: PrimalVec, tol: float = 1e-9) -> bool:
 
 def member_generalized_dual(K, psi: DualVec, tol: float = 1e-9) -> bool:
     """Membership of psi in the generalized dual cone of K."""
-    cone = ConeWithVertex.of(K)
-    shifted = psi - duality_map(cone.vertex)
-    return max(pair(shifted, g) for g in cone.generators) <= tol
-
-
-def _dual_margin(cone: ConeWithVertex, x: PrimalVec) -> float:
-    phi = duality_map(x - cone.vertex)
-    return max(pair(phi, g) for g in cone.generators)
+    v, R = _vertex_and_generators(K)
+    return max(_pairings(psi - duality_map(v), R)) <= tol
 
 
 def probe_nonconvexity_metric_dual(
@@ -138,17 +109,17 @@ def probe_nonconvexity_metric_dual(
     or None when no escape is found within the trial budget.  At exponent
     2 the dual cone is convex and the search comes back empty.
     """
-    cone = ConeWithVertex.of(K)
-    space = cone.space
+    v, R = _vertex_and_generators(K)
+    space = K.space
     rng = np.random.default_rng(seed)
     lam_grid = (2.0 / 3.0, 0.5, 0.25, 0.75, 0.1, 0.9)
 
     def margin(pt: PrimalVec) -> float:
-        return _dual_margin(cone, pt)
+        return _dual_margin(v, R, pt)
 
     def witness_from(x: PrimalVec, y: PrimalVec, lam: float) -> Witness:
         h = lam * x + (1.0 - lam) * y
-        gaps = [pair(duality_map(h - cone.vertex), g) for g in cone.generators]
+        gaps = _pairings(duality_map(h - v), R)
         val = max(gaps)
 
         def check() -> float:
@@ -159,7 +130,7 @@ def probe_nonconvexity_metric_dual(
 
         return Witness(
             kind="convex-combination-escape",
-            data={"x": x, "y": y, "lam": lam, "h": h, "generator_gaps": tuple(gaps)},
+            data={"x": x, "y": y, "lam": lam, "h": h, "generator_gaps": gaps},
             value=val,
             _validator=check,
         )
@@ -197,27 +168,26 @@ def metric_double_dual_violation(K, seed: int = 0, trials: int = 200, tol: float
     is not contained in its metric double dual.  Returns None when the
     search finds nothing (the expected outcome at exponent 2).
     """
-    cone = ConeWithVertex.of(K)
-    _require_origin_vertex(cone)
-    space = cone.space
+    v, R = _vertex_and_generators(K)
+    _require_origin_vertex(v)
+    space = K.space
     rng = np.random.default_rng(seed)
-    cone_set = cone.to_set()
 
     z_cands: list[PrimalVec] = []
     x_cands: list[PrimalVec] = []
     if space.n == 3:
         zc = space.point([-25.0, -37.0, -77.0])
-        if cone_set.contains(zc):
+        if K.contains(zc):
             z_cands.append(zc)
         xc = space.point([3.0, -2.0, -1.0])
-        if _dual_margin(cone, xc) <= tol:
+        if _dual_margin(v, R, xc) <= tol:
             x_cands.append(xc)
-    z_cands.extend(cone.generators)
-    z_cands.extend(cone_set.sample(min(trials // 4, 25), seed=seed + 1))
+    z_cands.extend(space.point(g) for g in R)
+    z_cands.extend(K.sample(min(trials // 4, 25), seed=seed + 1))
     for _ in range(trials):
         scale = float(rng.uniform(0.5, 5.0))
         pt = space.point(rng.normal(size=space.n) * scale)
-        if _dual_margin(cone, pt) <= tol:
+        if _dual_margin(v, R, pt) <= tol:
             x_cands.append(pt)
 
     for z in z_cands:
@@ -227,9 +197,9 @@ def metric_double_dual_violation(K, seed: int = 0, trials: int = 200, tol: float
             if val > max(tol, 1e-9 * norm(z) * norm(x)):
 
                 def check(z=z, x=x) -> float:
-                    if _dual_margin(cone, x) > tol:
+                    if _dual_margin(v, R, x) > tol:
                         return -math.inf
-                    if not cone_set.contains(z):
+                    if not K.contains(z):
                         return -math.inf
                     return pair(duality_map(z), x)
 
@@ -250,12 +220,11 @@ def generalized_double_dual_member(K, x: PrimalVec, tol: float = 1e-8) -> bool:
     decision.  The routes must agree; a disagreement raises instead of
     picking a side.
     """
-    cone = ConeWithVertex.of(K)
-    cone_set = cone.to_set()
-    primal = cone_set.contains(x, tol)
+    v, _ = _vertex_and_generators(K)
+    primal = K.contains(x, tol)
 
-    rays, lin = cone.polar
-    d = x.coords - cone.vertex.coords
+    rays, lin = K._polar
+    d = x.coords - v.coords
     scale = tol * (1.0 + float(np.linalg.norm(d)))
     cert = all(float(np.dot(r, d)) <= scale for r in rays) and all(
         abs(float(np.dot(l, d))) <= scale for l in lin
@@ -264,16 +233,16 @@ def generalized_double_dual_member(K, x: PrimalVec, tol: float = 1e-8) -> bool:
         raise RuntimeError(
             "double-dual routes disagree: "
             f"primal membership {primal}, certificate {cert}, "
-            f"distance {cone_set.distance(x):.3e}"
+            f"distance {K.distance(x):.3e}"
         )
     return cert
 
 
 def find_double_dual_certificate(K, x: PrimalVec, tol: float = 1e-8) -> Witness | None:
     """Separating functional proving x is outside the generalized double dual."""
-    cone = ConeWithVertex.of(K)
-    rays, lin = cone.polar
-    d = x.coords - cone.vertex.coords
+    v, R = _vertex_and_generators(K)
+    rays, lin = K._polar
+    d = x.coords - v.coords
     best, best_val = None, tol * (1.0 + float(np.linalg.norm(d)))
     for r in list(rays) + [s * l for l in lin for s in (1.0, -1.0)]:
         val = float(np.dot(r, d))
@@ -281,14 +250,13 @@ def find_double_dual_certificate(K, x: PrimalVec, tol: float = 1e-8) -> Witness 
             best, best_val = r, val
     if best is None:
         return None
-    space = cone.space
+    space = K.space
     phi = DualVec(space.dual(), best / space.weights)
-    G = cone.generator_matrix()
 
     def check(best=best) -> float:
-        if np.max(G @ best) > 1e-10 * (1.0 + float(np.linalg.norm(best))):
+        if np.max(R @ best) > 1e-10 * (1.0 + float(np.linalg.norm(best))):
             return -math.inf  # not actually in the polar cone
-        return float(np.dot(best, x.coords - cone.vertex.coords))
+        return float(np.dot(best, x.coords - v.coords))
 
     return Witness(
         kind="separating-functional",
@@ -309,10 +277,10 @@ class IntersectionDualReport:
     sampled: int
 
 
-def _stacked_polar(cones: Sequence[ConeWithVertex]) -> np.ndarray:
+def _stacked_polar(cones) -> np.ndarray:
     cols: list[np.ndarray] = []
-    for cone in cones:
-        rays, lin = cone.polar
+    for K in cones:
+        rays, lin = K._polar
         cols.extend(rays)
         for l in lin:
             cols.append(l)
@@ -334,24 +302,25 @@ def intersection_dual_check_family(
     must decompose as nonnegative combinations across the family's polars.
     Random functionals from the hull provide an extra sampled inclusion.
     """
-    views = [ConeWithVertex.of(K) for K in cones]
-    if len(views) < 2:
+    cones = list(cones)
+    data = [_vertex_and_generators(K) for K in cones]
+    if len(data) < 2:
         raise ValueError("need at least two cones")
-    v0 = views[0].vertex
-    for cone in views[1:]:
-        if cone.space != v0.space or not np.array_equal(cone.vertex.coords, v0.coords):
+    v0 = data[0][0]
+    for v, _ in data[1:]:
+        if v.space != v0.space or not np.array_equal(v.coords, v0.coords):
             raise ValueError("cones must share one vertex in one space")
     space = v0.space
 
-    H = views[0].generator_matrix().T
-    for cone in views[1:]:
+    H = data[0][1].T
+    for _, R in data[1:]:
         if H.shape[1] == 0:
             break
-        gens = intersect_cone_generators(H, cone.generator_matrix().T)
+        gens = intersect_cone_generators(H, R.T)
         H = np.stack(gens, axis=1) if gens else np.zeros((space.n, 0))
     # H columns generate the intersection cone (possibly none: just the vertex)
 
-    M = _stacked_polar(views)
+    M = _stacked_polar(cones)
     scale = 1.0 + float(np.max(np.abs(M)))
 
     # forward: every hull generator obeys every intersection inequality
@@ -396,9 +365,9 @@ def intersection_dual_check(A, B, seed: int = 0, trials: int = 50, tol: float = 
 
 def hilbert_identity_violation(K, w: PrimalVec, opts: SolverOptions | None = None) -> float:
     """Defect <J w, P_K w> - ||P_K w||^2, zero in the Euclidean case only."""
-    cone = ConeWithVertex.of(K)
-    _require_origin_vertex(cone)
-    res = metric_project(cone.to_set(), w, opts)
+    v, _ = _vertex_and_generators(K)
+    _require_origin_vertex(v)
+    res = metric_project(K, w, opts)
     if not res.converged:
         raise RuntimeError("projection did not certify; defect value would be unreliable")
     u = res.point

@@ -16,8 +16,9 @@ that attain the level exactly.
 Classification is decided exactly for balls (norm against radius) and
 for the polyhedral types by linear algebra on the difference directions
 at y: a nonzero supporting functional exists iff the polyhedral cone
-{c : <w_j, c> <= 0} is nontrivial, which a null-space check plus a
-round of small linear programs settles for any dimension.
+{c : <w_j, c> <= 0} is nontrivial.  A null-space check settles the case
+where the cone holds a line; otherwise Stiemke's alternative makes it one
+nonnegative least-squares fit, in any dimension.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyhedra import _null_space
+from .cones import _vertex_and_generators, member_generalized_dual
+from .polyhedra import _nnls, _null_space
 from .projections import SolverOptions, generalized_project, metric_project
 from .sets import Ball, ConvexSet
 from .spaces import DualVec, PrimalVec, duality_map, duality_map_inv, norm, pair
@@ -247,17 +249,15 @@ def classify_point(C: ConvexSet, y: PrimalVec, tol: float = 1e-9) -> ClassifyRes
     if N.shape[1] > 0:
         return to_witness(N[:, 0], "null-space")
 
-    # pointed case: a supporting c exists iff some constraint can go strictly
-    # negative inside {W c <= 0, |c| <= 1}
-    from scipy.optimize import linprog
-
-    for j in range(W.shape[0]):
-        res = linprog(W[j], A_ub=W, b_ub=np.zeros(W.shape[0]), bounds=(-1.0, 1.0), method="highs")
-        if res.status == 0 and res.fun < -1e-9:
-            c = np.asarray(res.x, dtype=float)
-            if float(np.max(W @ c)) <= 1e-9:
-                return to_witness(c, "linear-program")
-    return ClassifyResult("internal", None, "linear-program")
+    # W has full column rank, so W c <= 0 has a nonzero solution iff no
+    # lam > 0 has W^T lam = 0 (Stiemke), iff b = -sum_j W_j is not in the
+    # cone of the rows.  When the fit of b misses, its residual is a
+    # solution: the fit's optimality conditions give W (b - W^T lam) <= 0.
+    b = -W.sum(axis=0)
+    lam, rho = _nnls(W.T, b)
+    if rho > 1e-9 * (1.0 + float(np.linalg.norm(b))):
+        return to_witness(b - W.T @ lam, "least-squares")
+    return ClassifyResult("internal", None, "least-squares")
 
 
 @dataclass(frozen=True)
@@ -345,21 +345,17 @@ def dual_vision_identity_check(K, seed: int = 0, trials: int = 200, tol: float =
     cone must match membership of psi - J(v) in the dual vision of the
     vertex, i.e. v attaining the supremum of psi - J(v) on the cone.
     """
-    from .cones import ConeWithVertex, member_generalized_dual
-
-    cone = ConeWithVertex.of(K)
-    space = cone.space
-    v = cone.vertex
+    v, _ = _vertex_and_generators(K)
+    space = K.space
     jv = duality_map(v)
-    cone_set = cone.to_set()
     rng = np.random.default_rng(seed)
 
     checked = disagreements = 0
     for _ in range(trials):
         offset = rng.normal(size=space.n) * float(rng.uniform(0.1, 5.0))
         psi = DualVec(space.dual(), jv.coords + offset)
-        lhs = member_generalized_dual(cone, psi, tol)
-        rhs = face_membership(cone_set, psi - jv, v, tol)
+        lhs = member_generalized_dual(K, psi, tol)
+        rhs = face_membership(K, psi - jv, v, tol)
         checked += 1
         disagreements += int(lhs != rhs)
     return DualVisionIdentityReport(checked, disagreements, disagreements == 0)

@@ -13,13 +13,14 @@ coefficient domain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .polyhedra import _nnls, _rank
+from .polyhedra import _nnls, _rank, polar_cone_generators
 from .spaces import DualVec, LpSpace, PrimalVec
 
 __all__ = [
@@ -224,6 +225,17 @@ class _Polyhedral(ConvexSet):
             s = np.linalg.svd(gram, compute_uv=False) if k > 1 else gram.ravel()
             self._independent = k <= n and _rank(s, gram.shape, _GRAM_RCOND) == k
         return self._independent
+
+    @functools.cached_property
+    def _polar(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Extreme rays and lineality of {c : R c <= 0}, the Euclidean polar of cone(R).
+
+        With c_k = mu_k phi_k the weighted constraints <phi, r_i> <= 0 become
+        plain dot products dot(c, r_i) <= 0, and so does the pairing against
+        any primal vector; the weights cancel end to end, so this one polar
+        serves both dual cones.  Computed on first use and kept.
+        """
+        return polar_cone_generators(self.R)
 
     def _sum_weight(self, x: PrimalVec) -> float:
         # weight of the simplex's sum row in a fit of x: on the scale of x and the set

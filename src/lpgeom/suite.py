@@ -41,7 +41,6 @@ from importlib import metadata
 import numpy as np
 
 from .cones import (
-    ConeWithVertex,
     find_double_dual_certificate,
     generalized_double_dual_member,
     hilbert_identity_violation,
@@ -475,7 +474,6 @@ def _sample_cone_and_points(rng, p):
 
 
 def _generalized_double_duality(K, inside, outside):
-    K = ConeWithVertex.of(K)  # one view, so the polar cone is computed once
     try:
         for z in inside:
             if not generalized_double_dual_member(K, z):

@@ -99,3 +99,41 @@ def polar_cone_by_enumeration(rows, tol=1e-9):
             if np.all(local @ c <= tol) and not any(np.linalg.norm(c - d) <= tol for d in rays):
                 rays.append(c)
     return [c @ basis for c in rays], rows.shape[1] - r
+
+
+# -- point classification, by linear programs ---------------------------------
+
+
+def difference_directions(V, R, L, y):
+    """Unit directions w with <c, w> <= 0 required of a functional c supporting
+    conv(V) + cone(R) + span(L) at y: each vertex minus y, each ray, and both
+    signs of each lineality direction, dropping those that vanish."""
+    y = np.asarray(y, dtype=float)
+    rows = [np.asarray(v, dtype=float) - y for v in V] + [np.asarray(r, dtype=float) for r in R]
+    rows += [s * np.asarray(l, dtype=float) for l in L for s in (1.0, -1.0)]
+    keep = [r / np.linalg.norm(r) for r in rows if np.linalg.norm(r) > 1e-12 * (1.0 + np.linalg.norm(y))]
+    return np.array(keep).reshape(-1, y.size)
+
+
+def supporting_direction_by_linear_programs(W):
+    """A nonzero c with W c <= 0, or None when only c = 0 has it.
+
+    A null direction of W answers at once.  Otherwise one linear program
+    per row asks whether that row's pairing can go strictly negative inside
+    {W c <= 0, |c_i| <= 1}.  Needs scipy.
+    """
+    from scipy.optimize import linprog
+
+    if W.shape[0] == 0:
+        return np.eye(1, W.shape[1])[0]
+    _, s, vt = np.linalg.svd(W)
+    rank = int(np.sum(s > 1e-12 * s[0]))
+    if rank < W.shape[1]:
+        return vt[rank]
+    for j in range(W.shape[0]):
+        res = linprog(W[j], A_ub=W, b_ub=np.zeros(W.shape[0]), bounds=(-1.0, 1.0), method="highs")
+        if res.status == 0 and res.fun < -1e-9:
+            c = np.asarray(res.x, dtype=float)
+            if float(np.max(W @ c)) <= 1e-9:
+                return c
+    return None

@@ -147,6 +147,49 @@ def test_classify_sphere_point_is_cuticle(tmp_path, capsys):
     assert result["witness"] is not None
 
 
+def test_classify_tetrahedron_interior_and_vertex(tmp_path, capsys):
+    vertices = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+    for point, verdict in (([0, 0, 0], "internal"), ([1, 0, 0], "cuticle")):
+        doc = {
+            "operation": "classify",
+            "space": {"n": 3, "p": 3},
+            "set": {"type": "polytope", "vertices": vertices},
+            "point": point,
+        }
+        code, out = _run(capsys, ["classify", "--input", _write(tmp_path, doc), "--json"])
+        assert code == 0
+        parsed = json.loads(out)
+        jsonschema.validate(parsed, _schema("result.schema.json"))
+        result = parsed["result"]
+        assert result["verdict"] == verdict
+        assert result["method"] == "least-squares"
+        assert (result["witness"] is None) == (verdict == "internal")
+
+
+_NOT_CONES = {
+    "segment": {"type": "segment", "a": [0, 0, 0], "b": [1, 2, 3]},
+    "polytope": {"type": "polytope", "vertices": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    "line": {"type": "line", "point": [0, 0, 0], "direction": [1, 1, 0]},
+    "subspace": {"type": "subspace", "basis": [[1, 0, 0], [0, 1, 0]]},
+    "ball": {"type": "ball", "r": 2.0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_CONES))
+def test_dualcone_rejects_sets_that_are_not_cones(tmp_path, capsys, name):
+    for kind in ("metric", "generalized"):
+        for check in ("member", "convexity", "double-dual", "identity"):
+            doc = {"operation": "dualcone", "space": {"n": 3, "p": 3}, "point": [1, 2, 3],
+                   "functional": [1, 0, 0]}
+            if kind == "generalized" and check == "identity":
+                doc["sets"] = [_RAY_PROBLEM["set"], _NOT_CONES[name]]
+            else:
+                doc["set"] = _NOT_CONES[name]
+            argv = ["dualcone", "--input", _write(tmp_path, doc), "--kind", kind, "--check", check,
+                    "--trials", "5"]
+            assert _run(capsys, argv)[0] == 2, (kind, check)
+
+
 def test_dualcone_metric_identity_defect(tmp_path, capsys):
     doc = dict(_RAY_PROBLEM, operation="dualcone")
     path = _write(tmp_path, doc)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+import lpgeom.sets
 from lpgeom.cones import (
-    ConeWithVertex,
     find_double_dual_certificate,
     generalized_double_dual_member,
     hilbert_identity_violation,
@@ -13,6 +13,7 @@ from lpgeom.cones import (
     metric_double_dual_violation,
     probe_nonconvexity_metric_dual,
 )
+from lpgeom.polyhedra import polar_cone_generators
 from lpgeom.sets import FinitelyGeneratedCone, Ray, Segment
 from lpgeom.spaces import LpSpace, duality_map, pair
 
@@ -113,10 +114,17 @@ _CONES_BEYOND_R3 = {
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_generalized_double_duality_beyond_three_dimensions(n):
+def test_generalized_double_duality_beyond_three_dimensions(n, monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return polar_cone_generators(rows)
+
+    monkeypatch.setattr(lpgeom.sets, "polar_cone_generators", counted)
     S = LpSpace(n, 3.0, weights=np.linspace(0.5, 2.0, n))
     gens = [S.point(g) for g in _CONES_BEYOND_R3[n]]
-    K = ConeWithVertex.of(FinitelyGeneratedCone(S.zero(), gens))
+    K = FinitelyGeneratedCone(S.zero(), gens)
     inside = S.point(sum((k + 1.0) * g.coords for k, g in enumerate(gens)))
     assert generalized_double_dual_member(K, inside)
     assert find_double_dual_certificate(K, inside) is None
@@ -124,6 +132,8 @@ def test_generalized_double_duality_beyond_three_dimensions(n):
     assert not generalized_double_dual_member(K, outside)
     cert = find_double_dual_certificate(K, outside)
     assert cert is not None and cert.revalidate()
+    # the set computes its polar once for both routines
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -200,12 +210,23 @@ def test_hilbert_identity_defect_by_exponent():
     assert abs(hilbert_identity_violation(K2, S2.point([-28.0, -35.0, -76.0]))) <= 1e-8
 
 
-def test_cone_view_coercion():
+def test_cone_routines_take_a_ray_and_reject_a_segment():
     S = LpSpace(2, 2.0)
     r = Ray(S.zero(), S.point([1.0, 0.0]))
-    view = ConeWithVertex.of(r)
-    assert len(view.generators) == 1
-    assert view.to_set().contains(S.point([3.0, 0.0]))
-    assert ConeWithVertex.of(view) is view
+    assert member_metric_dual(r, S.point([-1.0, 0.5]))
+    assert not member_generalized_dual(r, S.functional([1.0, 0.0]))
+    assert generalized_double_dual_member(r, S.point([3.0, 0.0]))
+    assert find_double_dual_certificate(r, S.point([3.0, 0.0])) is None
+    seg = Segment(S.point([0.0, 0.0]), S.point([1.0, 0.0]))
+    for routine, arg in (
+        (member_metric_dual, S.point([-1.0, 0.5])),
+        (member_generalized_dual, S.functional([1.0, 0.0])),
+        (generalized_double_dual_member, S.point([0.5, 0.0])),
+        (find_double_dual_certificate, S.point([0.5, 0.0])),
+        (probe_nonconvexity_metric_dual, 0),
+        (hilbert_identity_violation, S.point([1.0, 1.0])),
+    ):
+        with pytest.raises(TypeError):
+            routine(seg, arg)
     with pytest.raises(TypeError):
-        ConeWithVertex.of(Segment(S.point([0.0, 0.0]), S.point([1.0, 0.0])))
+        intersection_dual_check(r, seg)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import _oracles
 from lpgeom.faces import (
     classify_point,
     dual_vision_identity_check,
@@ -189,6 +190,76 @@ def test_classification_of_flats_and_polyhedra():
     assert classify_point(sub, S.point([2.0, 0.0, 0.0])).verdict == "cuticle"
     whole = Subspace(S, [S.point([1.0, 0, 0]), S.point([0, 1.0, 0]), S.point([0, 0, 1.0])])
     assert classify_point(whole, S.point([1.0, 2.0, 3.0])).verdict == "internal"
+
+
+def _random_polyhedral(rng, S, kind):
+    n = S.n
+    g = lambda: S.point(rng.normal(size=n))  # noqa: E731
+    if kind == "segment":
+        return Segment(g(), g())
+    if kind == "ray":
+        return Ray(g(), g())
+    if kind == "line":
+        return Line(g(), g())
+    if kind == "cone":
+        return FinitelyGeneratedCone(g(), [g() for _ in range(int(rng.integers(1, n + 3)))])
+    if kind == "polytope":
+        return Polytope([g() for _ in range(int(rng.integers(2, n + 5)))])
+    return Subspace(S, [g() for _ in range(int(rng.integers(1, n + 1)))])
+
+
+def _classify_without_linprog(monkeypatch, C, y):
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classification must not solve a linear program")
+
+    with monkeypatch.context() as m:
+        m.setattr(scipy_optimize, "linprog", refuse)
+        return classify_point(C, y)
+
+
+def _assert_matches_linear_programs(monkeypatch, C, y):
+    res = _classify_without_linprog(monkeypatch, C, y)
+    W = _oracles.difference_directions(C.V, C.R, C.L, y.coords)
+    expected = _oracles.supporting_direction_by_linear_programs(W)
+    assert res.verdict == ("internal" if expected is None else "cuticle")
+    if res.verdict == "cuticle":
+        c = C.space.weights * res.witness.coords  # the witness in pairing coordinates
+        assert float(np.max(W @ c, initial=0.0)) <= 1e-9 * float(np.linalg.norm(c))
+        assert face_membership(C, res.witness, y)
+    else:
+        assert res.witness is None
+    return res.verdict
+
+
+def test_classification_matches_the_linear_program_route(monkeypatch):
+    pytest.importorskip("scipy.optimize")
+    verdicts = {"internal": 0, "cuticle": 0}
+    for n in range(2, 7):
+        for k, kind in enumerate(("segment", "ray", "line", "cone", "polytope", "subspace")):
+            for seed in range(3):
+                rng = np.random.default_rng([n, k, seed])
+                S = LpSpace(n, float(rng.choice([1.5, 2.0, 3.0])), weights=rng.uniform(0.3, 3.0, n))
+                C = _random_polyhedral(rng, S, kind)
+                points = C.sample(3, seed=seed) + [S.point(v) for v in C.V[:2]]
+                for _ in range(2):
+                    points += face(C, S.functional(rng.normal(size=n))).representatives[:1]
+                for y in points:
+                    verdicts[_assert_matches_linear_programs(monkeypatch, C, y)] += 1
+    # the sweep reaches both verdicts
+    assert min(verdicts.values()) > 0
+
+
+def test_classification_of_a_large_polytope(monkeypatch):
+    rng = np.random.default_rng(12)
+    S = LpSpace(12, 3.0)
+    P = Polytope([S.point(v) for v in rng.normal(size=(80, 12))])
+    centroid = S.point(P.V.mean(axis=0))
+    assert _assert_matches_linear_programs(monkeypatch, P, centroid) == "internal"
+    # the vertex that tops the first coordinate is extreme
+    top = S.point(P.V[int(np.argmax(P.V[:, 0]))])
+    assert _assert_matches_linear_programs(monkeypatch, P, top) == "cuticle"
 
 
 def test_one_dimensional_ray_interior_is_internal():
