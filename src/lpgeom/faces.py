@@ -120,19 +120,12 @@ def face(C: ConvexSet, psi: DualVec, tol: float = 1e-9) -> FaceDescription:
     if isinstance(C, Ball):
         return _ball_face(C, psi, tol)
     space = C.space
-    npsi = float(np.linalg.norm(psi.coords))
-
-    def unit_pair(d: np.ndarray) -> float:
-        nd = float(np.linalg.norm(d))
-        return space.pairing(psi.coords, d) / (npsi * nd) if npsi * nd > 0.0 else 0.0
-
     vals = [space.pairing(psi.coords, v) for v in C.V]
     level = max(vals)
-    ray_pairs = [unit_pair(r) for r in C.R]
-    line_pairs = [unit_pair(l) for l in C.L]
+    ray_pairs, line_pairs = C._unit_pairings(psi)
     slack = [level - v for v in vals] if len(vals) > 1 else []
     gaps = tuple(slack + ray_pairs + line_pairs)
-    if any(d > tol for d in ray_pairs) or any(abs(d) > tol for d in line_pairs):
+    if C._escapes(ray_pairs, line_pairs, tol):
         return FaceDescription(math.inf, "empty", (), gaps)
 
     scale = tol * (1.0 + max(abs(v) for v in vals))
@@ -171,9 +164,19 @@ def vision_primal_member(C: ConvexSet, y: PrimalVec, u: PrimalVec, tol: float = 
 
 
 def vision_conjugation_check(C: ConvexSet, y: PrimalVec, u: PrimalVec, tol: float = 1e-9) -> bool:
-    """Primal and dual vision memberships must agree through J; returns the verdict."""
+    """Primal and dual vision memberships must agree through J; returns the verdict.
+
+    The primal route reads whether y lies in the face of J(u) from
+    ``face``.  The dual route asks whether <J(u), y> reaches the support
+    function of C at J(u), within the slack ``face_membership`` allows;
+    both routes count a direction as flat by the same unit-pairing rule.
+    Disagreement raises.
+    """
     primal = vision_primal_member(C, y, u, tol)
-    dual = vision_dual_member(C, y, duality_map(u), tol)
+    psi = duality_map(u)
+    level = C.support(psi, tol)
+    scale = tol * (1.0 + abs(level) + float(np.linalg.norm(psi.coords)) * float(np.linalg.norm(y.coords)))
+    dual = math.isfinite(level) and pair(psi, y) >= level - scale
     if primal != dual:
         raise RuntimeError("vision routes disagree through the duality map")
     return primal

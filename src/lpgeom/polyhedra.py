@@ -25,7 +25,11 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 
     scipy.optimize is imported here, on first use, because importing it
     takes most of a cold process's start-up and most commands never fit.
+    With no columns the fit is empty and never reaches scipy, whose nnls
+    aborts the interpreter on such a matrix (scipy 1.17).
     """
+    if A.shape[1] == 0:
+        return np.zeros(0), float(np.linalg.norm(b))
     from scipy.optimize import nnls
 
     return nnls(A, b)

@@ -14,9 +14,11 @@ whose worst violation over the set reduces to finitely many pairings
 the ball's support function).  A nonpositive residual certifies optimality.
 The certificate also proves u in C.  For a solver answer the proof is the
 solver's own chart coefficients t: they lie in the chart's domain and
-rebuild u = base + D t within the membership tolerance.  A caller's u
-that comes without such a witness is tested by a nonnegative
-least-squares fit instead, so ``vi_residual_*`` stay an independent check.
+rebuild u = base + D t within the membership tolerance.  The chart is the
+one each polyhedral set reads from its vertices, rays and lineality
+(``sets._Polyhedral``).  A caller's u that comes without such a witness
+is tested by a nonnegative least-squares fit instead, so
+``vi_residual_*`` stay an independent check.
 
 Solver strategy: both projections minimize ||u - c||^2 - 2 <ell, u> plus
 a constant, with c = x, ell = 0 (metric) or c = 0, ell = psi
@@ -39,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sets import NONNEGATIVE, SIMPLEX, UNIT_INTERVAL, UNRESTRICTED, Ball, ConvexSet
+from .sets import Ball, ConvexSet
 from .spaces import DualVec, PrimalVec, duality_map, duality_map_inv, lyapunov, norm, pair
 
 __all__ = [
@@ -64,32 +66,23 @@ _MAX_SHRINKS = 60
 _ROUNDOFF = 1e-14
 # machine epsilon: an arc step below it, relative to the coefficients, is roundoff
 _EPS = float(np.finfo(float).eps)
-# coefficients within this distance of their bound may be held there
+# coefficients within this distance of their lower bound may be held there
 _ACTIVE_WIDTH = 1e-3
+# the coefficient loop stops once the unit-step gradient mapping is at most
+# _GRAD_TOL * (1 + ||t||), or after _MAX_ITERS accepted steps
+_GRAD_TOL = 1e-10
+_MAX_ITERS = 10000
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration and tolerance knobs shared by both projections.
+    """The certificate threshold on the VI residual, shared by both projections."""
 
-    ``max_iters`` caps the accepted steps of the coefficient loop, which
-    stops early once the unit-step gradient mapping is at most
-    ``grad_tol * (1 + ||t||)``.  ``vi_tol`` is the certificate threshold
-    on the VI residual, and ``collect_trace`` records the objective after
-    each accepted step.
-    """
-
-    max_iters: int = 10000
-    grad_tol: float = 1e-10
     vi_tol: float = 1e-6
-    collect_trace: bool = False
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        for name in ("grad_tol", "vi_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        if self.vi_tol <= 0.0:
+            raise ValueError("vi_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -101,10 +94,9 @@ class ProjectionResult:
     ``converged`` is True only when the residual passes the vi tolerance.
     ``iterations`` counts the accepted steps of the projected Newton loop,
     and is 0 for closed forms.  ``stop_reason`` is "closed-form",
-    "grad-tol" (the gradient mapping fell below ``grad_tol``), "flat"
+    "grad-tol" (the gradient mapping fell below its tolerance), "flat"
     (neither the Newton nor the gradient direction descends at working
-    precision) or "max-iters".  ``trace`` holds accepted objective values
-    when trace collection is on.
+    precision) or "max-iters".
     """
 
     point: PrimalVec
@@ -114,7 +106,6 @@ class ProjectionResult:
     converged: bool
     method: str
     stop_reason: str
-    trace: tuple[float, ...] | None = None
 
 
 def _require_smooth(space):
@@ -132,16 +123,15 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _coefficient_projector(feasible: str) -> Callable[[np.ndarray], np.ndarray]:
-    if feasible == NONNEGATIVE:
-        return lambda t: np.maximum(t, 0.0)
-    if feasible == SIMPLEX:
+def _clamp(C: ConvexSet) -> Callable[[np.ndarray], np.ndarray]:
+    """Euclidean projection onto C's coefficient domain: the simplex, or the box [lo, hi].
+
+    min(max(t, lo), hi) is np.clip written out, at a third of its per-call cost.
+    """
+    if C._simplex:
         return _project_simplex
-    if feasible == UNRESTRICTED:
-        return lambda t: t
-    if feasible == UNIT_INTERVAL:
-        return lambda t: np.clip(t, 0.0, 1.0)
-    raise ValueError(f"unknown coefficient domain {feasible!r}")
+    lo, hi = C._lo, C._hi
+    return lambda t: np.minimum(np.maximum(t, lo), hi)
 
 
 def _model_step(H: np.ndarray, rhs: np.ndarray, full_rank: bool) -> np.ndarray:
@@ -202,11 +192,10 @@ def _warm_start(C: ConvexSet, y: PrimalVec) -> np.ndarray:
     They are solved directly when the chart's directions are independent,
     and in the least-squares sense otherwise.
     """
-    pm = C.parameterize()
     sw = np.sqrt(C.space.weights)
     A = sw[:, None] * C._D
-    rhs = A.T @ (sw * (y.coords - pm.base.coords))
-    return _coefficient_projector(pm.feasible)(_model_step(A.T @ A, rhs, C._independent_directions()))
+    rhs = A.T @ (sw * (y.coords - C._base))
+    return _clamp(C)(_model_step(A.T @ A, rhs, C._independent_directions()))
 
 
 def _member_witness(C: ConvexSet, y: PrimalVec, t: np.ndarray) -> tuple[bool, np.ndarray | None]:
@@ -225,7 +214,7 @@ def _member_witness(C: ConvexSet, y: PrimalVec, t: np.ndarray) -> tuple[bool, np
     return C.contains(y, tol), None
 
 
-def _solve_parameterized(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.ndarray, opts: SolverOptions):
+def _solve_on_chart(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.ndarray):
     """Minimize F(u) = ||u - c||^2 - 2 <ell, u> + ||ell||_*^2 over C on its chart.
 
     Projected Newton (Bertsekas 1982) on the coefficients, from the warm
@@ -234,12 +223,10 @@ def _solve_parameterized(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.nda
     bound, and the free block takes a Newton step with the exact Hessian
     D^T (diag(h) + beta a a^T) D, bordered by the sum constraint on the
     simplex.  Returns the point, its coefficients, F there, the accepted
-    steps, the trace and the stop reason.
+    steps and the stop reason.
     """
     space = C.space
-    pm = C.parameterize()
-    base = pm.base.coords
-    D = C._D
+    base, D, lo, simplex = C._base, C._D, C._lo, C._simplex
     w = space.weights
     wl = w * ell
     ell_sq = space.dual().norm_of(ell) ** 2
@@ -251,30 +238,28 @@ def _solve_parameterized(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.nda
     def grad_t(t):
         return D.T @ (2.0 * (w * space.jmap(base + D @ t - c) - wl))
 
-    project = _coefficient_projector(pm.feasible)
-    simplex = pm.feasible == SIMPLEX
+    project = _clamp(C)
     # the reduced Hessian has rank at most n, and its bordered form at most
     # n + 2; larger systems are singular
     rank_cap = space.n + 2 if simplex else space.n
     data_sq = space.norm_of(c) ** 2 + ell_sq
     fval, g = f_t(t), grad_t(t)
     gap = float(np.linalg.norm(t - project(t - g)))
-    trace = [fval] if opts.collect_trace else None
     iters = 0
     while True:
-        if gap <= opts.grad_tol * (1.0 + np.linalg.norm(t)):
+        if gap <= _GRAD_TOL * (1.0 + np.linalg.norm(t)):
             stop = "grad-tol"
             break
-        if iters >= opts.max_iters:
+        if iters >= _MAX_ITERS:
             stop = "max-iters"
             break
         h, beta, a = space.sqnorm_hessian(base + D @ t - c)
         Da = D.T @ a
         hess = D.T @ (h[:, None] * D) + beta * np.outer(Da, Da)
-        # Bertsekas's active set: coefficients near their bound whose gradient
-        # pushes outward; on the simplex the gradient is level across the
-        # support at the optimum, so "outward" is measured from that level
-        near = (t <= min(gap, _ACTIVE_WIDTH)) & (pm.feasible != UNRESTRICTED)
+        # Bertsekas's active set: coefficients near their lower bound whose
+        # gradient pushes outward; on the simplex the gradient is level across
+        # the support at the optimum, so "outward" is measured from that level
+        near = t - lo <= min(gap, _ACTIVE_WIDTH)
         support = t > gap
         level = float(np.mean(g[support])) if simplex and support.any() else 0.0
         active = near & (g > level)
@@ -313,9 +298,7 @@ def _solve_parameterized(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.nda
             stop = "flat"  # neither direction descends at working precision
             break
         iters += 1
-        if trace is not None:
-            trace.append(fval)
-    return base + D @ t, t, fval, iters, trace, stop
+    return base + D @ t, t, fval, iters, stop
 
 
 def _ball_projection(C: ConvexSet, y: PrimalVec, by) -> PrimalVec | None:
@@ -329,7 +312,7 @@ def _ball_projection(C: ConvexSet, y: PrimalVec, by) -> PrimalVec | None:
     return y if level <= C.radius else (C.radius / level) * y
 
 
-def _certified(point, objective, res, opts, iters=0, stop="closed-form", trace=None) -> ProjectionResult:
+def _certified(point, objective, res, opts, iters=0, stop="closed-form") -> ProjectionResult:
     """A candidate with its VI residual; closed forms take no solver steps."""
     return ProjectionResult(
         point=point,
@@ -339,7 +322,6 @@ def _certified(point, objective, res, opts, iters=0, stop="closed-form", trace=N
         converged=bool(res <= opts.vi_tol),
         method="closed-form" if stop == "closed-form" else "projected-gradient",
         stop_reason=stop,
-        trace=None if trace is None else tuple(trace),
     )
 
 
@@ -360,9 +342,9 @@ def metric_project(C: ConvexSet, x: PrimalVec, opts: SolverOptions | None = None
     if member:
         return _certified(x, 0.0, vi_residual_metric(C, x, x, witness=witness), opts)
 
-    u_arr, t, fval, iters, trace, stop = _solve_parameterized(C, x.coords, np.zeros(space.n), t, opts)
+    u_arr, t, fval, iters, stop = _solve_on_chart(C, x.coords, np.zeros(space.n), t)
     u = space.point(u_arr)
-    return _certified(u, fval, vi_residual_metric(C, x, u, witness=t), opts, iters, stop, trace)
+    return _certified(u, fval, vi_residual_metric(C, x, u, witness=t), opts, iters, stop)
 
 
 def generalized_project(C: ConvexSet, psi: DualVec, opts: SolverOptions | None = None) -> ProjectionResult:
@@ -386,9 +368,9 @@ def generalized_project(C: ConvexSet, psi: DualVec, opts: SolverOptions | None =
         if res <= opts.vi_tol:
             return _certified(inv, lyapunov(psi, inv), res, opts)
 
-    u_arr, t, fval, iters, trace, stop = _solve_parameterized(C, np.zeros(space.n), psi.coords, t, opts)
+    u_arr, t, fval, iters, stop = _solve_on_chart(C, np.zeros(space.n), psi.coords, t)
     y = space.point(u_arr)
-    return _certified(y, fval, vi_residual_generalized(C, psi, y, witness=t), opts, iters, stop, trace)
+    return _certified(y, fval, vi_residual_generalized(C, psi, y, witness=t), opts, iters, stop)
 
 
 def _vi_reduction(C: ConvexSet, phi: DualVec, u: PrimalVec) -> float:
@@ -423,10 +405,10 @@ def vi_residual_metric(
 
     Raises when u is not a member of C within ``membership_tol``.  Without
     a ``witness`` membership is a nonnegative least-squares fit.  A witness
-    is chart coefficients t of a polyhedral C (``C.parameterize()``) that
-    the solver built u from: then u is a member when t lies in the chart's
-    domain and base + D t reproduces u within that tolerance, and nothing
-    is fitted.  A witness that passes always passes ``C.contains`` too.
+    is coefficients t on the chart a polyhedral C reads from its vertices,
+    rays and lineality (``sets._Polyhedral``), from which the solver built
+    u: then u is a member when t lies in the chart's domain and base + D t
+    reproduces u within that tolerance, and nothing is fitted.  A witness that passes always passes ``C.contains`` too.
     """
     _require_smooth(C.space)
     _require_member(C, u, membership_tol, witness)

@@ -6,16 +6,16 @@ norm balls centered at the origin, and linear subspaces.  All but the
 ball share one polyhedral description, conv(V) + cone(R) + span(L), on
 which every set operation is written once.  Membership is decided by
 closed-form or least-squares coefficient fits measured in the Euclidean
-coefficient sense; support functions are closed form; every polyhedral
-type can describe itself as an affine parameterization over a standard
-coefficient domain.
+coefficient sense; support functions are closed form.  Each polyhedral
+set reads from (V, R, L) the affine chart the projection solver works
+on: base + D t, with per-coefficient bounds lo <= t <= hi, or the
+probability simplex over the vertices.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,36 +32,10 @@ __all__ = [
     "Polytope",
     "Ball",
     "Subspace",
-    "Parameterization",
-    "NONNEGATIVE",
-    "UNIT_INTERVAL",
-    "SIMPLEX",
-    "UNRESTRICTED",
 ]
 
-NONNEGATIVE = "nonnegative-orthant"
-UNIT_INTERVAL = "unit-interval"
-SIMPLEX = "simplex"
-UNRESTRICTED = "unrestricted"
-
-# coefficient range of each one-dimensional domain
-_INTERVALS = {UNIT_INTERVAL: (0.0, 1.0), NONNEGATIVE: (0.0, math.inf), UNRESTRICTED: (-math.inf, math.inf)}
 # rank rule of a Gram matrix D^T D: its entries carry roundoff of order eps max(D^T D)
 _GRAM_RCOND = math.sqrt(float(np.finfo(float).eps))
-
-
-@dataclass(frozen=True)
-class Parameterization:
-    """Affine chart u(t) = base + sum_i t_i d_i over a coefficient domain."""
-
-    base: PrimalVec
-    directions: tuple[PrimalVec, ...]
-    feasible: str
-
-    def direction_matrix(self) -> np.ndarray:
-        if not self.directions:
-            return np.zeros((self.base.space.n, 0))
-        return np.stack([d.coords for d in self.directions], axis=1)
 
 
 def _as_points(points, what: str) -> tuple[PrimalVec, ...]:
@@ -107,16 +81,15 @@ class ConvexSet:
     def support(self, psi: DualVec, tol: float = 0.0) -> float:
         """sup_{x in C} <psi, x>; +inf when the functional is unbounded above.
 
-        ``tol`` treats pairings within tol of zero as zero when deciding
-        boundedness, so downstream face logic can share one tolerance.
+        ``tol`` follows ``faces.face``: a ray or lineality direction whose
+        unit pairing <psi, d> / (|psi| |d|) (Euclidean norms) is within tol
+        of zero is flat, and on a ball a functional of dual norm at most tol
+        counts as zero.
         """
         raise NotImplementedError
 
     def sample(self, count: int, seed: int = 0) -> list[PrimalVec]:
         """Deterministic members; unbounded coefficients are log-uniform in [1e-2, 1e2]."""
-        raise NotImplementedError
-
-    def parameterize(self) -> Parameterization:
         raise NotImplementedError
 
     def _scale(self) -> float:
@@ -150,59 +123,78 @@ class _Polyhedral(ConvexSet):
     operation below is written once against three coordinate matrices,
     whose rows are points of the space: ``V`` the vertices (at least
     one), ``R`` the recession rays and ``L`` the lineality directions.
-    The subclasses only build (V, R, L, chart).
+    The subclasses only build (V, R, L).
+
+    The chart u = base + D t is read from them.  Over more than two
+    vertices (a polytope) it is the probability simplex over V, with
+    base 0.  Otherwise the base is V[0], and the columns of D are the
+    edge V[1] - V[0] on [0, 1], the rays (t >= 0) and the lineality
+    directions (free), with the bounds in ``_lo`` and ``_hi``.  A set
+    that mixes more than one vertex, rays and lineality has no chart yet.
     """
 
-    def __init__(self, space: LpSpace, V, R, L, chart: Parameterization):
+    def __init__(self, space: LpSpace, V, R, L):
         self.space = space
         self.V, self.R, self.L = (_frozen_rows(M, space.n) for M in (V, R, L))
-        self._chart = chart
-        self._D = chart.direction_matrix()
+        nv, nr, nl = len(self.V), len(self.R), len(self.L)
+        if (nv > 1) + (nr > 0) + (nl > 0) > 1:
+            raise NotImplementedError("no chart mixes vertices, rays and lineality directions")
+        self._simplex = nv > 2
+        if self._simplex:
+            self._base, cols = np.zeros(space.n), self.V
+            self._lo, self._hi = np.zeros(nv), np.full(nv, math.inf)
+        else:
+            self._base = self.V[0]
+            cols = np.vstack([self.V[1:] - self._base, self.R, self.L])
+            counts = [nv - 1, nr, nl]
+            self._lo = np.repeat([0.0, 0.0, -math.inf], counts)
+            self._hi = np.repeat([1.0, math.inf, math.inf], counts)
+        self._D = np.ascontiguousarray(cols.T)
         self._rows = np.vstack([self.V, self.R, self.L])
-        reach = np.max(np.linalg.norm(self._rows[len(self.V):], axis=1), initial=0.0)
+        reach = np.max(np.linalg.norm(self._rows[nv:], axis=1), initial=0.0)
         self._extent = float(np.max(np.linalg.norm(self.V, axis=1)) + reach)
         self._independent: bool | None = None  # set by _independent_directions on first use
 
     def distance(self, x: PrimalVec) -> float:
         self._check_point(x)
-        r = x.coords - self._chart.base.coords
-        D, feasible = self._D, self._chart.feasible
-        if D.shape[1] == 1 and feasible in _INTERVALS:
-            # one direction on an interval: the fit is a clipped projection
-            d = D[:, 0]
-            t = np.clip(np.dot(r, d) / np.dot(d, d), *_INTERVALS[feasible])
-            return float(np.linalg.norm(r - t * d))
-        if feasible == NONNEGATIVE:
-            return float(_nnls(D, r)[1])
-        if feasible == SIMPLEX:
+        r = x.coords - self._base
+        D = self._D
+        if self._simplex:
             # Convex-combination fit: stack the affine constraint sum(c) = 1 as
             # an extra row so one nonnegative least-squares solve handles both.
             # The blended residual vanishes exactly on members.
             rho = self._sum_weight(x)
             A = np.vstack([D, rho * np.ones(D.shape[1])])
             return float(_nnls(A, np.concatenate([r, [rho]]))[1])
-        coef, *_ = np.linalg.lstsq(D, r, rcond=None)
-        return float(np.linalg.norm(r - D @ coef))
+        if D.shape[1] == 1:
+            # one direction on an interval: the fit is a clamped projection
+            d = D[:, 0]
+            dd = np.dot(d, d)  # zero only for a polytope with two equal vertices
+            t = np.minimum(np.maximum(np.dot(r, d) / dd if dd else 0.0, self._lo[0]), self._hi[0])
+            return float(np.linalg.norm(r - t * d))
+        if np.all(np.isinf(self._lo)):
+            coef, *_ = np.linalg.lstsq(D, r, rcond=None)
+            return float(np.linalg.norm(r - D @ coef))
+        return float(_nnls(D, r)[1])
 
     def _fits(self, x: PrimalVec, t, tol: float) -> bool:
         """True when chart coefficients t witness that x is a member within ``tol``.
 
-        t must lie in the chart's domain (the simplex's sum is judged by the
-        residual), and base + D t must reproduce x within the distance that
-        ``contains`` allows.  The residual is the one ``distance`` minimizes
-        over the domain, sum row included, so distance(x) never exceeds it
-        and a pass here implies contains(x, tol).  Nothing is fitted.
+        t must lie within the chart's bounds (the simplex's sum is judged by
+        the residual), and base + D t must reproduce x within the distance
+        that ``contains`` allows.  The residual is the one ``distance``
+        minimizes over the domain, sum row included, so distance(x) never
+        exceeds it and a pass here implies contains(x, tol).  Nothing is
+        fitted.
         """
         self._check_point(x)
         t = np.asarray(t, dtype=float)
-        if t.shape != (self._D.shape[1],):
-            raise ValueError(f"a witness needs {self._D.shape[1]} chart coefficients, got shape {t.shape}")
-        feasible = self._chart.feasible
-        lo, hi = _INTERVALS.get(feasible, (0.0, math.inf))
-        if not np.all((t >= lo) & (t <= hi)):
+        if t.shape != self._lo.shape:
+            raise ValueError(f"a witness needs {self._lo.size} chart coefficients, got shape {t.shape}")
+        if not np.all((t >= self._lo) & (t <= self._hi)):
             return False
-        res = float(np.linalg.norm(self._D @ t - (x.coords - self._chart.base.coords)))
-        if feasible == SIMPLEX:
+        res = float(np.linalg.norm(self._D @ t - (x.coords - self._base)))
+        if self._simplex:
             res = math.hypot(res, self._sum_weight(x) * (float(np.sum(t)) - 1.0))
         return res <= self._slack(x, tol)
 
@@ -243,30 +235,42 @@ class _Polyhedral(ConvexSet):
 
     def support(self, psi: DualVec, tol: float = 0.0) -> float:
         self._check_functional(psi)
+        if self._escapes(*self._unit_pairings(psi), tol):
+            return math.inf
+        return max(self.space.pairing(psi.coords, v) for v in self.V)
+
+    def _unit_pairings(self, psi: DualVec) -> tuple[list[float], list[float]]:
+        """<psi, d> / (|psi| |d|) in Euclidean norms, for each ray and each lineality direction."""
         pairing = self.space.pairing
-        if any(pairing(psi.coords, r) > tol for r in self.R):
-            return math.inf
-        if any(abs(pairing(psi.coords, l)) > tol for l in self.L):
-            return math.inf
-        return max(pairing(psi.coords, v) for v in self.V)
+        npsi = float(np.linalg.norm(psi.coords))
+
+        def unit_pair(d: np.ndarray) -> float:
+            nd = float(np.linalg.norm(d))
+            return pairing(psi.coords, d) / (npsi * nd) if npsi * nd > 0.0 else 0.0
+
+        return [unit_pair(r) for r in self.R], [unit_pair(l) for l in self.L]
+
+    @staticmethod
+    def _escapes(ray_pairs: list[float], line_pairs: list[float], tol: float) -> bool:
+        """True when a ray pairs above tol, or a lineality direction off it: psi is unbounded above.
+
+        The one tolerance rule for directions, shared by ``support`` and
+        ``faces.face``: unit pairings within tol of zero count as zero.
+        """
+        return any(d > tol for d in ray_pairs) or any(abs(d) > tol for d in line_pairs)
 
     def sample(self, count: int, seed: int = 0) -> list[PrimalVec]:
         rng = np.random.default_rng(seed)
-        shape = (count, self._D.shape[1])
-        feasible = self._chart.feasible
-        if feasible == UNIT_INTERVAL:
-            coeffs = rng.uniform(0.0, 1.0, shape)
-        elif feasible == SIMPLEX:
+        shape = (count, self._lo.size)
+        if self._simplex:
             coeffs = rng.dirichlet(np.ones(shape[1]), size=count)
+        elif np.all(np.isfinite(self._hi)):  # a segment's edge
+            coeffs = rng.uniform(0.0, 1.0, shape)
         else:
             coeffs = 10.0 ** rng.uniform(-2.0, 2.0, shape)
-            if feasible == UNRESTRICTED:
+            if np.all(np.isinf(self._lo)):
                 coeffs *= rng.choice([-1.0, 1.0], shape)
-        base = self._chart.base.coords
-        return [self.space.point(base + self._D @ c) for c in coeffs]
-
-    def parameterize(self) -> Parameterization:
-        return self._chart
+        return [self.space.point(self._base + self._D @ c) for c in coeffs]
 
     def is_pointed(self, tol: float = 1e-9) -> bool:
         """True when the set contains no full line.
@@ -299,8 +303,7 @@ class Segment(_Polyhedral):
             raise ValueError("segment endpoints must be distinct")
         self.a = a
         self.b = b
-        chart = Parameterization(a, (a.space.point(b.coords - a.coords),), UNIT_INTERVAL)
-        super().__init__(a.space, [a.coords, b.coords], [], [], chart)
+        super().__init__(a.space, [a.coords, b.coords], [], [])
 
     def __repr__(self):
         return f"Segment({self.a!r}, {self.b!r})"
@@ -315,8 +318,7 @@ class Ray(_Polyhedral):
             raise ValueError("ray direction must be nonzero")
         self.vertex = vertex
         self.direction = direction
-        chart = Parameterization(vertex, (direction,), NONNEGATIVE)
-        super().__init__(vertex.space, [vertex.coords], [direction.coords], [], chart)
+        super().__init__(vertex.space, [vertex.coords], [direction.coords], [])
 
     def __repr__(self):
         return f"Ray({self.vertex!r}, {self.direction!r})"
@@ -331,8 +333,7 @@ class Line(_Polyhedral):
             raise ValueError("line direction must be nonzero")
         self.point = point
         self.direction = direction
-        chart = Parameterization(point, (direction,), UNRESTRICTED)
-        super().__init__(point.space, [point.coords], [], [direction.coords], chart)
+        super().__init__(point.space, [point.coords], [], [direction.coords])
 
     def __repr__(self):
         return f"Line({self.point!r}, {self.direction!r})"
@@ -351,8 +352,7 @@ class FinitelyGeneratedCone(_Polyhedral):
                 raise ValueError("generators must be nonzero")
         self.vertex = vertex
         self.generators = generators
-        chart = Parameterization(vertex, generators, NONNEGATIVE)
-        super().__init__(vertex.space, [vertex.coords], [g.coords for g in generators], [], chart)
+        super().__init__(vertex.space, [vertex.coords], [g.coords for g in generators], [])
 
     def __repr__(self):
         return f"FinitelyGeneratedCone({self.vertex!r}, {len(self.generators)} generators)"
@@ -364,8 +364,7 @@ class Polytope(_Polyhedral):
     def __init__(self, vertices: Sequence[PrimalVec]):
         self.vertices = _as_points(vertices, "vertices")
         space = self.vertices[0].space
-        chart = Parameterization(space.zero(), self.vertices, SIMPLEX)
-        super().__init__(space, [v.coords for v in self.vertices], [], [], chart)
+        super().__init__(space, [v.coords for v in self.vertices], [], [])
 
     def __repr__(self):
         return f"Polytope({len(self.vertices)} vertices)"
@@ -387,7 +386,8 @@ class Ball(ConvexSet):
 
     def support(self, psi: DualVec, tol: float = 0.0) -> float:
         self._check_functional(psi)
-        return self.radius * psi.space.norm_of(psi.coords)
+        level = psi.space.norm_of(psi.coords)
+        return self.radius * level if level > tol else 0.0
 
     def sample(self, count: int, seed: int = 0) -> list[PrimalVec]:
         rng = np.random.default_rng(seed)
@@ -400,9 +400,6 @@ class Ball(ConvexSet):
                 continue
             pts.append(self.space.point(self.radius * rng.random() * g / nrm))
         return pts
-
-    def parameterize(self) -> Parameterization:
-        raise TypeError("a ball has no affine parameterization; projection onto it is closed form")
 
     def _scale(self) -> float:
         return self.radius
@@ -423,8 +420,7 @@ class Subspace(_Polyhedral):
             if np.linalg.matrix_rank(np.stack([b.coords for b in basis], axis=1)) < len(basis):
                 raise ValueError("basis vectors must be linearly independent")
         self.basis = basis
-        chart = Parameterization(space.zero(), basis, UNRESTRICTED)
-        super().__init__(space, [np.zeros(space.n)], [], [b.coords for b in basis], chart)
+        super().__init__(space, [np.zeros(space.n)], [], [b.coords for b in basis])
 
     def dim(self) -> int:
         return len(self.basis)

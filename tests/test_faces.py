@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import _oracles
+import lpgeom.faces
 from lpgeom.faces import (
     classify_point,
     dual_vision_identity_check,
@@ -123,6 +125,37 @@ def test_vision_routes_agree_through_duality():
     for _ in range(40):
         u = S.point(rng.normal(size=3) * 2.0)
         assert vision_conjugation_check(ball, y, u) in (True, False)
+
+
+def test_vision_dual_route_does_not_read_the_face(monkeypatch):
+    # the dual route decides from the support function, so a face whose
+    # level is off by one makes the routes disagree
+    S = _cubic_space()
+    y = S.point([25.0, 37.0, 77.0])
+    seg = Segment(S.zero(), y)
+    x = S.point([3.0, -2.0, -1.0])
+    assert vision_conjugation_check(seg, y, x)
+    true_face = lpgeom.faces.face
+
+    def raised(C, psi, tol=1e-9):
+        desc = true_face(C, psi, tol)
+        return dataclasses.replace(desc, level=desc.level + 1.0)
+
+    monkeypatch.setattr(lpgeom.faces, "face", raised)
+    with pytest.raises(RuntimeError):
+        vision_conjugation_check(seg, y, x)
+
+
+def test_vision_routes_share_the_flat_ray_tolerance():
+    # J(u) pairs 1e-17 per unit length with the ray: flat for the face and for
+    # the support alike, however long the ray's direction vector is
+    S = LpSpace(3, 2.0)
+    u = S.point([1e-17, 1.0, 0.0])
+    for length in (1.0, 1e10):
+        ray = Ray(S.zero(), S.point([length, 0.0, 0.0]))
+        assert 0.0 < pair(duality_map(u), ray.direction) <= 1e-17 * length
+        assert vision_conjugation_check(ray, ray.vertex, u)
+        assert ray.support(duality_map(u), tol=1e-9) == 0.0
 
 
 def test_sphere_visions_are_rays_of_the_duality_image():

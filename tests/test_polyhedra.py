@@ -17,7 +17,7 @@ from scipy.linalg import null_space
 from scipy.optimize import nnls
 
 from _oracles import polar_cone_by_enumeration
-from lpgeom.polyhedra import _null_space, intersect_cone_generators, polar_cone_generators
+from lpgeom.polyhedra import _nnls, _null_space, intersect_cone_generators, polar_cone_generators
 
 
 def _same_bits(got, want):
@@ -165,3 +165,10 @@ def test_intersection_of_degenerate_pairs():
     cone = np.stack([2.0 * Q[:, 0], Q[:, 1] + Q[:, 2], Q[:, 1] - Q[:, 2]], axis=1)
     got = intersect_cone_generators(np.stack([Q[:, 0], -Q[:, 0]], axis=1), cone)
     assert _same_rays(got, [Q[:, 0]])
+
+
+def test_nnls_without_columns_is_the_empty_fit():
+    # scipy's nnls aborts the interpreter on a matrix with no columns, so it is never called with one
+    b = np.array([3.0, -4.0, 0.0])
+    x, rho = _nnls(np.zeros((3, 0)), b)
+    assert x.shape == (0,) and rho == 5.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import lpgeom.projections
 from lpgeom.projections import (
     ProjectionResult,
     SolverOptions,
@@ -15,9 +16,6 @@ from lpgeom.projections import (
     vi_residual_metric,
 )
 from lpgeom.sets import (
-    SIMPLEX,
-    UNIT_INTERVAL,
-    UNRESTRICTED,
     Ball,
     FinitelyGeneratedCone,
     Line,
@@ -153,16 +151,28 @@ def test_metric_projection_homogeneous_on_pointed_cones():
             assert np.max(np.abs(scaled - lam * base)) <= 1e-6 * (1.0 + lam * np.max(np.abs(base)))
 
 
-def test_trace_is_monotone_nonincreasing():
+def test_trace_is_monotone_nonincreasing(monkeypatch):
+    # the objective at the warm start, then after each step the arc search accepts
+    trace = []
+
+    def recording(f_t, grad_t, project, t, fval, *rest):
+        if not trace:
+            trace.append(fval)
+        moved = _arc_search(f_t, grad_t, project, t, fval, *rest)
+        if moved is not None:
+            trace.append(moved[1])
+        return moved
+
+    monkeypatch.setattr(lpgeom.projections, "_arc_search", recording)
     S = LpSpace(4, 3.0, weights=[0.5, 1.0, 1.5, 2.0])
     K = FinitelyGeneratedCone(
         S.zero(),
         [S.point([1.0, 0.0, 0.0, 0.2]), S.point([0.0, 1.0, 0.1, 0.0]), S.point([0.0, 0.0, 1.0, 0.5])],
     )
     x = S.point([-1.0, 2.0, -0.5, 3.0])
-    res = metric_project(K, x, SolverOptions(collect_trace=True))
-    assert res.trace is not None and len(res.trace) >= 2
-    diffs = np.diff(np.array(res.trace))
+    res = metric_project(K, x)
+    assert len(trace) >= 2 and len(trace) == res.iterations + 1
+    diffs = np.diff(np.array(trace))
     assert np.all(diffs <= 1e-12)
 
 
@@ -194,19 +204,19 @@ def _polyhedral_family(rng, n):
 
 def _chart_member(C, rng, zeros=0):
     """A member base + D t of C with t in the chart's domain, ``zeros`` coefficients at 0 where it has a bound."""
-    pm = C.parameterize()
-    k = len(pm.directions)
-    if pm.feasible == SIMPLEX:
+    k = C._lo.size
+    free = np.all(np.isinf(C._lo))
+    if C._simplex:
         t = rng.dirichlet(np.ones(k))
-    elif pm.feasible == UNIT_INTERVAL:
+    elif np.all(np.isfinite(C._hi)):
         t = rng.uniform(0.0, 1.0, k)
     else:
-        t = rng.uniform(0.1, 3.0, k) * (rng.choice([-1.0, 1.0], k) if pm.feasible == UNRESTRICTED else 1.0)
-    if pm.feasible != UNRESTRICTED and k > 1:
+        t = rng.uniform(0.1, 3.0, k) * (rng.choice([-1.0, 1.0], k) if free else 1.0)
+    if not free and k > 1:
         t[rng.choice(k, size=min(zeros, k - 1), replace=False)] = 0.0
-        if pm.feasible == SIMPLEX:
+        if C._simplex:
             t /= t.sum()
-    return C.space.point(pm.base.coords + C._D @ t), t
+    return C.space.point(C._base + C._D @ t), t
 
 
 def test_members_are_fixed_points():
@@ -268,7 +278,6 @@ def test_witness_is_sound():
     for trial in range(20):
         S, family = _polyhedral_family(rng, 2 + trial % 5)
         for C in family:
-            pm = C.parameterize()
             x = S.point(rng.normal(size=S.n))
             u, t = _chart_member(C, rng, zeros=trial % 3)
             vi_residual_metric(C, x, u, witness=t)  # the true witness passes
@@ -278,14 +287,15 @@ def test_witness_is_sound():
                 with pytest.raises(ValueError):
                     vi_residual_metric(C, x, v, witness=tw)
 
-            rebuilt = lambda tw: S.point(pm.base.coords + C._D @ tw)  # noqa: E731
-            if pm.feasible != UNRESTRICTED:
+            rebuilt = lambda tw: S.point(C._base + C._D @ tw)  # noqa: E731
+            if t.size and np.all(C._lo == 0.0):
                 neg = t.copy()
                 neg[rng.integers(t.size)] = -1e-3
                 rejects(rebuilt(neg), neg)
-            if pm.feasible == UNIT_INTERVAL:
-                rejects(rebuilt(np.array([1.0 + 1e-3])), np.array([1.0 + 1e-3]))
-            if pm.feasible == SIMPLEX:
+            if t.size and np.all(C._hi == 1.0):
+                over = np.full(t.size, 1.0 + 1e-3)
+                rejects(rebuilt(over), over)
+            if C._simplex:
                 off = t * (1.0 + 1e-3)
                 rejects(rebuilt(off), off)
             step = rng.normal(size=S.n)
@@ -309,12 +319,13 @@ def test_witness_is_sound():
         vi_residual_metric(ball, S.point(np.ones(S.n)), S.zero(), witness=np.zeros(1))
 
 
-def test_nonconvergence_is_reported_honestly():
+def test_nonconvergence_is_reported_honestly(monkeypatch):
     S = LpSpace(3, 3.0, weights=[0.5, 1.0, 2.0])
     psi = S.functional([2.0, -1.0, 0.5])
     K = FinitelyGeneratedCone(S.zero(), [S.point([1.0, 0.0, 0.0]), S.point([0.0, 1.0, 1.0])])
-    starved = SolverOptions(max_iters=1, vi_tol=1e-12)
-    res = generalized_project(K, psi, starved)
+    with monkeypatch.context() as m:
+        m.setattr(lpgeom.projections, "_MAX_ITERS", 1)
+        res = generalized_project(K, psi, SolverOptions(vi_tol=1e-12))
     assert not res.converged
     assert res.iterations == 1 and res.stop_reason == "max-iters"
     assert K.contains(res.point, 1e-6)
@@ -389,9 +400,9 @@ def test_line_and_polytope_round_trip():
 
 def test_solver_options_validated():
     with pytest.raises(ValueError):
-        SolverOptions(max_iters=0)
-    with pytest.raises(ValueError):
         SolverOptions(vi_tol=0.0)
+    with pytest.raises(ValueError):
+        SolverOptions(vi_tol=-1e-6)
 
 
 def test_metric_projection_small_perturbation_proxy():

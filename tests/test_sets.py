@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from lpgeom import LpSpace, norm, pair, window_functional
+from lpgeom.projections import generalized_project, metric_project
 from lpgeom.sets import (
-    NONNEGATIVE,
-    SIMPLEX,
-    UNIT_INTERVAL,
-    UNRESTRICTED,
     Ball,
     FinitelyGeneratedCone,
     Line,
@@ -162,29 +159,53 @@ def test_sampling_is_deterministic():
     assert one == two
 
 
-def test_parameterize_tags(l3):
-    seg = Segment(l3.point([0, 0, 0]), l3.point([1, 0, 0]))
-    assert seg.parameterize().feasible == UNIT_INTERVAL
-    ray = Ray(l3.zero(), l3.point([1, 1, 1]))
-    assert ray.parameterize().feasible == NONNEGATIVE
-    cone = FinitelyGeneratedCone(l3.zero(), [l3.point([1, 0, 0]), l3.point([0, 1, 0])])
-    assert cone.parameterize().feasible == NONNEGATIVE
-    poly = Polytope([l3.point([1, 0, 0]), l3.point([0, 1, 0])])
-    assert poly.parameterize().feasible == SIMPLEX
-    line = Line(l3.point([0, 0, 0]), l3.point([1, 0, 0]))
-    assert line.parameterize().feasible == UNRESTRICTED
-    sub = Subspace(l3, [l3.point([1, 0, 0])])
-    assert sub.parameterize().feasible == UNRESTRICTED
-    with pytest.raises(TypeError):
-        Ball(l3, 1.0).parameterize()
+def _outputs(C, x, psi):
+    """Bytes of C's metric and generalized projections and of its samples."""
+    res = [metric_project(C, x), generalized_project(C, psi)]
+    out = [(r.point.coords.tobytes(), r.vi_residual, r.iterations, r.stop_reason, r.method) for r in res]
+    return out, [s.coords.tobytes() for s in C.sample(6, seed=3)]
 
 
-def test_parameterization_reconstructs_members(l3):
-    cone = FinitelyGeneratedCone(l3.zero(), [l3.point([1, 0, 1]), l3.point([0, 1, 1])])
-    pm = cone.parameterize()
-    D = pm.direction_matrix()
-    pt = l3.point(pm.base.coords + D @ np.array([0.5, 2.0]))
-    assert cone.contains(pt)
+def test_one_set_one_chart():
+    # a set reads its chart from (V, R, L), so two types describing one set agree bit for bit
+    rng = np.random.default_rng(41)
+    for p in (1.5, 3.0):
+        S = LpSpace(4, p, weights=rng.uniform(0.5, 2.0, 4))
+        a, b, d = (S.point(rng.normal(size=4)) for _ in range(3))
+        pairs = [
+            (Segment(a, b), Polytope([a, b])),
+            (Ray(a, d), FinitelyGeneratedCone(a, [d])),
+            (Line(S.zero(), d), Subspace(S, [d])),
+        ]
+        for one, other in pairs:
+            for _ in range(4):
+                x = S.point(3.0 * rng.normal(size=4))
+                psi = S.functional(2.0 * rng.normal(size=4))
+                assert _outputs(one, x, psi) == _outputs(other, x, psi), (one, other)
+
+
+def test_one_vertex_polytope():
+    S = LpSpace(3, 3.0, weights=[0.5, 1.0, 2.0])
+    v = S.point([1.0, -2.0, 0.5])
+    P = Polytope([v])
+    assert P.contains(v)
+    assert not P.contains(S.point([1.0, -2.0, 0.6]))
+    for res in (metric_project(P, S.point([3.0, 0.0, -1.0])), generalized_project(P, S.functional([1.0, 2.0, 3.0]))):
+        assert res.converged and res.point.coords.tobytes() == v.coords.tobytes()
+    assert all(s.coords.tobytes() == v.coords.tobytes() for s in P.sample(3, seed=1))
+    # a repeated vertex leaves one point too
+    twice = Polytope([v, v])
+    assert twice.contains(v) and not twice.contains(S.point([0.0, 0.0, 0.0]))
+    assert metric_project(twice, S.point([3.0, 0.0, -1.0])).converged
+
+
+def test_mixed_charts_are_refused(l3):
+    from lpgeom.sets import _Polyhedral
+
+    a, b, d = l3.point([0, 0, 0]), l3.point([1, 0, 0]), l3.point([0, 1, 0])
+    for V, R, L in (([a.coords, b.coords], [d.coords], []), ([a.coords], [d.coords], [b.coords])):
+        with pytest.raises(NotImplementedError):
+            _Polyhedral(l3, V, R, L)
 
 
 def test_pointedness(l3):
