@@ -7,18 +7,20 @@ primal vision collects every point u whose image J(u) does.  A member
 with trivial dual vision (only the zero functional) is internal;
 otherwise it is a cuticle point, and the two kinds partition C.
 
-Faces here are described, not enumerated: the supremum reduces to
-finitely many pairings (the vertices, rays and lineality directions of
-a polyhedral set, or for balls the dual-norm alignment direction),
-giving the level, the face's shape kind, and representative members
-that attain the level exactly.
+Faces here are described, not enumerated, and each set describes its
+own (``ConvexSet._face``): the supremum reduces to finitely many
+pairings (the vertices, rays and lineality directions of a polyhedral
+set, or for balls the dual-norm alignment direction), giving the level,
+the face's shape kind, and representative members that attain the level
+exactly.
 
-Classification is decided exactly for balls (norm against radius) and
-for the polyhedral types by linear algebra on the difference directions
-at y: a nonzero supporting functional exists iff the polyhedral cone
-{c : <w_j, c> <= 0} is nontrivial.  A null-space check settles the case
-where the cone holds a line; otherwise Stiemke's alternative makes it one
-nonnegative least-squares fit, in any dimension.
+Classification asks the set for a nonzero supporting functional at y
+(``ConvexSet._supporting_functional``).  A ball compares the norm with
+the radius.  A polyhedral set looks for a nonzero c with <w_j, c> <= 0
+on the difference directions w_j at y: a null vector when the cone of
+such c holds a line, otherwise one nonnegative least-squares fit by
+Stiemke's alternative, in any dimension.  Every witness is checked once
+more here, by face membership.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import _vertex_and_generators, member_generalized_dual
-from .polyhedra import _nnls, _null_space
 from .projections import SolverOptions, generalized_project, metric_project
-from .sets import Ball, ConvexSet
-from .spaces import DualVec, PrimalVec, duality_map, duality_map_inv, norm, pair
+from .sets import ConvexSet
+from .spaces import DualVec, PrimalVec, duality_map, duality_map_inv, pair
 
 __all__ = [
     "FaceDescription",
@@ -69,43 +70,6 @@ class FaceDescription:
     gaps: tuple[float, ...]
 
 
-def _check_pairing(C: ConvexSet, psi: DualVec):
-    if not psi.space.is_dual_of(C.space):
-        raise ValueError("functional does not pair with this set's space")
-
-
-def _ball_face(C: Ball, psi: DualVec, tol: float) -> FaceDescription:
-    space = C.space
-    r = C.radius
-    lvl_psi = norm(psi)
-    if lvl_psi <= tol:
-        return FaceDescription(0.0, "whole-set", (space.zero(),), ())
-    p = space.p
-    if p == 1.0:
-        mags = np.abs(psi.coords)
-        top = float(np.max(mags))
-        on = np.nonzero(mags >= top - tol * (1.0 + top))[0]
-        signs = np.sign(psi.coords[on])
-        uniform = np.zeros(space.n)
-        uniform[on] = (r / on.size) * signs / space.weights[on]
-        reps = [space.point(uniform)]
-        for i, s in zip(on, signs):
-            corner = np.zeros(space.n)
-            corner[i] = r * s / space.weights[i]
-            reps.append(space.point(corner))
-        kind = "singleton" if on.size == 1 else "affine-slice"
-        return FaceDescription(r * top, kind, tuple(reps), tuple(float(top - m) for m in mags))
-    if math.isinf(p):
-        level = r * float(np.dot(space.weights, np.abs(psi.coords)))
-        corner = r * np.sign(psi.coords)
-        free = np.nonzero(psi.coords == 0.0)[0]
-        kind = "singleton" if free.size == 0 else "affine-slice"
-        return FaceDescription(level, kind, (space.point(corner),), tuple(np.abs(psi.coords)))
-    # smooth range: the argmax is the scaled inverse duality image, alone
-    y = (r / lvl_psi) * duality_map_inv(psi)
-    return FaceDescription(r * lvl_psi, "singleton", (y,), ())
-
-
 def face(C: ConvexSet, psi: DualVec, tol: float = 1e-9) -> FaceDescription:
     """Describe the subset of C on which psi attains its supremum.
 
@@ -114,31 +78,16 @@ def face(C: ConvexSet, psi: DualVec, tol: float = 1e-9) -> FaceDescription:
     otherwise it is the hull of the vertices at the level plus the flat
     rays and the lineality.  ``gaps`` lists each vertex's slack below the
     level when there is more than one vertex, then each direction's unit
-    pairing.
+    pairing.  On a ball only psi = 0 has the whole ball as its face.
     """
-    _check_pairing(C, psi)
-    if isinstance(C, Ball):
-        return _ball_face(C, psi, tol)
-    space = C.space
-    vals = [space.pairing(psi.coords, v) for v in C.V]
-    level = max(vals)
-    ray_pairs, line_pairs = C._unit_pairings(psi)
-    slack = [level - v for v in vals] if len(vals) > 1 else []
-    gaps = tuple(slack + ray_pairs + line_pairs)
-    if C._escapes(ray_pairs, line_pairs, tol):
-        return FaceDescription(math.inf, "empty", (), gaps)
+    C._check_functional(psi)
+    return FaceDescription(*C._face(psi, tol))
 
-    scale = tol * (1.0 + max(abs(v) for v in vals))
-    hits = [space.point(v) for v, val in zip(C.V, vals) if level - val <= scale]
-    flat = [d for d, pr in zip(C.R, ray_pairs) if abs(pr) <= tol] + list(C.L)
-    if len(hits) == len(vals) and len(flat) == len(C.R) + len(C.L):
-        kind = "whole-set"
-    elif len(hits) == 1 and not flat:
-        kind = "singleton"
-    else:
-        kind = "vertex-subset"
-    reps = tuple(hits) + tuple(space.point(hits[0].coords + d) for d in flat)
-    return FaceDescription(level, kind, reps, gaps)
+
+def _attains(psi: DualVec, y: PrimalVec, level: float, tol: float) -> bool:
+    """Whether <psi, y> reaches ``level`` within tol (1 + |level| + |psi| |y|), in Euclidean norms."""
+    scale = tol * (1.0 + abs(level) + float(np.linalg.norm(psi.coords)) * float(np.linalg.norm(y.coords)))
+    return pair(psi, y) >= level - scale
 
 
 def face_membership(C: ConvexSet, psi: DualVec, y: PrimalVec, tol: float = 1e-9) -> bool:
@@ -146,11 +95,7 @@ def face_membership(C: ConvexSet, psi: DualVec, y: PrimalVec, tol: float = 1e-9)
     if not C.contains(y, max(tol, 1e-9)):
         raise ValueError("y is not a member of the set")
     desc = face(C, psi, tol)
-    if desc.kind == "empty":
-        return False
-    lhs = pair(psi, y)
-    scale = tol * (1.0 + abs(desc.level) + float(np.linalg.norm(psi.coords)) * float(np.linalg.norm(y.coords)))
-    return lhs >= desc.level - scale
+    return desc.kind != "empty" and _attains(psi, y, desc.level, tol)
 
 
 def vision_dual_member(C: ConvexSet, y: PrimalVec, psi: DualVec, tol: float = 1e-9) -> bool:
@@ -168,15 +113,14 @@ def vision_conjugation_check(C: ConvexSet, y: PrimalVec, u: PrimalVec, tol: floa
 
     The primal route reads whether y lies in the face of J(u) from
     ``face``.  The dual route asks whether <J(u), y> reaches the support
-    function of C at J(u), within the slack ``face_membership`` allows;
-    both routes count a direction as flat by the same unit-pairing rule.
-    Disagreement raises.
+    function of C at J(u), within the slack ``face_membership`` allows
+    (``_attains``); both routes count a direction as flat by the same
+    unit-pairing rule.  Disagreement raises.
     """
     primal = vision_primal_member(C, y, u, tol)
     psi = duality_map(u)
     level = C.support(psi, tol)
-    scale = tol * (1.0 + abs(level) + float(np.linalg.norm(psi.coords)) * float(np.linalg.norm(y.coords)))
-    dual = math.isfinite(level) and pair(psi, y) >= level - scale
+    dual = math.isfinite(level) and _attains(psi, y, level, tol)
     if primal != dual:
         raise RuntimeError("vision routes disagree through the duality map")
     return primal
@@ -189,24 +133,6 @@ class ClassifyResult:
     method: str
 
 
-def _difference_rows(C: ConvexSet, y: PrimalVec) -> list[np.ndarray]:
-    """Directions w with <psi, w> <= 0 required for psi to support C at y."""
-    yc = y.coords
-    rows = [v - yc for v in C.V] + list(C.R) + [s * l for l in C.L for s in (1.0, -1.0)]
-    kept = []
-    for r in rows:
-        nr = float(np.linalg.norm(r))
-        if nr > 1e-12 * (1.0 + float(np.linalg.norm(yc))):
-            kept.append(r / nr)
-    return kept
-
-
-def _require_face_member(C: ConvexSet, psi: DualVec, y: PrimalVec, tol: float):
-    # second route: the witness must put y in its own face
-    if not face_membership(C, psi, y, max(tol, 1e-7)):
-        raise RuntimeError("classification witness does not support the set at the point")
-
-
 def classify_point(C: ConvexSet, y: PrimalVec, tol: float = 1e-9) -> ClassifyResult:
     """Decide whether y is internal to C or a cuticle point, with a witness.
 
@@ -215,52 +141,13 @@ def classify_point(C: ConvexSet, y: PrimalVec, tol: float = 1e-9) -> ClassifyRes
     """
     if not C.contains(y, max(tol, 1e-9)):
         raise ValueError("y is not a member of the set")
-    space = C.space
-
-    if isinstance(C, Ball):
-        ny = norm(y)
-        if ny < C.radius * (1.0 - 1e-9) - tol:
-            return ClassifyResult("internal", None, "closed-form")
-        p = space.p
-        if 1.0 < p < math.inf:
-            psi = duality_map(y)
-        elif p == 1.0:
-            psi = DualVec(space.dual(), np.sign(y.coords))
-        else:
-            i = int(np.argmax(np.abs(y.coords)))
-            c = np.zeros(space.n)
-            c[i] = math.copysign(1.0, y.coords[i]) / space.weights[i]
-            psi = DualVec(space.dual(), c)
-        _require_face_member(C, psi, y, tol)
-        return ClassifyResult("cuticle", psi, "closed-form")
-
-    rows = _difference_rows(C, y)
-    if not rows:
-        # the set is the single point y; any nonzero functional supports it
-        c = np.zeros(space.n)
-        c[0] = 1.0
-        return ClassifyResult("cuticle", DualVec(space.dual(), c / space.weights), "null-space")
-    W = np.stack(rows, axis=0)
-
-    def to_witness(c: np.ndarray, method: str) -> ClassifyResult:
-        c = c / np.linalg.norm(c)
-        psi = DualVec(space.dual(), c / space.weights)
-        _require_face_member(C, psi, y, tol)
-        return ClassifyResult("cuticle", psi, method)
-
-    N = _null_space(W, rcond=1e-12)
-    if N.shape[1] > 0:
-        return to_witness(N[:, 0], "null-space")
-
-    # W has full column rank, so W c <= 0 has a nonzero solution iff no
-    # lam > 0 has W^T lam = 0 (Stiemke), iff b = -sum_j W_j is not in the
-    # cone of the rows.  When the fit of b misses, its residual is a
-    # solution: the fit's optimality conditions give W (b - W^T lam) <= 0.
-    b = -W.sum(axis=0)
-    lam, rho = _nnls(W.T, b)
-    if rho > 1e-9 * (1.0 + float(np.linalg.norm(b))):
-        return to_witness(b - W.T @ lam, "least-squares")
-    return ClassifyResult("internal", None, "least-squares")
+    psi, method = C._supporting_functional(y, tol)
+    if psi is None:
+        return ClassifyResult("internal", None, method)
+    # second route: the witness must put y in its own face
+    if not face_membership(C, psi, y, max(tol, 1e-7)):
+        raise RuntimeError("classification witness does not support the set at the point")
+    return ClassifyResult("cuticle", psi, method)
 
 
 @dataclass(frozen=True)

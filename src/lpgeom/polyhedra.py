@@ -7,7 +7,7 @@ method.  Everything here is Euclidean; callers fold any weighted pairing
 into the constraint rows.
 
 The module imports nothing from lpgeom, so it also holds the two
-primitives that sets, cones and faces share: a numpy null space and
+primitives that sets and cones share: a numpy null space and
 nonnegative least squares, whose scipy import waits for the first fit.
 """
 

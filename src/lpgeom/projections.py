@@ -9,9 +9,10 @@ variational characterizations
     metric:       <J(x - u), u - z> >= 0   for all z in C,
     generalized:  <psi - J(u), u - z> >= 0 for all z in C,
 
-whose worst violation over the set reduces to finitely many pairings
-(vertices, and rays and lineality directions per unit coefficient, or
-the ball's support function).  A nonpositive residual certifies optimality.
+whose worst violation over the set each set reports itself
+(``ConvexSet._vi_violation``): finitely many pairings with the vertices,
+and with rays and lineality directions per unit coefficient, or the
+ball's support function.  A nonpositive residual certifies optimality.
 The certificate also proves u in C.  For a solver answer the proof is the
 solver's own chart coefficients t: they lie in the chart's domain and
 rebuild u = base + D t within the membership tolerance.  The chart is the
@@ -22,13 +23,15 @@ is tested by a nonnegative least-squares fit instead, so
 
 Solver strategy: both projections minimize ||u - c||^2 - 2 <ell, u> plus
 a constant, with c = x, ell = 0 (metric) or c = 0, ell = psi
-(generalized).  Balls take a closed form.  On every other set the
-weighted least-squares fit of the unconstrained minimizer c + J*(ell)
-comes first.  When it rebuilds that minimizer, the minimizer is a member
-and its own projection, returned as a closed form.  Otherwise the fit is
-the warm start of one projected Newton loop on the chart coefficients:
-the exact Hessian of the squared norm, a projected gradient fallback, and
-Armijo backtracking that refuses full steps jumping across the minimum.
+(generalized), through one driver.  A set with a closed form (the
+ball's radial pull-in) answers at once.  On every other set the weighted
+least-squares fit of the unconstrained minimizer c + J*(ell) comes
+first.  When it rebuilds that minimizer and its residual passes, the
+minimizer is its own projection, returned as a closed form.  Otherwise
+the fit is the warm start of one projected Newton loop on the chart
+coefficients: the exact Hessian of the squared norm, a projected
+gradient fallback, and Armijo backtracking that refuses full steps
+jumping across the minimum.
 That loop keeps the method label "projected-gradient", which reports and
 the result schema read; ``stop_reason`` says why it stopped.
 """
@@ -41,8 +44,8 @@ from typing import Callable
 
 import numpy as np
 
-from .sets import Ball, ConvexSet
-from .spaces import DualVec, PrimalVec, duality_map, duality_map_inv, lyapunov, norm, pair
+from .sets import ConvexSet
+from .spaces import DualVec, PrimalVec, duality_map, duality_map_inv, lyapunov
 
 __all__ = [
     "SolverOptions",
@@ -72,6 +75,8 @@ _ACTIVE_WIDTH = 1e-3
 # _GRAD_TOL * (1 + ||t||), or after _MAX_ITERS accepted steps
 _GRAD_TOL = 1e-10
 _MAX_ITERS = 10000
+# how far a candidate may sit from the set, through ConvexSet._slack, for its certificate
+_MEMBERSHIP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -301,17 +306,6 @@ def _solve_on_chart(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.ndarray)
     return base + D @ t, t, fval, iters, stop
 
 
-def _ball_projection(C: ConvexSet, y: PrimalVec, by) -> PrimalVec | None:
-    """Closed form onto a ball: y, pulled in radially when ``by`` is longer than the radius.
-
-    None when C is not a ball.
-    """
-    if not isinstance(C, Ball):
-        return None
-    level = norm(by)
-    return y if level <= C.radius else (C.radius / level) * y
-
-
 def _certified(point, objective, res, opts, iters=0, stop="closed-form") -> ProjectionResult:
     """A candidate with its VI residual; closed forms take no solver steps."""
     return ProjectionResult(
@@ -325,107 +319,81 @@ def _certified(point, objective, res, opts, iters=0, stop="closed-form") -> Proj
     )
 
 
+def _project(C: ConvexSet, data, y: PrimalVec, c, ell, objective, residual, opts) -> ProjectionResult:
+    """Minimize ||u - c||^2 - 2 <ell, u> over C, from the unconstrained minimizer y.
+
+    ``data`` is x or psi, ``objective(data, u)`` the projection's own
+    objective and ``residual(C, data, u, witness=...)`` its certificate.
+    The set's closed form comes first; then the fit of y warm-starts the
+    chart.  A member y is its own projection once its residual passes,
+    which holds exactly for the metric projection, where phi = J(0) = 0.
+    """
+    u = C._closed_form(y, data)
+    if u is not None:
+        return _certified(u, objective(data, u), residual(C, data, u), opts)
+    t = _warm_start(C, y)
+    member, witness = _member_witness(C, y, t)
+    if member:
+        res = residual(C, data, y, witness=witness)
+        if res <= opts.vi_tol:
+            return _certified(y, objective(data, y), res, opts)
+    u_arr, t, fval, iters, stop = _solve_on_chart(C, c, ell, t)
+    u = C.space.point(u_arr)
+    return _certified(u, fval, residual(C, data, u, witness=t), opts, iters, stop)
+
+
+def _sq_distance(x: PrimalVec, u: PrimalVec) -> float:
+    return x.space.norm_of(x.coords - u.coords) ** 2
+
+
 def metric_project(C: ConvexSet, x: PrimalVec, opts: SolverOptions | None = None) -> ProjectionResult:
     """Nearest point of C to x in the space's norm, with a VI certificate."""
-    opts = opts or SolverOptions()
-    space = C.space
-    _require_smooth(space)
+    _require_smooth(C.space)
     C._check_point(x)
-
-    u = _ball_projection(C, x, x)
-    if u is not None:
-        return _certified(u, space.norm_of(x.coords - u.coords) ** 2, vi_residual_metric(C, x, u), opts)
-
-    t = _warm_start(C, x)
-    # a member is its own projection: <J(x - x), x - z> = 0 holds exactly
-    member, witness = _member_witness(C, x, t)
-    if member:
-        return _certified(x, 0.0, vi_residual_metric(C, x, x, witness=witness), opts)
-
-    u_arr, t, fval, iters, stop = _solve_on_chart(C, x.coords, np.zeros(space.n), t)
-    u = space.point(u_arr)
-    return _certified(u, fval, vi_residual_metric(C, x, u, witness=t), opts, iters, stop)
+    opts = opts or SolverOptions()
+    return _project(C, x, x, x.coords, np.zeros(C.space.n), _sq_distance, vi_residual_metric, opts)
 
 
 def generalized_project(C: ConvexSet, psi: DualVec, opts: SolverOptions | None = None) -> ProjectionResult:
     """Minimizer of V(psi, .) over C, with a VI certificate."""
+    _require_smooth(C.space)
+    C._check_functional(psi)
     opts = opts or SolverOptions()
-    space = C.space
-    _require_smooth(space)
-    if not psi.space.is_dual_of(space):
-        raise ValueError("functional does not pair with this set's space")
-
-    inv = duality_map_inv(psi)
-    y = _ball_projection(C, inv, psi)
-    if y is not None:
-        return _certified(y, lyapunov(psi, y), vi_residual_generalized(C, psi, y), opts)
-
-    t = _warm_start(C, inv)
-    # when the inverse duality image lies in C it is the unconstrained minimizer
-    member, witness = _member_witness(C, inv, t)
-    if member:
-        res = vi_residual_generalized(C, psi, inv, witness=witness)
-        if res <= opts.vi_tol:
-            return _certified(inv, lyapunov(psi, inv), res, opts)
-
-    u_arr, t, fval, iters, stop = _solve_on_chart(C, np.zeros(space.n), psi.coords, t)
-    y = space.point(u_arr)
-    return _certified(y, fval, vi_residual_generalized(C, psi, y, witness=t), opts, iters, stop)
+    y = duality_map_inv(psi)
+    return _project(C, psi, y, np.zeros(C.space.n), psi.coords, lyapunov, vi_residual_generalized, opts)
 
 
-def _vi_reduction(C: ConvexSet, phi: DualVec, u: PrimalVec) -> float:
-    """Worst violation of <phi, u - z> >= 0 over z in C.
-
-    The bounded part reduces to the vertices.  For recession directions
-    the violation is reported per unit coefficient, so unbounded sets
-    yield finite certificates: max(<phi, r>) over rays and |<phi, l>|
-    over lineality directions replace the unbounded supremum.
-    """
-    if isinstance(C, Ball):
-        return C.radius * norm(phi) - pair(phi, u)
-    # one product pairs phi with every row of V, R and L
-    wphi = C.space.weights * phi.coords
-    vals = C._rows @ wphi
-    nv, nr = len(C.V), len(C.R)
-    vals[:nv] -= float(np.dot(wphi, u.coords))
-    vals[nv + nr:] = np.abs(vals[nv + nr:])
-    return float(np.max(vals))
-
-
-def _require_member(C: ConvexSet, u: PrimalVec, membership_tol: float, witness: np.ndarray | None) -> None:
-    member = C.contains(u, membership_tol) if witness is None else C._fits(u, witness, membership_tol)
+def _require_member(C: ConvexSet, u: PrimalVec, witness: np.ndarray | None) -> None:
+    member = C.contains(u, _MEMBERSHIP_TOL) if witness is None else C._fits(u, witness, _MEMBERSHIP_TOL)
     if not member:
         raise ValueError("candidate projection is not a member of the set")
 
 
-def vi_residual_metric(
-    C: ConvexSet, x: PrimalVec, u: PrimalVec, membership_tol: float = 1e-6, witness: np.ndarray | None = None
-) -> float:
+def vi_residual_metric(C: ConvexSet, x: PrimalVec, u: PrimalVec, witness: np.ndarray | None = None) -> float:
     """Certificate for u = metric projection of x: nonpositive iff certified.
 
-    Raises when u is not a member of C within ``membership_tol``.  Without
+    Raises when u is not a member of C within ``_MEMBERSHIP_TOL``.  Without
     a ``witness`` membership is a nonnegative least-squares fit.  A witness
     is coefficients t on the chart a polyhedral C reads from its vertices,
     rays and lineality (``sets._Polyhedral``), from which the solver built
     u: then u is a member when t lies in the chart's domain and base + D t
-    reproduces u within that tolerance, and nothing is fitted.  A witness that passes always passes ``C.contains`` too.
+    reproduces u within that tolerance, and nothing is fitted.  A witness
+    that passes always passes ``C.contains`` too.
     """
     _require_smooth(C.space)
-    _require_member(C, u, membership_tol, witness)
-    return _vi_reduction(C, duality_map(x - u), u)
+    _require_member(C, u, witness)
+    return C._vi_violation(duality_map(x - u), u)
 
 
-def vi_residual_generalized(
-    C: ConvexSet, psi: DualVec, y: PrimalVec, membership_tol: float = 1e-6, witness: np.ndarray | None = None
-) -> float:
+def vi_residual_generalized(C: ConvexSet, psi: DualVec, y: PrimalVec, witness: np.ndarray | None = None) -> float:
     """Certificate for y = generalized projection of psi onto C.
 
     Membership is decided as in ``vi_residual_metric``, by the ``witness``
     coefficients when given.
     """
     _require_smooth(C.space)
-    _require_member(C, y, membership_tol, witness)
-    return _vi_reduction(C, psi - duality_map(y), y)
+    _require_member(C, y, witness)
+    return C._vi_violation(psi - duality_map(y), y)
 
 
 def inverse_image_member_metric(

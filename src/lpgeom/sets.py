@@ -1,4 +1,4 @@
-"""Closed convex point sets with exact support functions.
+"""Closed convex point sets, each answering every question asked of it.
 
 Seven set types cover the geometry the projection and face machinery
 needs: segments, rays, lines, finitely generated cones, polytopes,
@@ -6,10 +6,14 @@ norm balls centered at the origin, and linear subspaces.  All but the
 ball share one polyhedral description, conv(V) + cone(R) + span(L), on
 which every set operation is written once.  Membership is decided by
 closed-form or least-squares coefficient fits measured in the Euclidean
-coefficient sense; support functions are closed form.  Each polyhedral
-set reads from (V, R, L) the affine chart the projection solver works
-on: base + D t, with per-coefficient bounds lo <= t <= hi, or the
-probability simplex over the vertices.
+coefficient sense; support functions are closed form.  Each set also
+answers what the projections and faces ask of it: its closed-form
+projection if it has one, the worst violation of a variational
+inequality, the face of a functional, and a supporting functional at a
+member.  This is the one module that tells the set types apart.  Each
+polyhedral set reads from (V, R, L) the affine chart the projection
+solver works on: base + D t, with per-coefficient bounds lo <= t <= hi,
+or the probability simplex over the vertices.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .polyhedra import _nnls, _rank, polar_cone_generators
-from .spaces import DualVec, LpSpace, PrimalVec
+from .polyhedra import _nnls, _null_space, _rank, polar_cone_generators
+from .spaces import DualVec, LpSpace, PrimalVec, duality_map, duality_map_inv
 
 __all__ = [
     "ConvexSet",
@@ -83,9 +87,28 @@ class ConvexSet:
 
         ``tol`` follows ``faces.face``: a ray or lineality direction whose
         unit pairing <psi, d> / (|psi| |d|) (Euclidean norms) is within tol
-        of zero is flat, and on a ball a functional of dual norm at most tol
-        counts as zero.
+        of zero is flat.  A ball has none, so its support is exact.
         """
+        raise NotImplementedError
+
+    def _closed_form(self, y: PrimalVec, data) -> PrimalVec | None:
+        """The projection in closed form, or None when the set has none.
+
+        y is the unconstrained minimizer (x, or J*(psi)), and ``data`` the
+        x or psi it came from, whose norm is the norm of y.
+        """
+        return None
+
+    def _vi_violation(self, phi: DualVec, u: PrimalVec) -> float:
+        """Worst violation of <phi, u - z> >= 0 over z in the set."""
+        raise NotImplementedError
+
+    def _face(self, psi: DualVec, tol: float) -> tuple:
+        """(level, kind, representatives, gaps) of the face of psi, as ``faces.face`` reports it."""
+        raise NotImplementedError
+
+    def _supporting_functional(self, y: PrimalVec, tol: float) -> tuple[DualVec | None, str]:
+        """A nonzero functional whose face holds the member y, or None when y is internal; and the method."""
         raise NotImplementedError
 
     def sample(self, count: int, seed: int = 0) -> list[PrimalVec]:
@@ -151,8 +174,8 @@ class _Polyhedral(ConvexSet):
             self._hi = np.repeat([1.0, math.inf, math.inf], counts)
         self._D = np.ascontiguousarray(cols.T)
         self._rows = np.vstack([self.V, self.R, self.L])
-        reach = np.max(np.linalg.norm(self._rows[nv:], axis=1), initial=0.0)
-        self._extent = float(np.max(np.linalg.norm(self.V, axis=1)) + reach)
+        self._lengths = np.linalg.norm(self._rows[nv:], axis=1)  # of the rays and lineality directions
+        self._extent = float(np.max(np.linalg.norm(self.V, axis=1)) + np.max(self._lengths, initial=0.0))
         self._independent: bool | None = None  # set by _independent_directions on first use
 
     def distance(self, x: PrimalVec) -> float:
@@ -235,29 +258,90 @@ class _Polyhedral(ConvexSet):
 
     def support(self, psi: DualVec, tol: float = 0.0) -> float:
         self._check_functional(psi)
-        if self._escapes(*self._unit_pairings(psi), tol):
-            return math.inf
-        return max(self.space.pairing(psi.coords, v) for v in self.V)
+        vals, rays, lines = self._pairings(psi)
+        return math.inf if self._escapes(rays, lines, tol) else float(np.max(vals))
 
-    def _unit_pairings(self, psi: DualVec) -> tuple[list[float], list[float]]:
-        """<psi, d> / (|psi| |d|) in Euclidean norms, for each ray and each lineality direction."""
-        pairing = self.space.pairing
-        npsi = float(np.linalg.norm(psi.coords))
+    def _pairings(self, psi: DualVec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """<psi, v> per vertex, and <psi, d> / (|psi| |d|) in Euclidean norms per ray and lineality direction.
 
-        def unit_pair(d: np.ndarray) -> float:
-            nd = float(np.linalg.norm(d))
-            return pairing(psi.coords, d) / (npsi * nd) if npsi * nd > 0.0 else 0.0
-
-        return [unit_pair(r) for r in self.R], [unit_pair(l) for l in self.L]
+        One product of the stacked rows with w psi gives them all.
+        """
+        vals = self._rows @ (self.space.weights * psi.coords)
+        nv, nr = len(self.V), len(self.R)
+        denom = float(np.linalg.norm(psi.coords)) * self._lengths
+        unit = np.divide(vals[nv:], denom, out=np.zeros(denom.size), where=denom > 0.0)
+        return vals[:nv], unit[:nr], unit[nr:]
 
     @staticmethod
-    def _escapes(ray_pairs: list[float], line_pairs: list[float], tol: float) -> bool:
-        """True when a ray pairs above tol, or a lineality direction off it: psi is unbounded above.
+    def _escapes(rays: np.ndarray, lines: np.ndarray, tol: float) -> bool:
+        """psi is unbounded above: a ray's unit pairing exceeds tol, or a lineality direction's |pairing| does."""
+        return bool(np.any(rays > tol) or np.any(np.abs(lines) > tol))
 
-        The one tolerance rule for directions, shared by ``support`` and
-        ``faces.face``: unit pairings within tol of zero count as zero.
+    def _vi_violation(self, phi: DualVec, u: PrimalVec) -> float:
+        """Over the vertices; per unit coefficient along rays and lineality, so it stays finite.
+
+        max <phi, r> over rays and |<phi, l>| over lineality directions
+        replace the unbounded supremum.
         """
-        return any(d > tol for d in ray_pairs) or any(abs(d) > tol for d in line_pairs)
+        wphi = self.space.weights * phi.coords
+        vals = self._rows @ wphi
+        nv, nr = len(self.V), len(self.R)
+        vals[:nv] -= float(np.dot(wphi, u.coords))
+        vals[nv + nr:] = np.abs(vals[nv + nr:])
+        return float(np.max(vals))
+
+    def _face(self, psi: DualVec, tol: float) -> tuple:
+        """As ``faces.face`` states it; a vertex within tol (1 + max |<psi, v>|) of the level is on it."""
+        vals, rays, lines = self._pairings(psi)
+        level = float(np.max(vals))
+        slack = (level - vals).tolist() if len(vals) > 1 else []
+        gaps = tuple(slack + rays.tolist() + lines.tolist())
+        if self._escapes(rays, lines, tol):
+            return math.inf, "empty", (), gaps
+        hit = level - vals <= tol * (1.0 + float(np.max(np.abs(vals))))
+        hits, flat = self.V[hit], np.vstack([self.R[np.abs(rays) <= tol], self.L])
+        if hit.all() and len(flat) == len(self.R) + len(self.L):
+            kind = "whole-set"
+        elif len(hits) == 1 and not len(flat):
+            kind = "singleton"
+        else:
+            kind = "vertex-subset"
+        point = self.space.point
+        return level, kind, tuple([point(v) for v in hits] + [point(hits[0] + d) for d in flat]), gaps
+
+    def _supporting_functional(self, y: PrimalVec, tol: float) -> tuple[DualVec | None, str]:
+        """Linear algebra on the unit difference rows W at y.
+
+        A nonzero c with W c <= 0 supports the set at y.  A null vector of
+        W is one.  Otherwise W has full column rank, and W c <= 0 has a
+        nonzero solution iff no lam > 0 has W^T lam = 0 (Stiemke), iff
+        b = -sum_j W_j is not in the cone of the rows.  When the fit of b
+        misses, its residual is a solution: the fit's optimality
+        conditions give W (b - W^T lam) <= 0.
+        """
+        space, yc = self.space, y.coords
+        # psi supports the set at y iff <psi, w> <= 0 for each w; lineality enters with both signs
+        W = np.vstack([self.V - yc, self.R, np.stack([self.L, -self.L], axis=1).reshape(-1, space.n)])
+        # one norm per row, as a vector norm: on a null space of dimension > 1
+        # the witness picked depends on the last bit of W
+        lengths = np.array([np.linalg.norm(w) for w in W])
+        keep = lengths > 1e-12 * (1.0 + float(np.linalg.norm(yc)))
+        if not keep.any():
+            # the set is the single point y; any nonzero functional supports it
+            c, method = np.eye(space.n)[0], "null-space"
+        else:
+            W = W[keep] / lengths[keep, None]
+            N = _null_space(W, rcond=1e-12)
+            if N.shape[1] > 0:
+                c, method = N[:, 0], "null-space"
+            else:
+                b = -W.sum(axis=0)
+                lam, rho = _nnls(W.T, b)
+                if rho <= 1e-9 * (1.0 + float(np.linalg.norm(b))):
+                    return None, "least-squares"
+                c, method = b - W.T @ lam, "least-squares"
+            c = c / np.linalg.norm(c)
+        return DualVec(space.dual(), c / space.weights), method
 
     def sample(self, count: int, seed: int = 0) -> list[PrimalVec]:
         rng = np.random.default_rng(seed)
@@ -386,8 +470,55 @@ class Ball(ConvexSet):
 
     def support(self, psi: DualVec, tol: float = 0.0) -> float:
         self._check_functional(psi)
-        level = psi.space.norm_of(psi.coords)
-        return self.radius * level if level > tol else 0.0
+        return self.radius * psi.space.norm_of(psi.coords)
+
+    def _closed_form(self, y: PrimalVec, data) -> PrimalVec:
+        """y, pulled in radially when the data is longer than the radius."""
+        level = data.space.norm_of(data.coords)
+        return y if level <= self.radius else (self.radius / level) * y
+
+    def _vi_violation(self, phi: DualVec, u: PrimalVec) -> float:
+        """The support function, radius times the dual norm, less <phi, u>."""
+        return self.radius * phi.space.norm_of(phi.coords) - self.space.pairing(phi.coords, u.coords)
+
+    def _face(self, psi: DualVec, tol: float) -> tuple:
+        """Only psi = 0 has the whole ball as its face; ``tol`` decides the ties of p = 1."""
+        space, r = self.space, self.radius
+        level = psi.space.norm_of(psi.coords)  # the dual norm: sup norm at p = 1, weighted l_1 at oo
+        if level == 0.0:
+            return 0.0, "whole-set", (space.zero(),), ()
+        mags = np.abs(psi.coords)
+        if space.p == 1.0:
+            on = np.nonzero(mags >= level - tol * (1.0 + level))[0]
+            signs = np.sign(psi.coords[on])
+            uniform = np.zeros(space.n)
+            uniform[on] = (r / on.size) * signs / space.weights[on]
+            reps = [space.point(uniform)]
+            for i, s in zip(on, signs):
+                corner = np.zeros(space.n)
+                corner[i] = r * s / space.weights[i]
+                reps.append(space.point(corner))
+            kind = "singleton" if on.size == 1 else "affine-slice"
+            return r * level, kind, tuple(reps), tuple(float(level - m) for m in mags)
+        if math.isinf(space.p):
+            kind = "singleton" if np.all(mags) else "affine-slice"
+            return r * level, kind, (space.point(r * np.sign(psi.coords)),), tuple(mags)
+        # smooth range: the argmax is the scaled inverse duality image, alone
+        return r * level, "singleton", ((r / level) * duality_map_inv(psi),), ()
+
+    def _supporting_functional(self, y: PrimalVec, tol: float) -> tuple[DualVec | None, str]:
+        """Inside the sphere none; on it J(y), or at p = 1 and oo a subgradient of the norm."""
+        space, p = self.space, self.space.p
+        if space.norm_of(y.coords) < self.radius * (1.0 - 1e-9) - tol:
+            return None, "closed-form"
+        if 1.0 < p < math.inf:
+            return duality_map(y), "closed-form"
+        if p == 1.0:
+            return DualVec(space.dual(), np.sign(y.coords)), "closed-form"
+        i = int(np.argmax(np.abs(y.coords)))
+        c = np.zeros(space.n)
+        c[i] = math.copysign(1.0, y.coords[i]) / space.weights[i]
+        return DualVec(space.dual(), c), "closed-form"
 
     def sample(self, count: int, seed: int = 0) -> list[PrimalVec]:
         rng = np.random.default_rng(seed)

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 
 import pytest
 
@@ -33,3 +34,18 @@ def test_deleted_names_are_gone():
         assert not hasattr(cls, "parameterize"), cls
     assert [f for f in lpgeom.SolverOptions.__dataclass_fields__] == ["vi_tol"]
     assert "trace" not in lpgeom.ProjectionResult.__dataclass_fields__
+
+
+def test_only_sets_knows_the_set_types():
+    # each set answers its own face, certificate and closed form
+    for mod in ("faces", "projections"):
+        assert not hasattr(importlib.import_module(f"lpgeom.{mod}"), "Ball"), mod
+    for name in ("_ball_projection", "_vi_reduction"):
+        assert not hasattr(lpgeom.projections, name), name
+    for name in ("_ball_face", "_difference_rows", "_check_pairing", "_require_face_member"):
+        assert not hasattr(lpgeom.faces, name), name
+
+
+def test_membership_tolerance_is_not_a_parameter():
+    for fn in (lpgeom.vi_residual_metric, lpgeom.vi_residual_generalized):
+        assert "membership_tol" not in inspect.signature(fn).parameters, fn.__name__

@@ -21,6 +21,7 @@ from lpgeom.faces import (
     vision_dual_member,
     vision_primal_member,
 )
+from lpgeom.projections import generalized_project
 from lpgeom.sets import Ball, FinitelyGeneratedCone, Line, Polytope, Ray, Segment, Subspace
 from lpgeom.spaces import LpSpace, duality_map, duality_map_inv, norm, pair, window_functional
 
@@ -85,6 +86,39 @@ def test_ball_faces_at_extreme_exponents():
 
     lone = face(Ball(S1, 1.0), S1.functional([2.0, -1.0, 0.0]))
     assert lone.kind == "singleton"
+
+
+def test_only_the_zero_functional_has_the_whole_ball_as_its_face():
+    # a nonzero functional of dual norm below tol still has one top point on a
+    # smooth ball, and a member on its far side is outside that face
+    S = _cubic_space()
+    ball = Ball(S, 50.0)
+    u = S.point([-1e-10, 0.0, 0.0])
+    psi = duality_map(u)
+    y = S.point([50.0, 0.0, 0.0])
+    tiny = face(ball, psi)
+    assert tiny.kind == "singleton"
+    assert tiny.level == pytest.approx(5e-9, rel=1e-12)
+    assert ball.support(psi, tol=1e-9) == tiny.level
+    assert not face_membership(ball, psi, y)
+    assert not vision_conjugation_check(ball, y, u)  # both routes say no, so it does not raise
+    assert vision_conjugation_check(ball, -y, u)
+    zero = face(ball, S.zero_functional())
+    assert (zero.kind, zero.level) == ("whole-set", 0.0)
+    assert face_membership(ball, S.zero_functional(), y)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("kind", ["segment", "ball"])
+def test_face_and_generalized_projection_refuse_a_point_as_functional(p, kind):
+    # at p = 2 a primal vector's space pairs with the set's, so only its type tells it apart
+    S = LpSpace(3, p)
+    C = Segment(S.zero(), S.point([1.0, 2.0, 3.0])) if kind == "segment" else Ball(S, 2.0)
+    v = S.point([1.0, -1.0, 0.5])
+    with pytest.raises(TypeError, match="expected a DualVec"):
+        face(C, v)
+    with pytest.raises(TypeError, match="expected a DualVec"):
+        generalized_project(C, v)
 
 
 def test_polytope_faces_by_tie_count():

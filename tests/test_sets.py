@@ -125,6 +125,31 @@ def test_support_sublinearity():
             assert C.support(t * p1) == pytest.approx(t * C.support(p1), rel=1e-12)
 
 
+def test_row_product_matches_the_pairings_row_by_row():
+    # support and face read one product of the stacked rows with w psi; the
+    # reference pairs psi with each row on its own, summing in another order,
+    # so the two agree within the dot product's roundoff bound n eps sum |w psi d|
+    rng = np.random.default_rng(17)
+    eps = np.finfo(float).eps
+    for n in (2, 5, 40):
+        space = LpSpace(n, 3.0, rng.uniform(0.5, 2.0, n))
+        pts = [space.point(rng.normal(size=n)) for _ in range(6)]
+        for C in (Polytope(pts), FinitelyGeneratedCone(pts[0], pts[1:]), Line(pts[0], pts[1])):
+            nv = len(C.V)
+            for _ in range(10):
+                psi = space.functional(rng.normal(size=n))
+                ref = np.array([pair(psi, space.point(row)) for row in C._rows])
+                bound = 2 * n * eps * (np.abs(C._rows) @ np.abs(space.weights * psi.coords))
+                lengths = np.array([np.linalg.norm(psi.coords) * np.linalg.norm(d) for d in C._rows[nv:]])
+                vals, rays, lines = C._pairings(psi)
+                assert np.all(np.abs(vals - ref[:nv]) <= bound[:nv])
+                unit = np.concatenate([rays, lines])
+                assert np.all(np.abs(unit - ref[nv:] / lengths) <= bound[nv:] / lengths + 4 * eps * np.abs(unit))
+                escapes = np.any(ref[nv : nv + len(C.R)] > 0.0) or np.any(ref[nv + len(C.R) :] != 0.0)
+                expected = math.inf if escapes else pytest.approx(np.max(ref[:nv]), abs=np.max(bound[:nv]))
+                assert C.support(psi) == expected
+
+
 def test_support_cone_tolerance(l3):
     cone = FinitelyGeneratedCone(l3.zero(), [l3.point([1.0, 0.0, 0.0])])
     psi = l3.functional([1e-12, -1.0, 0.0])
