@@ -21,7 +21,8 @@ from importlib import resources
 import jsonschema
 
 from .cones import (
-    _vertex_and_generators,
+    _generalized_convexity_probe,
+    _identity_defect,
     find_double_dual_certificate,
     generalized_double_dual_member,
     intersection_dual_check_family,
@@ -33,14 +34,14 @@ from .cones import (
 from .faces import classify_point, face, vision_conjugation_check, vision_dual_member
 from .projections import SolverOptions, generalized_project, metric_project
 from .sets import Ball, FinitelyGeneratedCone, Line, Polytope, Ray, Segment, Subspace
-from .spaces import LpSpace, duality_map, norm, pair
+from .spaces import LpSpace
 from .suite import TOOLKIT_VERSION, _jsonable, _witness_json, fuzz_target_ids, run_fuzz, run_verification_suite
 
 __all__ = ["main"]
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(ValueError):
+    """A bad command line or problem document: exit code 2, like any ValueError."""
 
 
 @functools.cache
@@ -206,8 +207,6 @@ def _op_dualcone(space, doc, tol, seed, trials, kind, check):
         return out, "pass" if rep.ok else "fail"
 
     K = _the_set(space, doc)
-    v, _ = _vertex_and_generators(K)
-
     if check == "member":
         if kind == "metric":
             member = member_metric_dual(K, space.point(_need(doc, "point")), tol=tol)
@@ -224,7 +223,7 @@ def _op_dualcone(space, doc, tol, seed, trials, kind, check):
                 "trials": trials,
             }
             return out, "pass"
-        escapes, pairs = _generalized_convexity_probe(K, v, seed, trials, tol)
+        escapes, pairs = _generalized_convexity_probe(K, seed, trials, tol)
         out = {
             "witness_found": escapes > 0,
             "witness": None,
@@ -253,37 +252,9 @@ def _op_dualcone(space, doc, tol, seed, trials, kind, check):
         return out, "pass"
 
     # identity, metric kind: the inner-product defect of the projection
-    if any(c != 0.0 for c in v.coords):
-        raise ValueError("the identity check is defined for cones with vertex at the origin")
     w = space.point(_need(doc, "point"))
-    res = metric_project(K, w, SolverOptions(vi_tol=tol if tol < 1e-6 else 1e-6))
-    if not res.converged:
-        raise RuntimeError("projection did not certify; defect value would be unreliable")
-    defect = pair(duality_map(w), res.point) - norm(res.point) ** 2
-    return {"defect": float(defect), "point": _vec(res.point)}, "pass"
-
-
-def _generalized_convexity_probe(K, v, seed, trials, tol):
-    """Convex combinations of generalized dual members must stay members."""
-    import numpy as np
-
-    space = K.space
-    jv = duality_map(v)
-    rng = np.random.default_rng(seed)
-    pairs = escapes = 0
-    attempts = 0
-    while pairs < trials and attempts < 50 * trials:
-        attempts += 1
-        a = jv + space.functional(rng.normal(size=space.n) * 2.0)
-        b = jv + space.functional(rng.normal(size=space.n) * 2.0)
-        if not (member_generalized_dual(K, a, tol=tol) and member_generalized_dual(K, b, tol=tol)):
-            continue
-        pairs += 1
-        for lam in (0.25, 0.5, 0.75):
-            h = lam * a + (1.0 - lam) * b
-            if not member_generalized_dual(K, h, tol=max(tol, 1e-9)):
-                escapes += 1
-    return escapes, pairs
+    defect, u = _identity_defect(K, w, SolverOptions(vi_tol=tol if tol < 1e-6 else 1e-6))
+    return {"defect": float(defect), "point": _vec(u)}, "pass"
 
 
 _SINGLE_OPS = {
@@ -328,53 +299,24 @@ def _run_single(args, operation: str) -> int:
     if operation == "dualcone":
         out["kind"] = args.kind
         out["check"] = args.check
-    _validate(out, "result.schema.json")
-    if args.json:
-        print(json.dumps(out, indent=2, allow_nan=False))
+    lines = [f"{key}: {val}" for key, val in result.items()] + [f"status: {status}"]
+    return _emit(args, out, "result.schema.json", lines, status == "pass")
+
+
+def _run_report(args) -> int:
+    if args.command == "verify":
+        rep = run_verification_suite(seed=args.seed or 0, force_p=args.p)
     else:
-        for line in _human_lines(operation, result, status):
-            print(line)
-    return 0 if status == "pass" else 1
+        trials = args.trials if args.trials is not None else 200
+        rep = run_fuzz(args.target, trials=trials, seed=args.seed or 0, p=args.p)
+    return _emit(args, rep.to_json(), "report.schema.json", rep.summary_lines(), rep.ok)
 
 
-def _human_lines(operation: str, result: dict, status: str) -> list[str]:
-    lines = []
-    for key, val in result.items():
-        lines.append(f"{key}: {val}")
-    lines.append(f"status: {status}")
-    return lines
-
-
-def _run_verify(args) -> int:
-    rep = run_verification_suite(seed=args.seed or 0, force_p=args.p)
-    doc = rep.to_json()
-    _validate(doc, "report.schema.json")
-    if args.json:
-        print(json.dumps(doc, indent=2, allow_nan=False))
-    else:
-        for line in rep.summary_lines():
-            print(line)
-    return 0 if rep.ok else 1
-
-
-def _run_fuzz(args) -> int:
-    try:
-        rep = run_fuzz(
-            args.target,
-            trials=args.trials if args.trials is not None else 200,
-            seed=args.seed or 0,
-            p=args.p,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    doc = rep.to_json()
-    _validate(doc, "report.schema.json")
-    if args.json:
-        print(json.dumps(doc, indent=2, allow_nan=False))
-    else:
-        for line in rep.summary_lines():
-            print(line)
-    return 0 if rep.ok else 1
+def _emit(args, doc: dict, schema_name: str, lines: list[str], ok: bool) -> int:
+    """Validate the document, print it whole under --json or else as lines, and give the exit code."""
+    _validate(doc, schema_name)
+    print(json.dumps(doc, indent=2, allow_nan=False) if args.json else "\n".join(lines))
+    return 0 if ok else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -427,15 +369,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "fuzz":
-            return _run_fuzz(args)
+        if args.command in ("verify", "fuzz"):
+            return _run_report(args)
         return _run_single(args, args.command)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # a _UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except jsonschema.ValidationError as exc:

@@ -17,7 +17,11 @@ reconcile disagreements silently.
 
 Every routine takes the ray or finitely generated cone itself and reads
 the vertex from its one row of ``V`` and the generators from the rows of
-``R``; the polar cone comes from the set, which computes it once.
+``R``.  Each question is one matrix product over those rows.  The metric
+tests pair J(x - v) with R for a whole batch of candidates x at once
+(``_margins``), the witness searches score all their candidates in one
+product, and the generalized tests pair with the polar cone's generator
+matrix, which the set computes once (``sets._Polyhedral._polar``).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .polyhedra import _nnls, intersect_cone_generators, polar_cone_generators
+from .polyhedra import _nnls, _polar_rows, intersect_cone_generators
 from .projections import SolverOptions, metric_project, vi_residual_metric
 from .spaces import DualVec, PrimalVec, duality_map, norm, pair
 
@@ -74,30 +78,56 @@ def _require_origin_vertex(v: PrimalVec):
         raise ValueError("this check is defined for cones with vertex at the origin")
 
 
-def _pairings(phi: DualVec, R: np.ndarray) -> tuple[float, ...]:
-    """<phi, g_i> for every generator row g_i; phi passes the dual test when none is positive."""
-    return tuple(phi.space.pairing(phi.coords, g) for g in R)
+def _norms_and_duals(space, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``LpSpace.norm_of`` and ``LpSpace.jmap`` of every row of X, in one pass.
+
+    At p = 2 the formula returns the rows themselves, as jmap does.
+    """
+    p = space.p
+    if math.isinf(p) or p <= 1.0:
+        raise ValueError("duality mapping requires exponent in (1, oo)")
+    mags = np.abs(X)
+    norms = (mags**p @ space.weights) ** (1.0 / p)
+    return norms, mags ** (p - 1.0) * np.sign(X) * np.where(norms > 0.0, norms, 1.0)[:, None] ** (2.0 - p)
 
 
-def _dual_margin(v: PrimalVec, R: np.ndarray, x: PrimalVec) -> float:
-    return max(_pairings(duality_map(x - v), R))
+def _margins(v: PrimalVec, R: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """max_i <J(x - v), g_i> for every row x of X; x is in the metric dual cone when it is <= tol."""
+    _, J = _norms_and_duals(v.space, X - v.coords)
+    return np.max((v.space.weights * J) @ R.T, axis=1)
+
+
+def _draws(rng, n: int, trials: int) -> np.ndarray:
+    """``trials`` rows, each a standard normal vector times a scale from [0.5, 5].
+
+    Each row draws its scale first, so a seed gives the points that
+    drawing one trial at a time gives.
+    """
+    rows = [float(rng.uniform(0.5, 5.0)) * rng.normal(size=n) for _ in range(trials)]
+    return np.array(rows).reshape(-1, n)
 
 
 def member_metric_dual(K, x: PrimalVec, tol: float = 1e-9) -> bool:
     """Membership of x in the metric dual cone of K."""
     v, R = _vertex_and_generators(K)
-    worst = _dual_margin(v, R, x)
-    # same reduction through the projection certificate; must agree
-    vi = vi_residual_metric(K, x, v)
+    worst = float(_margins(v, R, x.coords[None])[0])
+    # same reduction through the projection certificate; must agree.  v is
+    # the chart's base, so all-zero coefficients witness that it is a member
+    vi = vi_residual_metric(K, x, v, witness=np.zeros(len(R)))
     if abs(max(worst, 0.0) - max(vi, 0.0)) > 1e-12 * (1.0 + abs(worst)):
         raise RuntimeError(f"metric dual routes disagree: generators {worst:.3e}, certificate {vi:.3e}")
     return worst <= tol
 
 
+def _offset_margins(K, D: np.ndarray) -> np.ndarray:
+    """max_i <d, g_i> for every row d of D, an offset psi - J(v) from the generalized dual cone's apex."""
+    return np.max((K.space.weights * D) @ K.R.T, axis=-1)
+
+
 def member_generalized_dual(K, psi: DualVec, tol: float = 1e-9) -> bool:
     """Membership of psi in the generalized dual cone of K."""
-    v, R = _vertex_and_generators(K)
-    return max(_pairings(psi - duality_map(v), R)) <= tol
+    v, _ = _vertex_and_generators(K)
+    return bool(_offset_margins(K, (psi - duality_map(v)).coords) <= tol)
 
 
 def probe_nonconvexity_metric_dual(
@@ -112,52 +142,62 @@ def probe_nonconvexity_metric_dual(
     v, R = _vertex_and_generators(K)
     space = K.space
     rng = np.random.default_rng(seed)
-    lam_grid = (2.0 / 3.0, 0.5, 0.25, 0.75, 0.1, 0.9)
+    lam_grid = np.array([2.0 / 3.0, 0.5, 0.25, 0.75, 0.1, 0.9])
 
-    def margin(pt: PrimalVec) -> float:
-        return _dual_margin(v, R, pt)
-
-    def witness_from(x: PrimalVec, y: PrimalVec, lam: float) -> Witness:
-        h = lam * x + (1.0 - lam) * y
-        gaps = _pairings(duality_map(h - v), R)
-        val = max(gaps)
-
-        def check() -> float:
-            hh = lam * x + (1.0 - lam) * y
-            inside = max(margin(x), margin(y))
-            out = margin(hh)
-            return out if inside <= tol else -math.inf
-
-        return Witness(
-            kind="convex-combination-escape",
-            data={"x": x, "y": y, "lam": lam, "h": h, "generator_gaps": gaps},
-            value=val,
-            _validator=check,
-        )
-
-    candidates: list[tuple[PrimalVec, PrimalVec]] = []
+    # candidate pairs as rows [x, y]: the pinned pair first, then sampled members two by two
+    pairs = np.zeros((0, 2, space.n))
     if space.n == 3:
-        xc = space.point([3.0, -2.0, -1.0])
-        yc = space.point([1.0, -3.0, 2.0])
-        if margin(xc) <= tol and margin(yc) <= tol:
-            candidates.append((xc, yc))
-
-    members: list[PrimalVec] = []
-    for _ in range(trials):
-        scale = float(rng.uniform(0.5, 5.0))
-        pt = space.point(rng.normal(size=space.n) * scale)
-        if margin(pt) <= tol:
-            members.append(pt)
+        pinned = np.array([[3.0, -2.0, -1.0], [1.0, -3.0, 2.0]])
+        if np.all(_margins(v, R, pinned) <= tol):
+            pairs = pinned[None]
+    pts = _draws(rng, space.n, trials)
+    members = list(pts[_margins(v, R, pts) <= tol])
     rng.shuffle(members)
-    for i in range(0, max(len(members) - 1, 0), 2):
-        candidates.append((members[i], members[i + 1]))
+    sampled = np.array(members[: len(members) // 2 * 2]).reshape(-1, 2, space.n)
+    pairs = np.concatenate([pairs, sampled])
 
-    for x, y in candidates:
-        for lam in lam_grid:
-            h = lam * x + (1.0 - lam) * y
-            if margin(h) > tol:
-                return witness_from(x, y, lam)
-    return None
+    grid = lam_grid[:, None]
+    H = grid * pairs[:, None, 0] + (1.0 - grid) * pairs[:, None, 1]  # pair-major, then lam_grid order
+    escaped = np.flatnonzero(_margins(v, R, H.reshape(-1, space.n)) > tol)
+    if not escaped.size:
+        return None
+    k, j = divmod(int(escaped[0]), len(lam_grid))
+    x, y, lam = space.point(pairs[k, 0]), space.point(pairs[k, 1]), float(lam_grid[j])
+    h = lam * x + (1.0 - lam) * y
+    gaps = tuple((R @ (space.weights * duality_map(h - v).coords)).tolist())
+
+    def check() -> float:
+        m = _margins(v, R, np.array([x.coords, y.coords, (lam * x + (1.0 - lam) * y).coords]))
+        return float(m[2]) if max(m[0], m[1]) <= tol else -math.inf
+
+    return Witness(
+        kind="convex-combination-escape",
+        data={"x": x, "y": y, "lam": lam, "h": h, "generator_gaps": gaps},
+        value=max(gaps),
+        _validator=check,
+    )
+
+
+def _generalized_convexity_probe(K, seed: int, trials: int, tol: float) -> tuple[int, int]:
+    """(escapes, pairs): convex combinations of sampled generalized dual members that leave the cone.
+
+    Pairs (a, b) are drawn around J(v), up to 50 per wanted pair, until
+    ``trials`` of them have both members; each is mixed at lam = 1/4,
+    1/2 and 3/4.  The cone is convex, so any escape is a fault.
+    """
+    v, _ = _vertex_and_generators(K)
+    n, jv = K.space.n, duality_map(v).coords
+    rng = np.random.default_rng(seed)
+    pairs = np.zeros((0, 2, n))
+    for _ in range(50):  # draws in blocks of ``trials`` pairs; each pair draws a before b
+        if len(pairs) >= trials:
+            break
+        AB = jv + rng.normal(size=(trials, 2, n)) * 2.0
+        pairs = np.concatenate([pairs, AB[np.all(_offset_margins(K, AB - jv) <= tol, axis=1)]])
+    pairs = pairs[:trials]
+    lam = np.array([0.25, 0.5, 0.75])[:, None, None]
+    H = lam * pairs[:, 0] + (1.0 - lam) * pairs[:, 1]
+    return int(np.sum(_offset_margins(K, H - jv) > max(tol, 1e-9))), len(pairs)
 
 
 def metric_double_dual_violation(K, seed: int = 0, trials: int = 200, tol: float = 1e-9) -> Witness | None:
@@ -173,62 +213,48 @@ def metric_double_dual_violation(K, seed: int = 0, trials: int = 200, tol: float
     space = K.space
     rng = np.random.default_rng(seed)
 
-    z_cands: list[PrimalVec] = []
-    x_cands: list[PrimalVec] = []
+    pinned_z, pinned_x = np.zeros((0, space.n)), np.zeros((0, space.n))
     if space.n == 3:
         zc = space.point([-25.0, -37.0, -77.0])
         if K.contains(zc):
-            z_cands.append(zc)
-        xc = space.point([3.0, -2.0, -1.0])
-        if _dual_margin(v, R, xc) <= tol:
-            x_cands.append(xc)
-    z_cands.extend(space.point(g) for g in R)
-    z_cands.extend(K.sample(min(trials // 4, 25), seed=seed + 1))
-    for _ in range(trials):
-        scale = float(rng.uniform(0.5, 5.0))
-        pt = space.point(rng.normal(size=space.n) * scale)
-        if _dual_margin(v, R, pt) <= tol:
-            x_cands.append(pt)
+            pinned_z = zc.coords[None]
+        pinned_x = np.array([[3.0, -2.0, -1.0]])
+    samples = [s.coords for s in K.sample(min(trials // 4, 25), seed=seed + 1)]
+    Z = np.vstack([pinned_z, R, *samples])
+    X = np.vstack([pinned_x, _draws(rng, space.n, trials)])
+    X = X[_margins(v, R, X) <= tol]
 
-    for z in z_cands:
-        jz = duality_map(z)
-        for x in x_cands:
-            val = pair(jz, x)
-            if val > max(tol, 1e-9 * norm(z) * norm(x)):
+    # every pair at once, z-major as a loop over z then x would meet them
+    z_norms, JZ = _norms_and_duals(space, Z)
+    x_norms, _ = _norms_and_duals(space, X)
+    scores = (space.weights * JZ) @ X.T
+    hits = np.argwhere(scores > np.maximum(tol, (1e-9 * z_norms)[:, None] * x_norms))
+    if not len(hits):
+        return None
+    i, j = hits[0]
+    z, x = space.point(Z[i]), space.point(X[j])
 
-                def check(z=z, x=x) -> float:
-                    if _dual_margin(v, R, x) > tol:
-                        return -math.inf
-                    if not K.contains(z):
-                        return -math.inf
-                    return pair(duality_map(z), x)
+    def check() -> float:
+        if _margins(v, R, x.coords[None])[0] > tol or not K.contains(z):
+            return -math.inf
+        return pair(duality_map(z), x)
 
-                return Witness(
-                    kind="double-dual-gap",
-                    data={"z": z, "x": x},
-                    value=val,
-                    _validator=check,
-                )
-    return None
+    # the value as the validator recomputes it, not the product's roundoff
+    return Witness(kind="double-dual-gap", data={"z": z, "x": x}, value=pair(duality_map(z), x), _validator=check)
 
 
 def generalized_double_dual_member(K, x: PrimalVec, tol: float = 1e-8) -> bool:
     """Membership of x in the twice-dualized generalized cone, two routes.
 
     Route one tests x in K directly.  Route two tests the finitely many
-    extreme-ray inequalities of the polar cone, an exact alternative-free
+    generator inequalities of the polar cone, an exact alternative-free
     decision.  The routes must agree; a disagreement raises instead of
     picking a side.
     """
     v, _ = _vertex_and_generators(K)
     primal = K.contains(x, tol)
-
-    rays, lin = K._polar
     d = x.coords - v.coords
-    scale = tol * (1.0 + float(np.linalg.norm(d)))
-    cert = all(float(np.dot(r, d)) <= scale for r in rays) and all(
-        abs(float(np.dot(l, d))) <= scale for l in lin
-    )
+    cert = bool(np.all(K._polar @ d <= tol * (1.0 + float(np.linalg.norm(d)))))
     if primal != cert:
         raise RuntimeError(
             "double-dual routes disagree: "
@@ -239,21 +265,22 @@ def generalized_double_dual_member(K, x: PrimalVec, tol: float = 1e-8) -> bool:
 
 
 def find_double_dual_certificate(K, x: PrimalVec, tol: float = 1e-8) -> Witness | None:
-    """Separating functional proving x is outside the generalized double dual."""
+    """Separating functional proving x is outside the generalized double dual.
+
+    The functional is the polar generator with the largest pairing against
+    x - v, the first one when several tie.
+    """
     v, R = _vertex_and_generators(K)
-    rays, lin = K._polar
     d = x.coords - v.coords
-    best, best_val = None, tol * (1.0 + float(np.linalg.norm(d)))
-    for r in list(rays) + [s * l for l in lin for s in (1.0, -1.0)]:
-        val = float(np.dot(r, d))
-        if val > best_val:
-            best, best_val = r, val
-    if best is None:
+    vals = K._polar @ d
+    if not np.any(vals > tol * (1.0 + float(np.linalg.norm(d)))):
         return None
+    k = int(np.argmax(vals))
+    best = K._polar[k]
     space = K.space
     phi = DualVec(space.dual(), best / space.weights)
 
-    def check(best=best) -> float:
+    def check() -> float:
         if np.max(R @ best) > 1e-10 * (1.0 + float(np.linalg.norm(best))):
             return -math.inf  # not actually in the polar cone
         return float(np.dot(best, x.coords - v.coords))
@@ -261,7 +288,7 @@ def find_double_dual_certificate(K, x: PrimalVec, tol: float = 1e-8) -> Witness 
     return Witness(
         kind="separating-functional",
         data={"functional": phi, "point": x},
-        value=best_val,
+        value=float(np.dot(best, d)),
         _validator=check,
     )
 
@@ -275,19 +302,6 @@ class IntersectionDualReport:
     backward_residual: float
     intersection_generators: tuple[PrimalVec, ...]
     sampled: int
-
-
-def _stacked_polar(cones) -> np.ndarray:
-    cols: list[np.ndarray] = []
-    for K in cones:
-        rays, lin = K._polar
-        cols.extend(rays)
-        for l in lin:
-            cols.append(l)
-            cols.append(-l)
-    if not cols:
-        return np.zeros((cones[0].space.n, 1))
-    return np.stack(cols, axis=1)
 
 
 def intersection_dual_check_family(
@@ -320,7 +334,9 @@ def intersection_dual_check_family(
         H = np.stack(gens, axis=1) if gens else np.zeros((space.n, 0))
     # H columns generate the intersection cone (possibly none: just the vertex)
 
-    M = _stacked_polar(cones)
+    M = np.vstack([K._polar for K in cones]).T
+    if not M.size:
+        M = np.zeros((space.n, 1))  # every polar is the origin alone
     scale = 1.0 + float(np.max(np.abs(M)))
 
     # forward: every hull generator obeys every intersection inequality
@@ -330,15 +346,9 @@ def intersection_dual_check_family(
         forward = 0.0  # intersection is the vertex alone; its dual is everything
 
     # backward: extreme rays of the intersection's polar decompose over M
-    backward = 0.0
-    if H.size:
-        rays, lin = polar_cone_generators(H.T)
-        targets = list(rays) + [s * l for l in lin for s in (1.0, -1.0)]
-    else:
-        eye = np.eye(space.n)
-        targets = [s * e for e in eye for s in (1.0, -1.0)]
-    for tvec in targets:
-        backward = max(backward, float(_nnls(M, tvec)[1]))
+    # (with no hull generator the intersection is the vertex, whose polar is everything)
+    targets = _polar_rows(H.T) if H.size else np.kron(np.eye(space.n), [[1.0], [-1.0]])
+    backward = max([0.0] + [float(_nnls(M, t)[1]) for t in targets])
 
     rng = np.random.default_rng(seed)
     sampled = 0
@@ -363,12 +373,17 @@ def intersection_dual_check(A, B, seed: int = 0, trials: int = 50, tol: float = 
     return intersection_dual_check_family([A, B], seed=seed, trials=trials, tol=tol)
 
 
-def hilbert_identity_violation(K, w: PrimalVec, opts: SolverOptions | None = None) -> float:
-    """Defect <J w, P_K w> - ||P_K w||^2, zero in the Euclidean case only."""
+def _identity_defect(K, w: PrimalVec, opts: SolverOptions | None) -> tuple[float, PrimalVec]:
+    """(<J w, P_K w> - ||P_K w||^2, P_K w) for a cone with vertex at the origin."""
     v, _ = _vertex_and_generators(K)
     _require_origin_vertex(v)
     res = metric_project(K, w, opts)
     if not res.converged:
         raise RuntimeError("projection did not certify; defect value would be unreliable")
     u = res.point
-    return pair(duality_map(w), u) - norm(u) ** 2
+    return pair(duality_map(w), u) - norm(u) ** 2, u
+
+
+def hilbert_identity_violation(K, w: PrimalVec, opts: SolverOptions | None = None) -> float:
+    """Defect <J w, P_K w> - ||P_K w||^2, zero in the Euclidean case only."""
+    return _identity_defect(K, w, opts)[0]

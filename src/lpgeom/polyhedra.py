@@ -1,10 +1,11 @@
 """Exact polyhedral linear algebra in raw coordinates, in any dimension.
 
 Helpers for cones of the form {phi : <row_i, phi> <= 0}: extreme rays by
-the double description method plus the lineality space, and generators
-of the intersection of two finitely generated cones, computed by the same
-method.  Everything here is Euclidean; callers fold any weighted pairing
-into the constraint rows.
+the double description method plus the lineality space, or both stacked
+as the rows of one generator matrix, and generators of the intersection
+of two finitely generated cones, computed by the same method.
+Everything here is Euclidean; callers fold any weighted pairing into the
+constraint rows.
 
 The module imports nothing from lpgeom, so it also holds the two
 primitives that sets and cones share: a numpy null space and
@@ -124,6 +125,19 @@ def polar_cone_generators(rows: np.ndarray) -> tuple[list[np.ndarray], list[np.n
     B = vt[:rank].T  # n x rank orthonormal basis of the row space
     rays = _dedupe_directions(_extreme_rays(rows @ B))
     return [B @ c for c in rays], list(vt[rank:])
+
+
+def _polar_rows(rows: np.ndarray) -> np.ndarray:
+    """Generators of P = {phi : rows @ phi <= 0} as the rows of one matrix.
+
+    The extreme rays, then +b and -b for each lineality vector b.  P is
+    the set of nonnegative combinations of the rows, so x pairs
+    nonpositively with all of P iff no entry of this matrix @ x is positive.
+    """
+    rays, lin = polar_cone_generators(rows)
+    n = np.shape(rows)[1]
+    lin = np.reshape(lin, (-1, n))
+    return np.vstack([np.reshape(rays, (-1, n)), np.stack([lin, -lin], axis=1).reshape(-1, n)])
 
 
 def intersect_cone_generators(GA: np.ndarray, GB: np.ndarray) -> list[np.ndarray]:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polyhedra import _nnls, _null_space, _rank, polar_cone_generators
+from .polyhedra import _nnls, _null_space, _polar_rows, _rank
 from .spaces import DualVec, LpSpace, PrimalVec, duality_map, duality_map_inv
 
 __all__ = [
@@ -242,15 +242,18 @@ class _Polyhedral(ConvexSet):
         return self._independent
 
     @functools.cached_property
-    def _polar(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Extreme rays and lineality of {c : R c <= 0}, the Euclidean polar of cone(R).
+    def _polar(self) -> np.ndarray:
+        """Generators of {c : R c <= 0}, the Euclidean polar of cone(R), one per row.
 
-        With c_k = mu_k phi_k the weighted constraints <phi, r_i> <= 0 become
+        The rows are the extreme rays, then +b and -b for each lineality
+        vector b, so the polar is their nonnegative combinations and a
+        test against all of it is one product with this matrix.  With
+        c_k = mu_k phi_k the weighted constraints <phi, r_i> <= 0 become
         plain dot products dot(c, r_i) <= 0, and so does the pairing against
         any primal vector; the weights cancel end to end, so this one polar
         serves both dual cones.  Computed on first use and kept.
         """
-        return polar_cone_generators(self.R)
+        return _polar_rows(self.R)
 
     def _sum_weight(self, x: PrimalVec) -> float:
         # weight of the simplex's sum row in a fit of x: on the scale of x and the set
@@ -482,14 +485,14 @@ class Ball(ConvexSet):
         return self.radius * phi.space.norm_of(phi.coords) - self.space.pairing(phi.coords, u.coords)
 
     def _face(self, psi: DualVec, tol: float) -> tuple:
-        """Only psi = 0 has the whole ball as its face; ``tol`` decides the ties of p = 1."""
+        """Only psi = 0 has the whole ball as its face; ``tol``, relative, decides the ties of p = 1."""
         space, r = self.space, self.radius
         level = psi.space.norm_of(psi.coords)  # the dual norm: sup norm at p = 1, weighted l_1 at oo
         if level == 0.0:
             return 0.0, "whole-set", (space.zero(),), ()
         mags = np.abs(psi.coords)
         if space.p == 1.0:
-            on = np.nonzero(mags >= level - tol * (1.0 + level))[0]
+            on = np.nonzero(mags >= level * (1.0 - tol))[0]
             signs = np.sign(psi.coords[on])
             uniform = np.zeros(space.n)
             uniform[on] = (r / on.size) * signs / space.weights[on]

@@ -1,14 +1,16 @@
 """Independent oracles the tests check library results against.
 
 Everything here is deliberately naive: dense grids, direct formulas,
-plain Euclidean linear algebra.  None of it calls the solver paths it
-is used to check.
+plain Euclidean linear algebra, loops one pairing at a time.  None of it
+calls the solver paths it is used to check.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from lpgeom.spaces import duality_map, norm, pair
 
 
 def weighted_pnorm(coords, p, weights):
@@ -136,4 +138,79 @@ def supporting_direction_by_linear_programs(W):
             c = np.asarray(res.x, dtype=float)
             if float(np.max(W @ c)) <= 1e-9:
                 return c
+    return None
+
+
+# -- metric dual cone witness searches, one pairing at a time ------------------
+
+
+def _metric_dual_margin(v, R, x):
+    """max_i <J(x - v), g_i>, pairing J(x - v) with one generator row at a time."""
+    phi = duality_map(x - v)
+    return max(phi.space.pairing(phi.coords, g) for g in R)
+
+
+def _trial_point(rng, space):
+    scale = float(rng.uniform(0.5, 5.0))
+    return space.point(rng.normal(size=space.n) * scale)
+
+
+def convex_combination_escape_by_loops(K, seed=0, trials=400, tol=1e-9):
+    """The metric dual convexity search, pair by pair: (x, y, lam, h, gaps) or None.
+
+    Draws, pinned pair, pairing order and lam grid are those of
+    ``cones.probe_nonconvexity_metric_dual``.
+    """
+    space, v, R = K.space, K.space.point(K.V[0]), K.R
+    rng = np.random.default_rng(seed)
+    candidates = []
+    if space.n == 3:
+        xc, yc = space.point([3.0, -2.0, -1.0]), space.point([1.0, -3.0, 2.0])
+        if _metric_dual_margin(v, R, xc) <= tol and _metric_dual_margin(v, R, yc) <= tol:
+            candidates.append((xc, yc))
+    members = []
+    for _ in range(trials):
+        pt = _trial_point(rng, space)
+        if _metric_dual_margin(v, R, pt) <= tol:
+            members.append(pt)
+    rng.shuffle(members)
+    for i in range(0, max(len(members) - 1, 0), 2):
+        candidates.append((members[i], members[i + 1]))
+    for x, y in candidates:
+        for lam in (2.0 / 3.0, 0.5, 0.25, 0.75, 0.1, 0.9):
+            h = lam * x + (1.0 - lam) * y
+            if _metric_dual_margin(v, R, h) > tol:
+                phi = duality_map(h - v)
+                return x, y, lam, h, [phi.space.pairing(phi.coords, g) for g in R]
+    return None
+
+
+def double_dual_gap_by_loops(K, seed=0, trials=200, tol=1e-9):
+    """The metric double dual search, pair by pair: (z, x, <J z, x>) or None.
+
+    Candidates and their order are those of
+    ``cones.metric_double_dual_violation``; K has its vertex at the origin.
+    """
+    space, v, R = K.space, K.space.point(K.V[0]), K.R
+    rng = np.random.default_rng(seed)
+    zs, xs = [], []
+    if space.n == 3:
+        zc = space.point([-25.0, -37.0, -77.0])
+        if K.contains(zc):
+            zs.append(zc)
+        xc = space.point([3.0, -2.0, -1.0])
+        if _metric_dual_margin(v, R, xc) <= tol:
+            xs.append(xc)
+    zs.extend(space.point(g) for g in R)
+    zs.extend(K.sample(min(trials // 4, 25), seed=seed + 1))
+    for _ in range(trials):
+        pt = _trial_point(rng, space)
+        if _metric_dual_margin(v, R, pt) <= tol:
+            xs.append(pt)
+    for z in zs:
+        jz = duality_map(z)
+        for x in xs:
+            val = pair(jz, x)
+            if val > max(tol, 1e-9 * norm(z) * norm(x)):
+                return z, x, val
     return None

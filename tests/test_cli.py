@@ -435,9 +435,18 @@ def test_cold_cone_projection_certifies_without_scipy(tmp_path):
     assert run["scipy"] is False
 
 
-def test_cold_cone_dual_membership_loads_nnls_on_demand(tmp_path):
+def test_cold_cone_metric_dual_membership_does_not_load_scipy(tmp_path):
+    # the certificate route takes the vertex's all-zero chart coefficients as its witness
     doc = dict(_CONE_PROBLEM, operation="dualcone")
     run = _fresh_cli(tmp_path, ["dualcone", "--kind", "metric", "--check", "member"], doc)
+    assert run["code"] == 0
+    assert run["scipy"] is False
+
+
+def test_cold_cone_dual_membership_loads_nnls_on_demand(tmp_path):
+    # the double dual's primal route fits the point to the three generators
+    doc = dict(_CONE_PROBLEM, operation="dualcone")
+    run = _fresh_cli(tmp_path, ["dualcone", "--kind", "generalized", "--check", "double-dual"], doc)
     assert run["code"] == 0
     assert run["scipy"] is True
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-import lpgeom.sets
+import lpgeom.polyhedra
+from _oracles import convex_combination_escape_by_loops, double_dual_gap_by_loops
 from lpgeom.cones import (
     find_double_dual_certificate,
     generalized_double_dual_member,
@@ -71,6 +72,39 @@ def test_metric_double_dual_gap_absent_at_p_two():
     assert metric_double_dual_violation(K, seed=14, trials=300) is None
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+def test_batched_witness_searches_match_the_loops(p):
+    # both searches score every candidate in one product; the loops pair one at a time
+    rng = np.random.default_rng(int(10 * p))
+    found = [0, 0]
+    for n in range(2, 7):
+        for k in range(3):
+            S = LpSpace(n, p, weights=rng.uniform(0.5, 2.0, n))
+            K = FinitelyGeneratedCone(S.zero(), [S.point(rng.normal(size=n) * 20.0) for _ in range(k + 1)])
+            seed = int(rng.integers(10**6))
+            w = probe_nonconvexity_metric_dual(K, seed=seed, trials=60)
+            ref = convex_combination_escape_by_loops(K, seed=seed, trials=60)
+            assert (w is None) == (ref is None)
+            if w is not None:
+                found[0] += 1
+                x, y, lam, h, gaps = ref
+                assert w.data["lam"] == lam
+                for key, want in (("x", x), ("y", y), ("h", h)):
+                    assert np.array_equal(w.data[key].coords, want.coords), key
+                assert np.allclose(w.data["generator_gaps"], gaps, rtol=1e-12, atol=1e-12 * np.max(np.abs(gaps)))
+                assert w.value == max(w.data["generator_gaps"]) and w.revalidate()
+            w = metric_double_dual_violation(K, seed=seed, trials=60)
+            ref = double_dual_gap_by_loops(K, seed=seed, trials=60)
+            assert (w is None) == (ref is None)
+            if w is not None:
+                found[1] += 1
+                z, x, val = ref
+                assert np.array_equal(w.data["z"].coords, z.coords) and np.array_equal(w.data["x"].coords, x.coords)
+                assert w.value == val and w.revalidate()
+    # at p = 2 the metric dual cone is convex and K lies in its double dual, so both searches come back empty
+    assert found == [0, 0] if p == 2.0 else min(found) > 0
+
+
 def test_double_dual_checks_require_origin_vertex():
     S = LpSpace(3, 3.0)
     K = Ray(S.point([1.0, 0.0, 0.0]), S.point([0.0, 1.0, 0.0]))
@@ -121,7 +155,8 @@ def test_generalized_double_duality_beyond_three_dimensions(n, monkeypatch):
         calls.append(rows)
         return polar_cone_generators(rows)
 
-    monkeypatch.setattr(lpgeom.sets, "polar_cone_generators", counted)
+    # the set's generator matrix is built by polyhedra._polar_rows, which calls this name
+    monkeypatch.setattr(lpgeom.polyhedra, "polar_cone_generators", counted)
     S = LpSpace(n, 3.0, weights=np.linspace(0.5, 2.0, n))
     gens = [S.point(g) for g in _CONES_BEYOND_R3[n]]
     K = FinitelyGeneratedCone(S.zero(), gens)

@@ -11,6 +11,9 @@ SUBMODULES = ("spaces", "sets", "polyhedra", "projections", "cones", "faces", "s
 DELETED = {
     "sets": ("Parameterization", "NONNEGATIVE", "UNIT_INTERVAL", "SIMPLEX", "UNRESTRICTED", "_INTERVALS"),
     "projections": ("_coefficient_projector",),
+    # dual cones are read from one product over the generator or polar generator rows
+    "cones": ("_stacked_polar", "_dual_margin", "_pairings"),
+    "cli": ("_human_lines", "_run_verify", "_run_fuzz"),
 }
 
 
@@ -49,3 +52,11 @@ def test_only_sets_knows_the_set_types():
 def test_membership_tolerance_is_not_a_parameter():
     for fn in (lpgeom.vi_residual_metric, lpgeom.vi_residual_generalized):
         assert "membership_tol" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_cli_holds_no_dual_cone_math():
+    cli = importlib.import_module("lpgeom.cli")
+    for name in ("duality_map", "pair", "norm"):
+        assert not hasattr(cli, name), name
+    # the generalized convexity probe moved next to the metric one
+    assert cli._generalized_convexity_probe is lpgeom.cones._generalized_convexity_probe

@@ -88,6 +88,19 @@ def test_ball_faces_at_extreme_exponents():
     assert lone.kind == "singleton"
 
 
+def test_ball_ties_at_p_one_are_relative_to_the_top_coordinate():
+    # a functional far below tol still has one top coordinate, and one corner as its face
+    S = LpSpace(3, 1.0)
+    ball = Ball(S, 1.0)
+    psi = S.functional([1e-10, 0.0, 0.0])
+    d = face(ball, psi)
+    assert d.kind == "singleton"
+    assert d.level == pytest.approx(1e-10, rel=1e-12)
+    assert [r.coords.tolist() for r in d.representatives] == [[1.0, 0.0, 0.0]] * 2
+    # coordinates within tol of the top, relatively, still tie
+    assert face(ball, S.functional([1.0, 1.0 - 1e-12, 0.5])).kind == "affine-slice"
+
+
 def test_only_the_zero_functional_has_the_whole_ball_as_its_face():
     # a nonzero functional of dual norm below tol still has one top point on a
     # smooth ball, and a member on its far side is outside that face
