@@ -303,12 +303,17 @@ def _run_single(args, operation: str) -> int:
     return _emit(args, out, "result.schema.json", lines, status == "pass")
 
 
-def _run_report(args) -> int:
-    if args.command == "verify":
-        rep = run_verification_suite(seed=args.seed or 0, force_p=args.p)
-    else:
-        trials = args.trials if args.trials is not None else 200
-        rep = run_fuzz(args.target, trials=trials, seed=args.seed or 0, p=args.p)
+# the commands that run a whole report instead of one problem document, and how each builds it
+_REPORTS = {
+    "verify": lambda args: run_verification_suite(seed=args.seed or 0, force_p=args.p),
+    "fuzz": lambda args: run_fuzz(
+        args.target, trials=args.trials if args.trials is not None else 200, seed=args.seed or 0, p=args.p
+    ),
+}
+
+
+def _run_report(args, build) -> int:
+    rep = build(args)
     return _emit(args, rep.to_json(), "report.schema.json", rep.summary_lines(), rep.ok)
 
 
@@ -369,9 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command in ("verify", "fuzz"):
-            return _run_report(args)
-        return _run_single(args, args.command)
+        build = _REPORTS.get(args.command)
+        return _run_report(args, build) if build else _run_single(args, args.command)
     except (ValueError, TypeError) as exc:  # a _UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,9 @@ the vertex from its one row of ``V`` and the generators from the rows of
 tests pair J(x - v) with R for a whole batch of candidates x at once
 (``_margins``), the witness searches score all their candidates in one
 product, and the generalized tests pair with the polar cone's generator
-matrix, which the set computes once (``sets._Polyhedral._polar``).
+matrix, which the set computes once (``sets._Polyhedral._polar``).  J and
+the norm come from ``LpSpace.jmap`` and ``LpSpace.norm_of``, which map a
+stack of rows row by row.
 """
 
 from __future__ import annotations
@@ -78,23 +80,14 @@ def _require_origin_vertex(v: PrimalVec):
         raise ValueError("this check is defined for cones with vertex at the origin")
 
 
-def _norms_and_duals(space, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``LpSpace.norm_of`` and ``LpSpace.jmap`` of every row of X, in one pass.
-
-    At p = 2 the formula returns the rows themselves, as jmap does.
-    """
-    p = space.p
-    if math.isinf(p) or p <= 1.0:
-        raise ValueError("duality mapping requires exponent in (1, oo)")
-    mags = np.abs(X)
-    norms = (mags**p @ space.weights) ** (1.0 / p)
-    return norms, mags ** (p - 1.0) * np.sign(X) * np.where(norms > 0.0, norms, 1.0)[:, None] ** (2.0 - p)
+def _offset_margins(K, D: np.ndarray) -> np.ndarray:
+    """max_i <d, g_i> for every row d of D; a functional J(v) + d is in the generalized dual cone when it is <= tol."""
+    return np.max((K.space.weights * D) @ K.R.T, axis=-1)
 
 
-def _margins(v: PrimalVec, R: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _margins(K, X: np.ndarray) -> np.ndarray:
     """max_i <J(x - v), g_i> for every row x of X; x is in the metric dual cone when it is <= tol."""
-    _, J = _norms_and_duals(v.space, X - v.coords)
-    return np.max((v.space.weights * J) @ R.T, axis=1)
+    return _offset_margins(K, K.space.jmap(X - K.V[0]))
 
 
 def _draws(rng, n: int, trials: int) -> np.ndarray:
@@ -110,18 +103,13 @@ def _draws(rng, n: int, trials: int) -> np.ndarray:
 def member_metric_dual(K, x: PrimalVec, tol: float = 1e-9) -> bool:
     """Membership of x in the metric dual cone of K."""
     v, R = _vertex_and_generators(K)
-    worst = float(_margins(v, R, x.coords[None])[0])
+    worst = float(_margins(K, x.coords))
     # same reduction through the projection certificate; must agree.  v is
     # the chart's base, so all-zero coefficients witness that it is a member
     vi = vi_residual_metric(K, x, v, witness=np.zeros(len(R)))
     if abs(max(worst, 0.0) - max(vi, 0.0)) > 1e-12 * (1.0 + abs(worst)):
         raise RuntimeError(f"metric dual routes disagree: generators {worst:.3e}, certificate {vi:.3e}")
     return worst <= tol
-
-
-def _offset_margins(K, D: np.ndarray) -> np.ndarray:
-    """max_i <d, g_i> for every row d of D, an offset psi - J(v) from the generalized dual cone's apex."""
-    return np.max((K.space.weights * D) @ K.R.T, axis=-1)
 
 
 def member_generalized_dual(K, psi: DualVec, tol: float = 1e-9) -> bool:
@@ -148,17 +136,17 @@ def probe_nonconvexity_metric_dual(
     pairs = np.zeros((0, 2, space.n))
     if space.n == 3:
         pinned = np.array([[3.0, -2.0, -1.0], [1.0, -3.0, 2.0]])
-        if np.all(_margins(v, R, pinned) <= tol):
+        if np.all(_margins(K, pinned) <= tol):
             pairs = pinned[None]
     pts = _draws(rng, space.n, trials)
-    members = list(pts[_margins(v, R, pts) <= tol])
+    members = list(pts[_margins(K, pts) <= tol])
     rng.shuffle(members)
     sampled = np.array(members[: len(members) // 2 * 2]).reshape(-1, 2, space.n)
     pairs = np.concatenate([pairs, sampled])
 
     grid = lam_grid[:, None]
     H = grid * pairs[:, None, 0] + (1.0 - grid) * pairs[:, None, 1]  # pair-major, then lam_grid order
-    escaped = np.flatnonzero(_margins(v, R, H.reshape(-1, space.n)) > tol)
+    escaped = np.flatnonzero(_margins(K, H.reshape(-1, space.n)) > tol)
     if not escaped.size:
         return None
     k, j = divmod(int(escaped[0]), len(lam_grid))
@@ -167,7 +155,7 @@ def probe_nonconvexity_metric_dual(
     gaps = tuple((R @ (space.weights * duality_map(h - v).coords)).tolist())
 
     def check() -> float:
-        m = _margins(v, R, np.array([x.coords, y.coords, (lam * x + (1.0 - lam) * y).coords]))
+        m = _margins(K, np.array([x.coords, y.coords, (lam * x + (1.0 - lam) * y).coords]))
         return float(m[2]) if max(m[0], m[1]) <= tol else -math.inf
 
     return Witness(
@@ -222,20 +210,18 @@ def metric_double_dual_violation(K, seed: int = 0, trials: int = 200, tol: float
     samples = [s.coords for s in K.sample(min(trials // 4, 25), seed=seed + 1)]
     Z = np.vstack([pinned_z, R, *samples])
     X = np.vstack([pinned_x, _draws(rng, space.n, trials)])
-    X = X[_margins(v, R, X) <= tol]
+    X = X[_margins(K, X) <= tol]
 
     # every pair at once, z-major as a loop over z then x would meet them
-    z_norms, JZ = _norms_and_duals(space, Z)
-    x_norms, _ = _norms_and_duals(space, X)
-    scores = (space.weights * JZ) @ X.T
-    hits = np.argwhere(scores > np.maximum(tol, (1e-9 * z_norms)[:, None] * x_norms))
+    scores = (space.weights * space.jmap(Z)) @ X.T
+    hits = np.argwhere(scores > np.maximum(tol, (1e-9 * space.norm_of(Z))[:, None] * space.norm_of(X)))
     if not len(hits):
         return None
     i, j = hits[0]
     z, x = space.point(Z[i]), space.point(X[j])
 
     def check() -> float:
-        if _margins(v, R, x.coords[None])[0] > tol or not K.contains(z):
+        if _margins(K, x.coords) > tol or not K.contains(z):
             return -math.inf
         return pair(duality_map(z), x)
 

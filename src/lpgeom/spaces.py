@@ -130,14 +130,17 @@ class LpSpace:
 
     # -- array-level kernels used by the solvers ------------------------------
 
-    def norm_of(self, coords: np.ndarray) -> float:
+    def norm_of(self, coords: np.ndarray) -> float | np.ndarray:
+        """Norm of ``coords``, or of each row of a stack of them (the last axis is reduced)."""
         if math.isinf(self.p):
-            return float(np.max(np.abs(coords)))
-        if self.p == 1.0:
-            return float(np.dot(self.weights, np.abs(coords)))
-        if self.p == 2.0:
-            return float(math.sqrt(np.dot(self.weights, coords * coords)))
-        return float(np.dot(self.weights, np.abs(coords) ** self.p) ** (1.0 / self.p))
+            nrm = np.max(np.abs(coords), axis=-1)
+        elif self.p == 1.0:
+            nrm = np.dot(np.abs(coords), self.weights)
+        elif self.p == 2.0:
+            nrm = np.sqrt(np.dot(coords * coords, self.weights))
+        else:
+            nrm = np.dot(np.abs(coords) ** self.p, self.weights) ** (1.0 / self.p)
+        return float(nrm) if nrm.ndim == 0 else nrm
 
     def pairing(self, psi_coords: np.ndarray, x_coords: np.ndarray) -> float:
         return float(np.dot(self.weights * psi_coords, x_coords))
@@ -148,15 +151,20 @@ class LpSpace:
         (Jx)_i = |x_i|^(p-1) sign(x_i) ||x||^(2-p).  The weights enter only
         through the pairing, not the formula: <Jx, x> = ||x||^2 and the dual
         norm of Jx equals ||x|| hold in any weighted l_p with p in (1, oo).
+        A stack of rows maps row by row.
         """
         if math.isinf(self.p) or self.p <= 1.0:
             raise ValueError("duality mapping requires exponent in (1, oo)")
         if self.p == 2.0:
             return np.array(coords, dtype=float)
         nrm = self.norm_of(coords)
-        if nrm == 0.0:
+        if not isinstance(nrm, float):  # one norm per row; a zero row maps to zero whatever its scale
+            scale = np.where(nrm > 0.0, nrm, 1.0)[..., None] ** (2.0 - self.p)
+        elif nrm == 0.0:
             return np.zeros(self.n)
-        return np.abs(coords) ** (self.p - 1.0) * np.sign(coords) * nrm ** (2.0 - self.p)
+        else:
+            scale = nrm ** (2.0 - self.p)
+        return np.abs(coords) ** (self.p - 1.0) * np.sign(coords) * scale
 
     def sqnorm_hessian(self, coords: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         """Parts (h, beta, a) of the Hessian diag(h) + beta a a^T of ||x||^2.

@@ -77,6 +77,21 @@ class TestLpSpace:
             assert np.array_equal(H, H.T)
             assert np.min(np.linalg.eigvalsh(H)) >= -1e-12 * np.max(np.abs(H))
 
+    def test_stacked_rows_map_row_by_row(self):
+        # norm_of and jmap reduce over the last axis: a stack of rows gives what each row gives alone
+        rng = np.random.default_rng(62)
+        for p in (1.0, 1.5, 2.0, 3.0, 4.0, math.inf):
+            space = LpSpace(4, p, weights=rng.uniform(0.3, 3.0, 4))
+            X = rng.normal(size=(5, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, (5, 1))
+            X[2] = 0.0
+            one_by_one = [space.norm_of(x) for x in X]
+            assert all(type(nrm) is float for nrm in one_by_one)
+            assert np.allclose(space.norm_of(X), one_by_one, rtol=1e-14, atol=0.0)
+            if 1.0 < p < math.inf:
+                J = space.jmap(X)
+                assert np.allclose(J, [space.jmap(x) for x in X], rtol=1e-13, atol=0.0)
+                assert np.array_equal(J[2], np.zeros(4))
+
     def test_dual_exponents(self):
         assert LpSpace(2, 3.0).dual().p == 1.5
         assert LpSpace(2, 1.0).dual().p == math.inf
