@@ -67,13 +67,6 @@ from .faces import (
     DualVisionIdentityReport,
     dual_vision_identity_check,
 )
-from .suite import (
-    CheckRecord,
-    SuiteReport,
-    run_verification_suite,
-    run_fuzz,
-    fuzz_target_ids,
-)
 
 __version__ = "0.1.0"
 
@@ -135,3 +128,15 @@ __all__ = [
     "fuzz_target_ids",
     "__version__",
 ]
+
+# the suite's names resolve on first use (PEP 562), so that a single
+# command, which runs no check, never imports the suite
+_SUITE_NAMES = ("CheckRecord", "SuiteReport", "run_verification_suite", "run_fuzz", "fuzz_target_ids")
+
+
+def __getattr__(name):
+    if name in _SUITE_NAMES:
+        from . import suite
+
+        return getattr(suite, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,11 +31,11 @@ from .cones import (
     metric_double_dual_violation,
     probe_nonconvexity_metric_dual,
 )
+from .encoding import TOOLKIT_VERSION, _jsonable, _witness_json
 from .faces import classify_point, face, vision_conjugation_check, vision_dual_member
 from .projections import SolverOptions, generalized_project, metric_project
 from .sets import Ball, FinitelyGeneratedCone, Line, Polytope, Ray, Segment, Subspace
 from .spaces import LpSpace
-from .suite import TOOLKIT_VERSION, _jsonable, _witness_json, fuzz_target_ids, run_fuzz, run_verification_suite
 
 __all__ = ["main"]
 
@@ -303,17 +303,20 @@ def _run_single(args, operation: str) -> int:
     return _emit(args, out, "result.schema.json", lines, status == "pass")
 
 
-# the commands that run a whole report instead of one problem document, and how each builds it
+# the commands that run a whole report instead of one problem document, and how each builds
+# it from the suite, which is imported only when one of them runs
 _REPORTS = {
-    "verify": lambda args: run_verification_suite(seed=args.seed or 0, force_p=args.p),
-    "fuzz": lambda args: run_fuzz(
+    "verify": lambda suite, args: suite.run_verification_suite(seed=args.seed or 0, force_p=args.p),
+    "fuzz": lambda suite, args: suite.run_fuzz(
         args.target, trials=args.trials if args.trials is not None else 200, seed=args.seed or 0, p=args.p
     ),
 }
 
 
 def _run_report(args, build) -> int:
-    rep = build(args)
+    from . import suite
+
+    rep = build(suite, args)
     return _emit(args, rep.to_json(), "report.schema.json", rep.summary_lines(), rep.ok)
 
 
@@ -365,7 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fz = sub.add_parser("fuzz", help="randomized property run for one target")
     add_common(fz, problem=False)
     fz.add_argument("--trials", type=int, default=None)
-    fz.add_argument("--target", required=True, help=f"one of: {', '.join(fuzz_target_ids())}")
+    # the target ids live in the suite, so an unknown id is refused when the run starts, with the list
+    fz.add_argument("--target", required=True, help="a fuzz target id; an unknown one lists the ids")
     fz.add_argument("--p", type=float, default=None)
 
     return parser

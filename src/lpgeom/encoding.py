@@ -1,0 +1,44 @@
+"""Plain-JSON encoding shared by the CLI's results and the suite's reports.
+
+Kept apart from ``suite`` so that a single CLI command, which emits a
+result but runs no check, never imports the suite.
+"""
+
+from __future__ import annotations
+
+import math
+from importlib import metadata
+
+import numpy as np
+
+from .spaces import DualVec, PrimalVec
+
+__all__ = ["TOOLKIT_VERSION"]
+
+try:
+    TOOLKIT_VERSION = metadata.version("lpgeom")
+except metadata.PackageNotFoundError:
+    TOOLKIT_VERSION = "0+unknown"
+
+
+def _jsonable(value):
+    if isinstance(value, (PrimalVec, DualVec)):
+        return [float(c) for c in value.coords]
+    if isinstance(value, np.ndarray):
+        return [float(c) for c in np.ravel(value)]
+    if isinstance(value, (np.bool_, bool)):
+        return bool(value)
+    if isinstance(value, (np.floating, float)):
+        f = float(value)
+        return None if math.isnan(f) else (f if math.isfinite(f) else {"unbounded": f > 0})
+    if isinstance(value, (np.integer, int)):
+        return int(value)
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+def _witness_json(w) -> dict:
+    return {"kind": w.kind, "value": float(w.value), "data": _jsonable(w.data)}

@@ -8,8 +8,9 @@ Everything here is Euclidean; callers fold any weighted pairing into the
 constraint rows.
 
 The module imports nothing from lpgeom, so it also holds the two
-primitives that sets and cones share: a numpy null space and
-nonnegative least squares, whose scipy import waits for the first fit.
+primitives that sets and cones share, both in numpy alone: a null space
+from the SVD, and Lawson & Hanson's active-set nonnegative least squares
+(1974, ch. 23) for every membership fit.
 """
 
 from __future__ import annotations
@@ -22,18 +23,56 @@ _FEAS_TOL = 1e-10
 
 
 def _nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """scipy's compiled nonnegative least squares: (x >= 0, ||A x - b||).
+    """Nonnegative least squares: (x >= 0 minimizing ||A x - b||, that norm).
 
-    scipy.optimize is imported here, on first use, because importing it
-    takes most of a cold process's start-up and most commands never fit.
-    With no columns the fit is empty and never reaches scipy, whose nnls
-    aborts the interpreter on such a matrix (scipy 1.17).
+    Lawson & Hanson's active-set method (1974, *Solving Least Squares
+    Problems*, ch. 23, algorithm NNLS).  The passive set P starts empty
+    and x at 0.  Each outer step moves into P the column whose gradient
+    entry w = A^T (b - A x) is largest, solves least squares on the
+    columns in P, and while that solution z has an entry <= 0 steps from
+    x towards z until the first entry of P reaches 0 and drops it.  The
+    fit is optimal once every column outside P has w <= tol.  Each
+    solve is ``np.linalg.lstsq`` on the passive columns; normal
+    equations square their condition number.  tol is relative to the
+    sizes of A and b, so the answer does not depend on the data's scale.
+    An unconstrained fit that is already nonnegative is the optimum
+    and is returned at once.  A column whose own solution comes out
+    nonpositive on entering P entered on roundoff alone; it is set aside
+    until the next step, as in the book, so P cannot cycle.
     """
-    if A.shape[1] == 0:
+    m, n = A.shape
+    if n == 0:
         return np.zeros(0), float(np.linalg.norm(b))
-    from scipy.optimize import nnls
-
-    return nnls(A, b)
+    z = np.linalg.lstsq(A, b, rcond=None)[0]
+    if np.all(z >= 0.0):
+        return z, float(np.linalg.norm(A @ z - b))
+    tol = 10.0 * np.finfo(float).eps * max(m, n) * float(np.linalg.norm(A)) * float(np.linalg.norm(b))
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    w = A.T @ b
+    for _ in range(3 * n):
+        j = int(np.argmax(np.where(passive, -np.inf, w)))
+        if passive[j] or w[j] <= tol:
+            return x, float(np.linalg.norm(A @ x - b))
+        passive[j] = True
+        z = np.zeros(n)
+        z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+        if z[j] <= 0.0:
+            passive[j] = False
+            w[j] = 0.0
+            continue
+        while np.any(z[passive] <= 0.0):
+            neg = np.flatnonzero(passive & (z <= 0.0))
+            ratios = x[neg] / (x[neg] - z[neg])
+            x = x + ratios.min() * (z - x)
+            passive[neg[np.argmin(ratios)]] = False
+            passive &= x > 0.0
+            x[~passive] = 0.0
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+        x = z
+        w = A.T @ (b - A @ x)
+    raise RuntimeError("nnls: iteration limit reached")
 
 
 def _svd_rank(A: np.ndarray, rcond: float | None = None) -> tuple[int, np.ndarray]:

@@ -2,7 +2,8 @@
 
 Everything runs in-process through ``main(argv)`` except the tests that
 need a fresh interpreter: one proves the module entry point works, the
-import-guard tests check which commands load scipy, and one runs the
+import-guard tests check that no command loads scipy and that single
+commands never load the suite, and one runs the
 demos.  Documents are validated here against the published schemas
 independently of the validation the CLI performs before emitting.
 """
@@ -293,8 +294,12 @@ def test_reads_problem_from_stdin(capsys, monkeypatch):
 
 
 def test_unknown_fuzz_target_is_an_error(capsys):
-    code, _ = _run(capsys, ["fuzz", "--target", "no-such-thing"])
+    code = main(["fuzz", "--target", "no-such-thing"])
     assert code == 2
+    # the suite names the targets once the run starts; the parser never builds the list
+    err = capsys.readouterr().err
+    assert "no-such-thing" in err
+    assert all(t in err for t in lpgeom.fuzz_target_ids())
 
 
 @pytest.mark.parametrize(
@@ -374,13 +379,14 @@ def test_packaged_schemas_are_valid_draft_2020_12():
         jsonschema.Draft202012Validator.check_schema(_schema(name))
 
 
-# A fresh interpreter that runs one command and reports whether scipy got loaded.
+# A fresh interpreter that runs one command and reports which of scipy and the suite got loaded.
 _FRESH_CLI = """\
 import contextlib, io, json, sys
 from lpgeom.cli import main
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(sys.argv[1:])
-print(json.dumps({"code": code, "out": out.getvalue(), "scipy": "scipy" in sys.modules}))
+loaded = [m for m in ("scipy", "lpgeom.suite") if m in sys.modules]
+print(json.dumps({"code": code, "out": out.getvalue(), "loaded": loaded}))
 """
 
 
@@ -397,7 +403,25 @@ def _fresh_cli(tmp_path, argv, doc):
 
 
 def test_import_does_not_load_scipy():
-    assert _fresh_python("-c", "import sys, lpgeom; print('scipy' in sys.modules)").strip() == "False"
+    probe = "import sys, lpgeom; print([m for m in ('scipy', 'lpgeom.suite') if m in sys.modules])"
+    assert _fresh_python("-c", probe).strip() == "[]"
+
+
+_SUITE_NAMES_ON_DEMAND = """import sys, lpgeom
+assert "lpgeom.suite" not in sys.modules
+names = [lpgeom.CheckRecord, lpgeom.SuiteReport, lpgeom.run_verification_suite, lpgeom.run_fuzz, lpgeom.fuzz_target_ids]
+import lpgeom.suite
+assert names == [getattr(lpgeom.suite, f.__name__) for f in names]
+assert all(hasattr(lpgeom, n) for n in lpgeom.__all__)
+try:
+    lpgeom.no_such_name
+except AttributeError:
+    print("ok")
+"""
+
+
+def test_suite_names_load_the_suite_on_first_use():
+    assert _fresh_python("-c", _SUITE_NAMES_ON_DEMAND).strip() == "ok"
 
 
 _RAY_SET = {"space": _RAY_PROBLEM["space"], "set": _RAY_PROBLEM["set"]}
@@ -416,7 +440,7 @@ _RAY_SET = {"space": _RAY_PROBLEM["space"], "set": _RAY_PROBLEM["set"]}
 def test_cold_commands_on_the_readme_ray_do_not_load_scipy(tmp_path, argv, doc):
     run = _fresh_cli(tmp_path, argv, doc)
     assert run["code"] == 0
-    assert run["scipy"] is False
+    assert run["loaded"] == []
 
 
 _CONE_PROBLEM = {
@@ -432,7 +456,7 @@ def test_cold_cone_projection_certifies_without_scipy(tmp_path):
     run = _fresh_cli(tmp_path, ["project"], _CONE_PROBLEM)
     assert run["code"] == 0
     assert json.loads(run["out"])["result"]["converged"] is True
-    assert run["scipy"] is False
+    assert run["loaded"] == []
 
 
 def test_cold_cone_metric_dual_membership_does_not_load_scipy(tmp_path):
@@ -440,15 +464,43 @@ def test_cold_cone_metric_dual_membership_does_not_load_scipy(tmp_path):
     doc = dict(_CONE_PROBLEM, operation="dualcone")
     run = _fresh_cli(tmp_path, ["dualcone", "--kind", "metric", "--check", "member"], doc)
     assert run["code"] == 0
-    assert run["scipy"] is False
+    assert run["loaded"] == []
 
 
 def test_cold_cone_dual_membership_loads_nnls_on_demand(tmp_path):
-    # the double dual's primal route fits the point to the three generators
+    # the double dual's primal route fits the point to the three generators, in numpy
     doc = dict(_CONE_PROBLEM, operation="dualcone")
     run = _fresh_cli(tmp_path, ["dualcone", "--kind", "generalized", "--check", "double-dual"], doc)
     assert run["code"] == 0
-    assert run["scipy"] is True
+    assert json.loads(run["out"])["result"]["member"] is False
+    assert run["loaded"] == []
+
+
+_TETRAHEDRON = {"type": "polytope", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, verdict",
+    [
+        (["gproject"], dict(_RAY_SET, operation="gproject", set={"type": "segment", "a": [1, 0, 0], "b": [0, 1, 2]},
+                            functional=[1, -2, 3]), None),
+        (["face"], dict(_RAY_SET, operation="face", set=_TETRAHEDRON, functional=[3, 1, 2]), None),
+        (["classify"], dict(_RAY_SET, operation="classify", set=_TETRAHEDRON, point=[0.2, 0.2, 0.2]), "internal"),
+        (["classify"], dict(_RAY_SET, operation="classify", set=_TETRAHEDRON, point=[0.5, 0.5, 0]), "cuticle"),
+        (["classify"], dict(_CONE_PROBLEM, operation="classify", point=[2, 1, 0]), "cuticle"),
+        # fits the pinned point (-25, -37, -77) into the cone
+        (["dualcone", "--kind", "metric", "--check", "double-dual"], dict(_CONE_PROBLEM, operation="dualcone"), None),
+    ],
+    ids=["gproject-segment", "face-tetrahedron", "classify-interior", "classify-edge", "classify-cone",
+         "dualcone-metric-double-dual"],
+)
+def test_cold_cli_commands_load_neither_scipy_nor_the_suite(tmp_path, argv, doc, verdict):
+    # the benchmark's cold commands beyond the README ray; classify decides by nonnegative least squares
+    run = _fresh_cli(tmp_path, argv, doc)
+    assert run["code"] == 0
+    if verdict is not None:
+        assert json.loads(run["out"])["result"]["verdict"] == verdict
+    assert run["loaded"] == []
 
 
 _LARGE_PROJECTIONS = """import sys

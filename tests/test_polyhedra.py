@@ -1,9 +1,11 @@
 """``lpgeom.polyhedra`` against scipy and a brute-force oracle.
 
-lpgeom replaced ``scipy.linalg.null_space`` with its own SVD so that
-importing the package does not load scipy; its polyhedral answers stay
-the same only if the helper returns the same bits, including the rank
-it picks under scipy's rule.
+lpgeom replaced ``scipy.linalg.null_space`` with its own SVD and scipy's
+``nnls`` with its own Lawson-Hanson fit, so that no command loads scipy.
+Its polyhedral answers stay the same only if the null space returns the
+same bits, including the rank it picks under scipy's rule, and the fit
+the same residuals.  The tests that compare with scipy skip when it is
+not installed; the fit's optimality (KKT) test needs no scipy.
 
 The double description routine behind ``polar_cone_generators`` and
 ``intersect_cone_generators`` is checked against an enumeration over row
@@ -13,8 +15,6 @@ degenerate generator sets, in dimensions 2 to 6.
 
 import numpy as np
 import pytest
-from scipy.linalg import null_space
-from scipy.optimize import nnls
 
 from _oracles import polar_cone_by_enumeration
 from lpgeom.polyhedra import _nnls, _null_space, intersect_cone_generators, polar_cone_generators
@@ -33,6 +33,7 @@ def _rank_deficient(rng):
 
 @pytest.mark.parametrize("rcond", [None, 1e-12])
 def test_null_space_matches_scipy_bit_for_bit(rcond):
+    null_space = pytest.importorskip("scipy.linalg").null_space
     rng = np.random.default_rng(20261018)
     for _ in range(200):
         A = _rank_deficient(rng)
@@ -50,6 +51,7 @@ def test_null_space_matches_scipy_bit_for_bit(rcond):
 )
 @pytest.mark.parametrize("rcond", [None, 1e-12])
 def test_null_space_edge_cases_match_scipy(A, rcond):
+    null_space = pytest.importorskip("scipy.linalg").null_space
     got = _null_space(A, rcond)
     assert _same_bits(got, null_space(A, rcond=rcond))
     assert got.shape == (3, 3 - np.linalg.matrix_rank(A))
@@ -66,7 +68,7 @@ def _generators(rays, lin):
 def _in_cone(gens, x, tol=1e-9):
     if not gens:
         return np.linalg.norm(x) <= tol
-    return nnls(np.stack(gens, axis=1), x)[1] <= tol * (1.0 + np.linalg.norm(x))
+    return _nnls(np.stack(gens, axis=1), x)[1] <= tol * (1.0 + np.linalg.norm(x))
 
 
 def _same_cone(gens_a, gens_b):
@@ -130,7 +132,7 @@ def test_polar_of_degenerate_generator_sets(generators, rays, lineality_dim):
 
 def _enumerated_polar(rows):
     rays, lin_dim = polar_cone_by_enumeration(rows)
-    return rays, list(null_space(np.asarray(rows)).T) if lin_dim else []
+    return rays, list(_null_space(np.asarray(rows)).T) if lin_dim else []
 
 
 def _pointed_generators(rng, n):
@@ -168,7 +170,43 @@ def test_intersection_of_degenerate_pairs():
 
 
 def test_nnls_without_columns_is_the_empty_fit():
-    # scipy's nnls aborts the interpreter on a matrix with no columns, so it is never called with one
     b = np.array([3.0, -4.0, 0.0])
     x, rho = _nnls(np.zeros((3, 0)), b)
     assert x.shape == (0,) and rho == 5.0
+
+
+def _nnls_problems():
+    """Seeded (A, b): every shape from 2 x 1 to 6 x 5, 51 x 12, repeated and
+    dependent columns, more columns than rows, targets inside the cone of the
+    columns, and A and b scaled by 1e-12 or 1e12."""
+    rng = np.random.default_rng(20261019)
+    shapes = [(m, n) for m in range(2, 7) for n in range(1, 6)] + [(51, 12), (3, 7), (2, 5), (4, 9)]
+    for m, n in shapes:
+        for k in range(6):
+            A = rng.normal(size=(m, n))
+            if k == 1 and n > 1:
+                A[:, -1] = A[:, 0]
+            if k == 2 and n > 2:
+                A[:, 2] = A[:, 0] + 0.5 * A[:, 1]
+            b = A @ rng.uniform(0.0, 2.0, n) if k == 3 else rng.normal(size=m)
+            scale_a, scale_b = (1.0, 1.0) if k < 4 else 10.0 ** rng.choice([-12.0, 12.0], size=2)
+            yield A * scale_a, b * scale_b
+
+
+def test_nnls_residual_matches_scipy():
+    nnls = pytest.importorskip("scipy.optimize").nnls
+    for A, b in _nnls_problems():
+        # 0 <= residual <= ||b||, so ||b|| is the size both residuals are measured against
+        assert abs(_nnls(A, b)[1] - nnls(A, b)[1]) <= 1e-10 * np.linalg.norm(b), (A, b)
+
+
+def test_nnls_meets_the_optimality_conditions():
+    # KKT: x >= 0, the gradient A^T (b - A x) is <= 0 where x = 0 and vanishes where x > 0
+    for A, b in _nnls_problems():
+        x, rho = _nnls(A, b)
+        w = A.T @ (b - A @ x)
+        tol = 1e-12 * np.linalg.norm(A) * np.linalg.norm(b)
+        assert np.all(x >= 0.0), (A, b)
+        assert np.all(w[x == 0.0] <= tol), (A, b)
+        assert np.all(np.abs(w[x > 0.0]) <= tol), (A, b)
+        assert rho == pytest.approx(np.linalg.norm(A @ x - b), rel=1e-12, abs=1e-300), (A, b)
