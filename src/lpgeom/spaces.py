@@ -49,7 +49,7 @@ def _frozen_array(values, n: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-D coordinate array, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"expected {n} coordinates, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("coordinates must be finite")
     arr.setflags(write=False)
     return arr
@@ -83,7 +83,7 @@ class LpSpace:
             w.setflags(write=False)
         else:
             w = _frozen_array(weights, n)
-            if not np.all(w > 0.0):
+            if not (w > 0.0).all():
                 raise ValueError("weights must be strictly positive")
         self.n = n
         self.p = p
@@ -98,8 +98,10 @@ class LpSpace:
         floating point.
         """
         if self._dual is None:
-            self._dual = LpSpace(self.n, conjugate_exponent(self.p), self.weights)
-            self._dual._dual = self
+            # the weights are checked and read-only already: share them, unchecked
+            dual = object.__new__(LpSpace)
+            dual.n, dual.p, dual.weights, dual._dual = self.n, conjugate_exponent(self.p), self.weights, self
+            self._dual = dual
         return self._dual
 
     def is_dual_of(self, other: "LpSpace") -> bool:
