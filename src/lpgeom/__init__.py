@@ -7,6 +7,9 @@ with certificate-style checks for the identities that hold in this
 setting and the Hilbert-space identities that fail in it.
 """
 
+# the one copy of the version: pyproject.toml and the emitted documents read it
+__version__ = "0.1.0"
+
 from .spaces import (
     LpSpace,
     PrimalVec,
@@ -67,8 +70,6 @@ from .faces import (
     DualVisionIdentityReport,
     dual_vision_identity_check,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "LpSpace",

@@ -4,8 +4,10 @@ Problem documents validate against ``schemas/problem.schema.json`` before
 anything runs; unknown fields are rejected.  Every emitted document is
 validated against the matching published schema before printing, and
 numbers ride through ``json`` with shortest round-trip formatting, so a
-document read back reproduces the exact floats.  Exit codes: 0 all pass,
-1 a check failed, 2 usage or schema error.
+document read back reproduces the exact floats.  The package's own
+validator, ``_schemacheck``, does both checks; it implements just the
+keywords the three schemas use, so no command imports jsonschema.  Exit
+codes: 0 all pass, 1 a check failed, 2 usage or schema error.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ import sys
 import time
 from importlib import resources
 
-import jsonschema
-
+from ._schemacheck import ValidationError, Validator
 from .cones import (
     _generalized_convexity_probe,
     _identity_defect,
@@ -45,17 +46,15 @@ class _UsageError(ValueError):
 
 
 @functools.cache
-def _validator(name: str) -> jsonschema.Draft202012Validator:
+def _validator(name: str) -> Validator:
     # The package's own schemas are checked against the metaschema by the
-    # tests, not here, so each file is read and compiled once per process.
+    # tests, not here, so each file is read once per process.
     text = resources.files("lpgeom.schemas").joinpath(name).read_text(encoding="utf-8")
-    return jsonschema.Draft202012Validator(json.loads(text))
+    return Validator(json.loads(text))
 
 
 def _validate(instance: dict, schema_name: str) -> None:
-    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(instance))
-    if error is not None:
-        raise error
+    _validator(schema_name).validate(instance)
 
 
 def _load_problem(path: str | None) -> dict:
@@ -72,7 +71,7 @@ def _load_problem(path: str | None) -> dict:
         raise _UsageError(f"problem document is not valid JSON: {exc}") from exc
     try:
         _validate(doc, "problem.schema.json")
-    except jsonschema.ValidationError as exc:
+    except ValidationError as exc:
         raise _UsageError(f"problem document rejected by schema: {exc.message}") from exc
     return doc
 
@@ -380,11 +379,11 @@ def main(argv=None) -> int:
     try:
         build = _REPORTS.get(args.command)
         return _run_report(args, build) if build else _run_single(args, args.command)
+    except ValidationError as exc:  # not a ValueError: a problem document's is a _UsageError by now
+        print(f"internal document failed schema validation: {exc.message}", file=sys.stderr)
+        return 2
     except (ValueError, TypeError) as exc:  # a _UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except jsonschema.ValidationError as exc:
-        print(f"internal document failed schema validation: {exc.message}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"check failure: {exc}", file=sys.stderr)

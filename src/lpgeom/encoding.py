@@ -7,18 +7,13 @@ result but runs no check, never imports the suite.
 from __future__ import annotations
 
 import math
-from importlib import metadata
 
 import numpy as np
 
+from . import __version__ as TOOLKIT_VERSION
 from .spaces import DualVec, PrimalVec
 
 __all__ = ["TOOLKIT_VERSION"]
-
-try:
-    TOOLKIT_VERSION = metadata.version("lpgeom")
-except metadata.PackageNotFoundError:
-    TOOLKIT_VERSION = "0+unknown"
 
 
 def _jsonable(value):

@@ -2,11 +2,14 @@
 
 Everything here is deliberately naive: dense grids, direct formulas,
 plain Euclidean linear algebra, loops one pairing at a time.  None of it
-calls the solver paths it is used to check.
+calls the solver paths it is used to check.  For the JSON documents the
+reference is jsonschema, an extra the tests take when it is installed.
 """
 
 import itertools
+import json
 import math
+from importlib import resources
 
 import numpy as np
 
@@ -214,3 +217,19 @@ def double_dual_gap_by_loops(K, seed=0, trials=200, tol=1e-9):
             if val > max(tol, 1e-9 * norm(z) * norm(x)):
                 return z, x, val
     return None
+
+
+def packaged_schema(name):
+    return json.loads(resources.files("lpgeom.schemas").joinpath(name).read_text(encoding="utf-8"))
+
+
+def assert_schema_valid(doc, schema_name):
+    """The CLI's own validator accepts ``doc``, and so does jsonschema when it is installed."""
+    from lpgeom.cli import _validate
+
+    _validate(doc, schema_name)
+    try:
+        import jsonschema
+    except ImportError:  # the reference is missing; the CLI's own verdict was still checked
+        return
+    jsonschema.Draft202012Validator(packaged_schema(schema_name)).validate(doc)

@@ -3,9 +3,9 @@
 Everything runs in-process through ``main(argv)`` except the tests that
 need a fresh interpreter: one proves the module entry point works, the
 import-guard tests check that no command loads scipy and that single
-commands never load the suite, and one runs the
-demos.  Documents are validated here against the published schemas
-independently of the validation the CLI performs before emitting.
+commands never load the suite or jsonschema, and one runs the
+demos.  Every emitted document is validated again here, by the CLI's own
+validator and by jsonschema, the reference, when it is installed.
 """
 
 import io
@@ -17,16 +17,13 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import pytest
+from _oracles import assert_schema_valid, packaged_schema
 
 import lpgeom
+from lpgeom import cli
 from lpgeom.cli import main
 from lpgeom.spaces import LpSpace, duality_map
-
-
-def _schema(name):
-    return json.loads(resources.files("lpgeom.schemas").joinpath(name).read_text())
 
 
 def _write(tmp_path, doc, name="problem.json"):
@@ -38,6 +35,9 @@ def _write(tmp_path, doc, name="problem.json"):
 def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
+    if "--json" in argv and code != 2:
+        report = argv[0] in ("verify", "fuzz")
+        assert_schema_valid(json.loads(out), "report.schema.json" if report else "result.schema.json")
     return code, out
 
 
@@ -54,7 +54,6 @@ def test_project_pinned_ray_instance(tmp_path, capsys):
     code, out = _run(capsys, ["project", "--input", path, "--json"])
     assert code == 0
     doc = json.loads(out)
-    jsonschema.validate(doc, _schema("result.schema.json"))
     assert doc["status"] == "pass"
     point = doc["result"]["point"]
     assert max(abs(a - b) for a, b in zip(point, (-25.0, -37.0, -77.0))) < 1e-6
@@ -102,7 +101,6 @@ def test_face_unbounded_level_encodes_as_null(tmp_path, capsys):
     code, out = _run(capsys, ["face", "--input", _write(tmp_path, doc), "--json"])
     assert code == 0
     parsed = json.loads(out)
-    jsonschema.validate(parsed, _schema("result.schema.json"))
     result = parsed["result"]
     assert result["level"] is None
     assert result["unbounded"] is True
@@ -160,7 +158,6 @@ def test_classify_tetrahedron_interior_and_vertex(tmp_path, capsys):
         code, out = _run(capsys, ["classify", "--input", _write(tmp_path, doc), "--json"])
         assert code == 0
         parsed = json.loads(out)
-        jsonschema.validate(parsed, _schema("result.schema.json"))
         result = parsed["result"]
         assert result["verdict"] == verdict
         assert result["method"] == "least-squares"
@@ -214,7 +211,6 @@ def test_dualcone_metric_convexity_probe_finds_witness(tmp_path, capsys):
     )
     assert code == 0
     parsed = json.loads(out)
-    jsonschema.validate(parsed, _schema("result.schema.json"))
     assert parsed["result"]["witness_found"] is True
 
 
@@ -236,7 +232,6 @@ def test_dualcone_generalized_identity(tmp_path, capsys):
     )
     assert code == 0
     parsed = json.loads(out)
-    jsonschema.validate(parsed, _schema("result.schema.json"))
     assert parsed["result"]["ok"] is True
 
 
@@ -258,7 +253,6 @@ def test_dualcone_generalized_identity_in_r4(tmp_path, capsys):
     )
     assert code == 0
     parsed = json.loads(out)
-    jsonschema.validate(parsed, _schema("result.schema.json"))
     assert parsed["result"]["ok"] is True
 
 
@@ -325,7 +319,6 @@ def test_fuzz_run_emits_a_valid_report(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    jsonschema.validate(doc, _schema("report.schema.json"))
     assert doc["kind"] == "fuzz"
     assert doc["records"][0]["status"] == "pass"
 
@@ -335,7 +328,6 @@ def test_verify_report_is_deterministic_up_to_timing(capsys):
     code2, out2 = _run(capsys, ["verify", "--json", "--seed", "7"])
     assert code1 == code2 == 0
     a, b = json.loads(out1), json.loads(out2)
-    jsonschema.validate(a, _schema("report.schema.json"))
     a.pop("elapsed_seconds")
     b.pop("elapsed_seconds")
     assert a == b
@@ -371,21 +363,43 @@ def test_emitted_floats_round_trip_exactly(tmp_path, capsys):
 
 
 def test_packaged_schemas_are_valid_draft_2020_12():
-    # the CLI compiles these once per process without re-checking them
+    # the CLI loads these once per process without re-checking them against the metaschema
+    jsonschema = pytest.importorskip("jsonschema")
     folder = resources.files("lpgeom.schemas")
     names = sorted(f.name for f in folder.iterdir() if f.name.endswith(".json"))
     assert names == ["problem.schema.json", "report.schema.json", "result.schema.json"]
     for name in names:
-        jsonschema.Draft202012Validator.check_schema(_schema(name))
+        jsonschema.Draft202012Validator.check_schema(packaged_schema(name))
 
 
-# A fresh interpreter that runs one command and reports which of scipy and the suite got loaded.
+def test_schema_rejected_problem_exits_2(tmp_path, capsys):
+    doc = dict(_RAY_PROBLEM, space={"n": 3, "p": 0.5})
+    assert main(["project", "--input", _write(tmp_path, doc), "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: problem document rejected by schema: 0.5 is not valid under any of the given schemas\n"
+
+
+def test_emitted_document_failing_its_schema_exits_2(tmp_path, capsys, monkeypatch):
+    # the validator's error is no ValueError, so main does not report it as a usage error
+    validate = cli._validate
+    monkeypatch.setattr(
+        cli, "_validate", lambda doc, name: validate({k: v for k, v in doc.items() if k != "status"}, name)
+    )
+    assert main(["project", "--input", _write(tmp_path, _RAY_PROBLEM), "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal document failed schema validation: 'status' is a required property\n"
+
+
+# A fresh interpreter that runs one command and reports which of scipy, the suite, jsonschema
+# and importlib.metadata got loaded.
 _FRESH_CLI = """\
 import contextlib, io, json, sys
 from lpgeom.cli import main
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(sys.argv[1:])
-loaded = [m for m in ("scipy", "lpgeom.suite") if m in sys.modules]
+loaded = [m for m in ("scipy", "lpgeom.suite", "jsonschema", "importlib.metadata") if m in sys.modules]
 print(json.dumps({"code": code, "out": out.getvalue(), "loaded": loaded}))
 """
 
@@ -399,12 +413,24 @@ def _fresh_python(*args):
 
 
 def _fresh_cli(tmp_path, argv, doc):
-    return json.loads(_fresh_python("-c", _FRESH_CLI, *argv, "--input", _write(tmp_path, doc), "--json"))
+    run = json.loads(_fresh_python("-c", _FRESH_CLI, *argv, "--input", _write(tmp_path, doc), "--json"))
+    if run["code"] != 2:
+        assert_schema_valid(json.loads(run["out"]), "result.schema.json")
+    return run
 
 
 def test_import_does_not_load_scipy():
-    probe = "import sys, lpgeom; print([m for m in ('scipy', 'lpgeom.suite') if m in sys.modules])"
+    names = "('scipy', 'lpgeom.suite', 'jsonschema', 'importlib.metadata')"
+    probe = f"import sys, lpgeom; print([m for m in {names} if m in sys.modules])"
     assert _fresh_python("-c", probe).strip() == "[]"
+
+
+def test_verify_does_not_load_jsonschema():
+    run = json.loads(_fresh_python("-c", _FRESH_CLI, "verify", "--seed", "0", "--json"))
+    assert run["code"] == 0
+    assert "lpgeom.suite" in run["loaded"]
+    assert "jsonschema" not in run["loaded"]
+    assert_schema_valid(json.loads(run["out"]), "report.schema.json")
 
 
 _SUITE_NAMES_ON_DEMAND = """import sys, lpgeom

@@ -5,7 +5,7 @@ import pytest
 
 import lpgeom
 
-SUBMODULES = ("spaces", "sets", "polyhedra", "projections", "cones", "faces", "suite", "encoding", "cli")
+SUBMODULES = ("spaces", "sets", "polyhedra", "projections", "cones", "faces", "suite", "encoding", "cli", "_schemacheck")
 
 # names a refactor deleted: the solver's chart is read from each set's vertices, rays and lineality
 DELETED = {

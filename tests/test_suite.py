@@ -1,10 +1,7 @@
 """Suite-level semantics: determinism, forced exponent 2, fuzz plumbing."""
 
-import json
-from importlib import resources
-
-import jsonschema
 import pytest
+from _oracles import assert_schema_valid
 
 import lpgeom.suite as suite
 from lpgeom.suite import _PROPERTIES, _rng, fuzz_target_ids, run_fuzz, run_verification_suite
@@ -52,15 +49,11 @@ CLAIMS = [
 ]
 
 
-def _schema(name):
-    return json.loads(resources.files("lpgeom.schemas").joinpath(name).read_text())
-
-
 def test_suite_passes_and_validates():
     rep = run_verification_suite(seed=0)
     assert rep.ok
     assert len(rep.records) == 12
-    jsonschema.validate(rep.to_json(), _schema("report.schema.json"))
+    assert_schema_valid(rep.to_json(), "report.schema.json")
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -75,12 +68,15 @@ def test_check_and_fuzz_target_share_one_predicate(monkeypatch):
     always_hit = _PROPERTIES[name]._replace(holds=lambda *case: {"forced": True})
     monkeypatch.setitem(_PROPERTIES, name, always_hit)
     assert suite.check_generalized_double_duality(seed=0).status == "fail"
-    assert not run_fuzz(name, trials=3, seed=0).ok
+    rep = run_fuzz(name, trials=3, seed=0)
+    assert not rep.ok
+    assert_schema_valid(rep.to_json(), "report.schema.json")
 
 
 def test_suite_is_deterministic_for_a_seed():
     a = run_verification_suite(seed=3).to_json()
     b = run_verification_suite(seed=3).to_json()
+    assert_schema_valid(a, "report.schema.json")
     a.pop("elapsed_seconds")
     b.pop("elapsed_seconds")
     assert a == b
@@ -89,6 +85,7 @@ def test_suite_is_deterministic_for_a_seed():
 def test_forcing_exponent_two_degrades_gracefully():
     rep = run_verification_suite(seed=0, force_p=2.0)
     assert rep.ok
+    assert_schema_valid(rep.to_json(), "report.schema.json")
     noted = [r for r in rep.records if any("expected at p=2" in n for n in r.notes)]
     assert len(noted) >= 3
 
@@ -110,12 +107,14 @@ def test_every_fuzz_target_passes_briefly():
     for target in fuzz_target_ids():
         rep = run_fuzz(target, trials=8, seed=1)
         assert rep.ok, (target, rep.records[0].values)
+        assert_schema_valid(rep.to_json(), "report.schema.json")
 
 
 def test_witness_seeking_target_flips_meaning_at_exponent_two():
     at3 = run_fuzz("metric-dual-convexity", trials=8, seed=0, p=3.0)
     assert at3.ok
     assert at3.records[0].witnesses
+    assert_schema_valid(at3.to_json(), "report.schema.json")
     at2 = run_fuzz("metric-dual-convexity", trials=8, seed=0, p=2.0)
     assert at2.ok
     assert any("expected at p=2" in n for n in at2.records[0].notes)
