@@ -88,7 +88,8 @@ class Validator:
         if s.get("additionalProperties", False) is not False:
             raise ValueError("unsupported schema: additionalProperties other than false")
         ref = s.get("$ref")
-        if ref is not None and not (isinstance(ref, str) and ref.startswith(_DEFS) and ref[len(_DEFS):] in self._defs):
+        if ref is not None and not (isinstance(ref, str) and ref.startswith(_DEFS)
+                                    and ref[len(_DEFS):] in self._defs):
             raise ValueError(f"unsupported schema: $ref {ref!r} is not one of the root's $defs")
         types = s.get("type", [])
         if any(t not in _TYPES for t in (types if isinstance(types, list) else [types])):
@@ -126,8 +127,8 @@ class Validator:
             if "additionalProperties" in s:
                 extras = sorted((k for k in v if k not in s.get("properties", {})), key=str)
                 if extras:
-                    verb = "was" if len(extras) == 1 else "were"
-                    yield depth, f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)"
+                    listed = f"{', '.join(map(repr, extras))} {'was' if len(extras) == 1 else 'were'}"
+                    yield depth, f"Additional properties are not allowed ({listed} unexpected)"
         if "oneOf" in s:
             firsts = [next(self._errors(v, b, depth), None) for b in s["oneOf"]]
             passing = [b for b, e in zip(s["oneOf"], firsts) if e is None]

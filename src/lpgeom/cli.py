@@ -379,7 +379,7 @@ def main(argv=None) -> int:
     try:
         build = _REPORTS.get(args.command)
         return _run_report(args, build) if build else _run_single(args, args.command)
-    except ValidationError as exc:  # not a ValueError: a problem document's is a _UsageError by now
+    except ValidationError as exc:  # an emitted document's: a rejected problem is a _UsageError by now
         print(f"internal document failed schema validation: {exc.message}", file=sys.stderr)
         return 2
     except (ValueError, TypeError) as exc:  # a _UsageError is a ValueError

@@ -13,6 +13,7 @@ from importlib import resources
 
 import numpy as np
 
+from lpgeom.cli import _validate
 from lpgeom.spaces import duality_map, norm, pair
 
 
@@ -225,8 +226,6 @@ def packaged_schema(name):
 
 def assert_schema_valid(doc, schema_name):
     """The CLI's own validator accepts ``doc``, and so does jsonschema when it is installed."""
-    from lpgeom.cli import _validate
-
     _validate(doc, schema_name)
     try:
         import jsonschema
