@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: dense grids, direct formulas,
 plain Euclidean linear algebra, loops one pairing at a time.  None of it
-calls the solver paths it is used to check.  For the JSON documents the
-reference is jsonschema, an extra the tests take when it is installed.
+calls the solver paths it is used to check.  For JSON documents the
+reference is jsonschema, an extra the tests use when it is installed;
+``assert_schema_valid`` asks both it and the CLI's own validator.
 """
 
 import itertools
