@@ -50,7 +50,7 @@ print("  separating functional:", cert.data["functional"], " margin", cert.value
 # Intersection identity, checked both ways on a crossing pair of cones.
 A = FinitelyGeneratedCone(zero, [S.point(g) for g in ([1, 0, 0], [0, 1, 0], [0, 0, 1])])
 B = FinitelyGeneratedCone(zero, [S.point(g) for g in ([1, 1, 0], [0, 1, 1], [1, 0, 1])])
-rep = intersection_dual_check(A, B, seed=0, trials=100)
+rep = intersection_dual_check(A, B)
 print("intersection identity ok:", rep.ok)
 print("  forward margin  =", rep.forward_margin)
 print("  backward resid  =", rep.backward_residual)

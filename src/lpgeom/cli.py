@@ -195,13 +195,12 @@ def _op_dualcone(space, doc, tol, seed, trials, kind, check):
     if kind == "generalized" and check == "identity":
         sets_doc = _need(doc, "sets")
         cones = [_set_from(space, d) for d in sets_doc]
-        rep = intersection_dual_check_family(cones, seed=seed, trials=trials, tol=tol)
+        rep = intersection_dual_check_family(cones, tol=tol)
         out = {
             "ok": bool(rep.ok),
             "forward_margin": float(rep.forward_margin),
             "backward_residual": float(rep.backward_residual),
             "intersection_generators": [_vec(g) for g in rep.intersection_generators],
-            "sampled": int(rep.sampled),
         }
         return out, "pass" if rep.ok else "fail"
 

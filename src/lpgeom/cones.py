@@ -52,6 +52,13 @@ __all__ = [
     "hilbert_identity_violation",
 ]
 
+# two members of the metric dual cone of the ray through (-25, -37, -77) at
+# exponent 3 whose 2/3 : 1/3 combination escapes.  In R^3 the convexity
+# search tries the pair, and the double-dual search its first member, before
+# their draws
+_PINNED_PAIR = np.array([[3.0, -2.0, -1.0], [1.0, -3.0, 2.0]])
+_PINNED_PAIR.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -132,17 +139,15 @@ def probe_nonconvexity_metric_dual(
     rng = np.random.default_rng(seed)
     lam_grid = np.array([2.0 / 3.0, 0.5, 0.25, 0.75, 0.1, 0.9])
 
-    # candidate pairs as rows [x, y]: the pinned pair first, then sampled members two by two
+    # candidate pairs as rows [x, y]: the pinned pair first, then drawn members two by two
     pairs = np.zeros((0, 2, space.n))
-    if space.n == 3:
-        pinned = np.array([[3.0, -2.0, -1.0], [1.0, -3.0, 2.0]])
-        if np.all(_margins(K, pinned) <= tol):
-            pairs = pinned[None]
+    if space.n == 3 and np.all(_margins(K, _PINNED_PAIR) <= tol):
+        pairs = _PINNED_PAIR[None]
     pts = _draws(rng, space.n, trials)
     members = list(pts[_margins(K, pts) <= tol])
     rng.shuffle(members)
-    sampled = np.array(members[: len(members) // 2 * 2]).reshape(-1, 2, space.n)
-    pairs = np.concatenate([pairs, sampled])
+    drawn = np.array(members[: len(members) // 2 * 2]).reshape(-1, 2, space.n)
+    pairs = np.concatenate([pairs, drawn])
 
     grid = lam_grid[:, None]
     H = grid * pairs[:, None, 0] + (1.0 - grid) * pairs[:, None, 1]  # pair-major, then lam_grid order
@@ -167,7 +172,7 @@ def probe_nonconvexity_metric_dual(
 
 
 def _generalized_convexity_probe(K, seed: int, trials: int, tol: float) -> tuple[int, int]:
-    """(escapes, pairs): convex combinations of sampled generalized dual members that leave the cone.
+    """(escapes, pairs): convex combinations of drawn generalized dual members that leave the cone.
 
     Pairs (a, b) are drawn around J(v), up to 50 per wanted pair, until
     ``trials`` of them have both members; each is mixed at lam = 1/4,
@@ -195,20 +200,19 @@ def metric_double_dual_violation(K, seed: int = 0, trials: int = 200, tol: float
     the metric dual cone, so a pair with <J z, x> > 0 is a witness that K
     is not contained in its metric double dual.  Returns None when the
     search finds nothing (the expected outcome at exponent 2).
+
+    The candidates z are the generators, then min(trials // 4, 25) samples
+    of K; the candidates x are the first member of the pinned pair in R^3,
+    then ``trials`` draws, of which the dual cone's members are kept.
     """
     v, R = _vertex_and_generators(K)
     _require_origin_vertex(v)
     space = K.space
     rng = np.random.default_rng(seed)
 
-    pinned_z, pinned_x = np.zeros((0, space.n)), np.zeros((0, space.n))
-    if space.n == 3:
-        zc = space.point([-25.0, -37.0, -77.0])
-        if K.contains(zc):
-            pinned_z = zc.coords[None]
-        pinned_x = np.array([[3.0, -2.0, -1.0]])
     samples = [s.coords for s in K.sample(min(trials // 4, 25), seed=seed + 1)]
-    Z = np.vstack([pinned_z, R, *samples])
+    Z = np.vstack([R, *samples])
+    pinned_x = _PINNED_PAIR[:1] if space.n == 3 else np.zeros((0, space.n))
     X = np.vstack([pinned_x, _draws(rng, space.n, trials)])
     X = X[_margins(K, X) <= tol]
 
@@ -287,12 +291,9 @@ class IntersectionDualReport:
     forward_margin: float
     backward_residual: float
     intersection_generators: tuple[PrimalVec, ...]
-    sampled: int
 
 
-def intersection_dual_check_family(
-    cones, seed: int = 0, trials: int = 50, tol: float = 1e-8
-) -> IntersectionDualReport:
+def intersection_dual_check_family(cones, tol: float = 1e-8) -> IntersectionDualReport:
     """Exact two-way inclusion check of the intersection-dual identity.
 
     The dual of the intersection and the hull of the duals are both
@@ -300,7 +301,6 @@ def intersection_dual_check_family(
     finitely many generator tests: hull generators must satisfy the
     intersection's inequalities, and the intersection dual's extreme rays
     must decompose as nonnegative combinations across the family's polars.
-    Random functionals from the hull provide an extra sampled inclusion.
     """
     cones = list(cones)
     data = [_vertex_and_generators(K) for K in cones]
@@ -336,14 +336,6 @@ def intersection_dual_check_family(
     targets = _polar_rows(H.T) if H.size else np.kron(np.eye(space.n), [[1.0], [-1.0]])
     backward = max([0.0] + [float(_nnls(M, t)[1]) for t in targets])
 
-    rng = np.random.default_rng(seed)
-    sampled = 0
-    for _ in range(trials):
-        c = M @ rng.uniform(0.0, 2.0, size=M.shape[1])
-        if H.size:
-            forward = max(forward, float(np.max(c @ H)))
-        sampled += 1
-
     ok = forward <= tol * scale and backward <= tol * scale
     gens = tuple(space.point(H[:, j]) for j in range(H.shape[1])) if H.size else ()
     return IntersectionDualReport(
@@ -351,12 +343,11 @@ def intersection_dual_check_family(
         forward_margin=float(forward),
         backward_residual=float(backward),
         intersection_generators=gens,
-        sampled=sampled,
     )
 
 
-def intersection_dual_check(A, B, seed: int = 0, trials: int = 50, tol: float = 1e-8) -> IntersectionDualReport:
-    return intersection_dual_check_family([A, B], seed=seed, trials=trials, tol=tol)
+def intersection_dual_check(A, B, tol: float = 1e-8) -> IntersectionDualReport:
+    return intersection_dual_check_family([A, B], tol=tol)
 
 
 def _identity_defect(K, w: PrimalVec, opts: SolverOptions | None) -> tuple[float, PrimalVec]:

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import (
+    _PINNED_PAIR,
     find_double_dual_certificate,
     generalized_double_dual_member,
     hilbert_identity_violation,
@@ -180,11 +181,10 @@ def _record(check_id, claim, ok=True, values=None, notes=(), runs=()) -> CheckRe
 
 
 # ---------------------------------------------------------------------------
-# pinned instances shared by several checks
+# pinned instances shared by several checks; the two members of the pinned
+# ray's metric dual cone are ``cones._PINNED_PAIR``
 
 _RAY_DIR = (-25.0, -37.0, -77.0)
-_MEMBER_A = (3.0, -2.0, -1.0)
-_MEMBER_B = (1.0, -3.0, 2.0)
 _ESCAPE_MARGIN = 14.0 * 4.0 ** (1.0 / 3.0)
 
 
@@ -483,8 +483,8 @@ def _pinned_families(p, seed):
     return out
 
 
-def _intersection_dual_union(cones, seed):
-    rep = intersection_dual_check_family(cones, seed=seed, trials=50, tol=1e-8)
+def _intersection_dual_union(cones, _seed):
+    rep = intersection_dual_check_family(cones, tol=1e-8)
     if rep.ok and rep.forward_margin <= 1e-8 and rep.backward_residual <= 1e-8:
         return None
     return {"forward": rep.forward_margin, "backward": rep.backward_residual}
@@ -562,7 +562,7 @@ _PROPERTIES = {
 
 def check_duality_map_regression(seed: int = 0, force_p: float | None = None) -> CheckRecord:
     S = LpSpace(3, 3.0)
-    jx = duality_map(S.point([3.0, -2.0, -1.0]))
+    jx = duality_map(S.point(_PINNED_PAIR[0]))
     want_x = np.array([9.0, -4.0, -1.0]) * 36.0 ** (-1.0 / 3.0)
     err_x = float(np.max(np.abs(jx.coords - want_x)))
 
@@ -613,8 +613,8 @@ def check_metric_dual_cone_nonconvexity(seed: int = 0, force_p: float | None = N
 
     S, K = _pinned_ray(p)
     u = S.point(_RAY_DIR)
-    x = S.point(_MEMBER_A)
-    y = S.point(_MEMBER_B)
+    x = S.point(_PINNED_PAIR[0])
+    y = S.point(_PINNED_PAIR[1])
     h = (2.0 / 3.0) * x + (1.0 / 3.0) * y
     pair_x = pair(duality_map(x), u)
     pair_y = pair(duality_map(y), u)
@@ -666,7 +666,7 @@ def check_metric_double_dual_gap(seed: int = 0, force_p: float | None = None) ->
     if p != 2.0:
         S, K = _pinned_ray(p)
         u = S.point(_RAY_DIR)
-        x = S.point(_MEMBER_A)
+        x = S.point(_PINNED_PAIR[0])
         direct = pair(duality_map(u), x)
         margin = next((hit["witness"]["value"] for hit in runs[0].hits if hit.get("pinned")), None)
         values = {"pair_ju_with_minus_x": -direct, "witness_margin": margin}
@@ -1036,8 +1036,8 @@ def check_primal_vision_nonconvexity(seed: int = 0, force_p: float | None = None
             notes=(_NO_WITNESS_NOTE,),
         )
 
-    x = S.point(_MEMBER_A)
-    z = S.point(_MEMBER_B)
+    x = S.point(_PINNED_PAIR[0])
+    z = S.point(_PINNED_PAIR[1])
     h = (2.0 / 3.0) * x + (1.0 / 3.0) * z
     px = pair(duality_map(x), y)
     pz = pair(duality_map(z), y)

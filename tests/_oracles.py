@@ -194,15 +194,14 @@ def double_dual_gap_by_loops(K, seed=0, trials=200, tol=1e-9):
     """The metric double dual search, pair by pair: (z, x, <J z, x>) or None.
 
     Candidates and their order are those of
-    ``cones.metric_double_dual_violation``; K has its vertex at the origin.
+    ``cones.metric_double_dual_violation``: z runs over the generators,
+    then the samples of K; x over the pinned member in R^3, then the
+    draws.  K has its vertex at the origin.
     """
     space, v, R = K.space, K.space.point(K.V[0]), K.R
     rng = np.random.default_rng(seed)
     zs, xs = [], []
     if space.n == 3:
-        zc = space.point([-25.0, -37.0, -77.0])
-        if K.contains(zc):
-            zs.append(zc)
         xc = space.point([3.0, -2.0, -1.0])
         if _metric_dual_margin(v, R, xc) <= tol:
             xs.append(xc)

@@ -21,7 +21,7 @@ import pytest
 from _oracles import assert_schema_valid, packaged_schema
 
 import lpgeom
-from lpgeom import cli
+from lpgeom import cli, cones, polyhedra, sets
 from lpgeom.cli import main
 from lpgeom.spaces import LpSpace, duality_map
 
@@ -493,6 +493,24 @@ def test_cold_cone_metric_dual_membership_does_not_load_scipy(tmp_path):
     assert run["loaded"] == []
 
 
+@pytest.mark.parametrize("kind, fits", [("metric", False), ("generalized", True)])
+def test_double_dual_check_fits_only_on_the_generalized_route(tmp_path, capsys, monkeypatch, kind, fits):
+    # the metric search scores its candidates in one product; the generalized
+    # route's primal membership fits the point to the generators
+    calls = []
+
+    def counted(A, b):
+        calls.append(b)
+        return polyhedra._nnls(A, b)
+
+    for module in (sets, cones):
+        monkeypatch.setattr(module, "_nnls", counted)
+    path = _write(tmp_path, dict(_CONE_PROBLEM, operation="dualcone"))
+    code, _ = _run(capsys, ["dualcone", "--input", path, "--kind", kind, "--check", "double-dual", "--json"])
+    assert code == 0
+    assert bool(calls) is fits
+
+
 def test_cold_cone_dual_membership_loads_nnls_on_demand(tmp_path):
     # the double dual's primal route fits the point to the three generators, in numpy
     doc = dict(_CONE_PROBLEM, operation="dualcone")
@@ -514,7 +532,7 @@ _TETRAHEDRON = {"type": "polytope", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]
         (["classify"], dict(_RAY_SET, operation="classify", set=_TETRAHEDRON, point=[0.2, 0.2, 0.2]), "internal"),
         (["classify"], dict(_RAY_SET, operation="classify", set=_TETRAHEDRON, point=[0.5, 0.5, 0]), "cuticle"),
         (["classify"], dict(_CONE_PROBLEM, operation="classify", point=[2, 1, 0]), "cuticle"),
-        # fits the pinned point (-25, -37, -77) into the cone
+        # scores the generators and samples against the draws in one product
         (["dualcone", "--kind", "metric", "--check", "double-dual"], dict(_CONE_PROBLEM, operation="dualcone"), None),
     ],
     ids=["gproject-segment", "face-tetrahedron", "classify-interior", "classify-edge", "classify-cone",

@@ -63,6 +63,13 @@ def test_checks_keep_their_ids_and_claims_and_pass(seed):
     assert rep.ok, [(r.check_id, r.values) for r in rep.records if r.status != "pass"]
 
 
+def test_double_dual_gap_check_passes_at_seed_72():
+    # without the pinned member (3, -2, -1) among its candidates, the search on the
+    # pinned ray finds no witness at this seed and check 04 fails
+    rec = suite.check_metric_double_dual_gap(seed=72)
+    assert rec.status == "pass", rec.values
+
+
 def test_check_and_fuzz_target_share_one_predicate(monkeypatch):
     name = "generalized-double-duality"
     always_hit = _PROPERTIES[name]._replace(holds=lambda *case: {"forced": True})
