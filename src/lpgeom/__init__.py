@@ -50,7 +50,6 @@ from .cones import (
     generalized_double_dual_member,
     find_double_dual_certificate,
     IntersectionDualReport,
-    intersection_dual_check,
     intersection_dual_check_family,
     hilbert_identity_violation,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "generalized_double_dual_member",
     "find_double_dual_certificate",
     "IntersectionDualReport",
-    "intersection_dual_check",
     "intersection_dual_check_family",
     "hilbert_identity_violation",
     "FaceDescription",

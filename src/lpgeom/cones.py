@@ -47,7 +47,6 @@ __all__ = [
     "generalized_double_dual_member",
     "find_double_dual_certificate",
     "IntersectionDualReport",
-    "intersection_dual_check",
     "intersection_dual_check_family",
     "hilbert_identity_violation",
 ]
@@ -97,13 +96,13 @@ def _margins(K, X: np.ndarray) -> np.ndarray:
     return _offset_margins(K, K.space.jmap(X - K.V[0]))
 
 
-def _draws(rng, n: int, trials: int) -> np.ndarray:
-    """``trials`` rows, each a standard normal vector times a scale from [0.5, 5].
+def _draws(rng, n: int, count: int) -> np.ndarray:
+    """``count`` rows, each a standard normal vector times a scale from [0.5, 5].
 
     Each row draws its scale first, so a seed gives the points that
     drawing one trial at a time gives.
     """
-    rows = [float(rng.uniform(0.5, 5.0)) * rng.normal(size=n) for _ in range(trials)]
+    rows = [float(rng.uniform(0.5, 5.0)) * rng.normal(size=n) for _ in range(count)]
     return np.array(rows).reshape(-1, n)
 
 
@@ -169,28 +168,6 @@ def probe_nonconvexity_metric_dual(
         value=max(gaps),
         _validator=check,
     )
-
-
-def _generalized_convexity_probe(K, seed: int, trials: int, tol: float) -> tuple[int, int]:
-    """(escapes, pairs): convex combinations of drawn generalized dual members that leave the cone.
-
-    Pairs (a, b) are drawn around J(v), up to 50 per wanted pair, until
-    ``trials`` of them have both members; each is mixed at lam = 1/4,
-    1/2 and 3/4.  The cone is convex, so any escape is a fault.
-    """
-    v, _ = _vertex_and_generators(K)
-    n, jv = K.space.n, duality_map(v).coords
-    rng = np.random.default_rng(seed)
-    pairs = np.zeros((0, 2, n))
-    for _ in range(50):  # draws in blocks of ``trials`` pairs; each pair draws a before b
-        if len(pairs) >= trials:
-            break
-        AB = jv + rng.normal(size=(trials, 2, n)) * 2.0
-        pairs = np.concatenate([pairs, AB[np.all(_offset_margins(K, AB - jv) <= tol, axis=1)]])
-    pairs = pairs[:trials]
-    lam = np.array([0.25, 0.5, 0.75])[:, None, None]
-    H = lam * pairs[:, 0] + (1.0 - lam) * pairs[:, 1]
-    return int(np.sum(_offset_margins(K, H - jv) > max(tol, 1e-9))), len(pairs)
 
 
 def metric_double_dual_violation(K, seed: int = 0, trials: int = 200, tol: float = 1e-9) -> Witness | None:
@@ -344,10 +321,6 @@ def intersection_dual_check_family(cones, tol: float = 1e-8) -> IntersectionDual
         backward_residual=float(backward),
         intersection_generators=gens,
     )
-
-
-def intersection_dual_check(A, B, tol: float = 1e-8) -> IntersectionDualReport:
-    return intersection_dual_check_family([A, B], tol=tol)
 
 
 def _identity_defect(K, w: PrimalVec, opts: SolverOptions | None) -> tuple[float, PrimalVec]:

@@ -511,6 +511,35 @@ def test_double_dual_check_fits_only_on_the_generalized_route(tmp_path, capsys, 
     assert bool(calls) is fits
 
 
+_THIN_CONE = {"type": "cone", "vertex": [0, 0], "generators": [[1, 0], [-1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "doc, halfspaces",
+    [
+        (_RAY_SET, 1),
+        ({"space": _CONE_PROBLEM["space"], "set": _CONE_PROBLEM["set"]}, 3),
+        # its generalized dual cone has no interior, where a sampled probe drew no member pair
+        ({"space": {"n": 2, "p": 3}, "set": _THIN_CONE}, 3),
+    ],
+    ids=["readme-ray", "cone", "thin-cone"],
+)
+def test_generalized_convexity_is_the_halfspace_count(tmp_path, capsys, doc, halfspaces):
+    path = _write(tmp_path, dict(doc, operation="dualcone"))
+    results = []
+    for extra in (["--seed", "0"], ["--seed", "5"], ["--trials", "5"], ["--trials", "500"]):
+        code, out = _run(capsys, ["dualcone", "--input", path, "--kind", "generalized", "--check", "convexity",
+                                  "--json", *extra])
+        assert code == 0
+        parsed = json.loads(out)
+        assert parsed["status"] == "pass"
+        assert parsed["result"] == {"convex": True, "halfspaces": halfspaces}
+        del parsed["elapsed_seconds"]
+        results.append(parsed)
+    # decided without samples, so neither the seed nor the trial count reaches the document
+    assert all(r == results[0] for r in results)
+
+
 def test_cold_cone_dual_membership_loads_nnls_on_demand(tmp_path):
     # the double dual's primal route fits the point to the three generators, in numpy
     doc = dict(_CONE_PROBLEM, operation="dualcone")

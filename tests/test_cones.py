@@ -7,7 +7,6 @@ from lpgeom.cones import (
     find_double_dual_certificate,
     generalized_double_dual_member,
     hilbert_identity_violation,
-    intersection_dual_check,
     intersection_dual_check_family,
     member_generalized_dual,
     member_metric_dual,
@@ -180,7 +179,7 @@ def test_intersection_dual_identity_beyond_three_dimensions(n):
     twisted = FinitelyGeneratedCone(
         S.zero(), [S.point(np.roll([1.0, 1.0, -0.5] + [0.0] * (n - 3), k)) for k in range(n)]
     )
-    rep = intersection_dual_check(orthant, twisted)
+    rep = intersection_dual_check_family([orthant, twisted])
     assert rep.ok
     assert rep.forward_margin <= 1e-8 and rep.backward_residual <= 1e-8
     assert rep.intersection_generators
@@ -201,6 +200,42 @@ def test_generalized_dual_membership_translates_with_vertex():
     assert member_generalized_dual(K, good)
 
 
+def _generalized_dual_member_pairs(rng, K, count):
+    """``count`` pairs of generalized dual members drawn around J(v), then ``count`` drawn from the polar."""
+    S = K.space
+    jv = duality_map(K.vertex).coords
+    drawn = [[S.functional(jv + d) for d in rng.normal(size=(2, S.n)) * 2.0] for _ in range(10 * count)]
+    around = [(a, b) for a, b in drawn if member_generalized_dual(K, a) and member_generalized_dual(K, b)][:count]
+    # J(v) + (P^T lam) / w with lam >= 0 is a member for every nonnegative lam, even when the cone has no interior
+    lam = rng.uniform(0.0, 3.0, size=(count, 2, len(K._polar)))
+    polar = [(S.functional(jv + a), S.functional(jv + b)) for a, b in (lam @ K._polar) / S.weights]
+    return around, polar
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+def test_generalized_dual_cone_mixes_stay_members(p):
+    # the sampled convexity probe the CLI once ran, kept as an oracle for the half-space answer it gives now
+    rng = np.random.default_rng(int(100 * p))
+    thin = LpSpace(2, p)
+    cones = [FinitelyGeneratedCone(thin.zero(), [thin.point(g) for g in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0])])]
+    for k in range(12):
+        n = int(rng.integers(2, 7))
+        S = LpSpace(n, p, weights=rng.uniform(0.5, 2.0, n))
+        v = S.point(rng.normal(size=n) * 3.0) if k % 2 else S.zero()
+        gens = [S.point(rng.normal(size=n) * 20.0) for _ in range(int(rng.integers(1, n + 2)))]
+        cones.append(FinitelyGeneratedCone(v, gens))
+    sampled = [0, 0]
+    for K in cones:
+        for route, pairs in enumerate(_generalized_dual_member_pairs(rng, K, 20)):
+            sampled[route] += len(pairs)
+            for a, b in pairs:
+                assert member_generalized_dual(K, a) and member_generalized_dual(K, b)
+                for mix in (0.1, 0.25, 0.5, 0.75, 0.9):
+                    assert member_generalized_dual(K, mix * a + (1.0 - mix) * b), (K, mix)
+    # around J(v) the draws miss a dual cone without interior, the thin cone's; the polar route never does
+    assert sampled[0] > 0 and sampled[1] == 20 * len(cones)
+
+
 def test_intersection_dual_identity_pairs():
     for p, w in ((2.0, None), (3.0, [0.5, 1.2, 2.0])):
         S = LpSpace(3, p, weights=w)
@@ -210,7 +245,7 @@ def test_intersection_dual_identity_pairs():
         B = FinitelyGeneratedCone(
             S.zero(), [S.point([1.0, 1.0, 0]), S.point([0, 1.0, 0]), S.point([0, 0, 1.0])]
         )
-        rep = intersection_dual_check(A, B)
+        rep = intersection_dual_check_family([A, B])
         assert rep.ok
         assert rep.forward_margin <= 1e-8
         assert rep.backward_residual <= 1e-8
@@ -221,7 +256,7 @@ def test_intersection_dual_identity_plane_pair():
     S = LpSpace(2, 3.0, weights=[0.9, 1.4])
     A = FinitelyGeneratedCone(S.zero(), [S.point([1.0, 0.0]), S.point([1.0, 1.0])])
     B = FinitelyGeneratedCone(S.zero(), [S.point([1.0, 0.5]), S.point([0.0, 1.0])])
-    rep = intersection_dual_check(A, B)
+    rep = intersection_dual_check_family([A, B])
     assert rep.ok
 
 
@@ -282,4 +317,4 @@ def test_cone_routines_take_a_ray_and_reject_a_segment():
         with pytest.raises(TypeError):
             routine(seg, arg)
     with pytest.raises(TypeError):
-        intersection_dual_check(r, seg)
+        intersection_dual_check_family([r, seg])

@@ -11,8 +11,9 @@ SUBMODULES = ("spaces", "sets", "polyhedra", "projections", "cones", "faces", "s
 DELETED = {
     "sets": ("Parameterization", "NONNEGATIVE", "UNIT_INTERVAL", "SIMPLEX", "UNRESTRICTED", "_INTERVALS"),
     "projections": ("_coefficient_projector",),
-    # dual cones are read from one product over the generator or polar generator rows
-    "cones": ("_stacked_polar", "_dual_margin", "_pairings"),
+    # dual cones are read from one product over the generator or polar generator rows; generalized
+    # convexity is decided by the half-space form, and the family check takes any number of cones
+    "cones": ("_stacked_polar", "_dual_margin", "_pairings", "_generalized_convexity_probe", "intersection_dual_check"),
     "cli": ("_human_lines", "_run_verify", "_run_fuzz"),
 }
 
@@ -58,5 +59,14 @@ def test_cli_holds_no_dual_cone_math():
     cli = importlib.import_module("lpgeom.cli")
     for name in ("duality_map", "pair", "norm"):
         assert not hasattr(cli, name), name
-    # the generalized convexity probe moved next to the metric one
-    assert cli._generalized_convexity_probe is lpgeom.cones._generalized_convexity_probe
+
+
+def test_only_the_metric_searches_sample():
+    # every other dual-cone answer is decided exactly, so no other routine takes a seed or a trial count
+    cones = importlib.import_module("lpgeom.cones")
+    sampling = {
+        name
+        for name, fn in inspect.getmembers(cones, inspect.isfunction)
+        if fn.__module__ == cones.__name__ and {"seed", "trials"} & set(inspect.signature(fn).parameters)
+    }
+    assert sampling == {"probe_nonconvexity_metric_dual", "metric_double_dual_violation"}
