@@ -132,6 +132,8 @@ def _projection_result(res) -> tuple[dict, str]:
         "converged": bool(res.converged),
         "method": res.method,
         "stop_reason": res.stop_reason,
+        "objective_evaluations": int(res.objective_evaluations),
+        "gradient_evaluations": int(res.gradient_evaluations),
     }
     return out, "pass" if res.converged else "fail"
 

@@ -31,7 +31,11 @@ minimizer is its own projection, returned as a closed form.  Otherwise
 the fit is the warm start of one projected Newton loop on the chart
 coefficients: the exact Hessian of the squared norm, a projected
 gradient fallback, and Armijo backtracking that refuses full steps
-jumping across the minimum.
+jumping across the minimum.  Each trial point of the loop is one
+evaluation: the residual r = u - c, its norm and |r|^(p-1) sign(r) are
+formed once there and shared by F, its gradient (the duality map J(r))
+and the Hessian, and the result counts the objective and gradient
+evaluations.
 That loop keeps the method label "projected-gradient", which reports and
 the result schema read; ``stop_reason`` says why it stopped.
 """
@@ -45,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .sets import ConvexSet
-from .spaces import DualVec, PrimalVec, duality_map, duality_map_inv, lyapunov
+from .spaces import DualVec, PrimalVec, _SqNormAt, duality_map, duality_map_inv, lyapunov
 
 __all__ = [
     "SolverOptions",
@@ -90,6 +94,9 @@ class SolverOptions:
             raise ValueError("vi_tol must be positive")
 
 
+_DEFAULT_OPTIONS = SolverOptions()
+
+
 @dataclass(frozen=True)
 class ProjectionResult:
     """A projection candidate with its optimality certificate.
@@ -98,7 +105,9 @@ class ProjectionResult:
     over the set (nonpositive up to roundoff at the true projection);
     ``converged`` is True only when the residual passes the vi tolerance.
     ``iterations`` counts the accepted steps of the projected Newton loop,
-    and is 0 for closed forms.  ``stop_reason`` is "closed-form",
+    and ``objective_evaluations`` and ``gradient_evaluations`` the trial
+    points at which it evaluated the objective and its gradient; all three
+    are 0 for closed forms.  ``stop_reason`` is "closed-form",
     "grad-tol" (the gradient mapping fell below its tolerance), "flat"
     (neither the Newton nor the gradient direction descends at working
     precision) or "max-iters".
@@ -111,6 +120,8 @@ class ProjectionResult:
     converged: bool
     method: str
     stop_reason: str
+    objective_evaluations: int
+    gradient_evaluations: int
 
 
 def _require_smooth(space):
@@ -148,10 +159,52 @@ def _model_step(H: np.ndarray, rhs: np.ndarray, full_rank: bool) -> np.ndarray:
     return np.linalg.lstsq(H, rhs, rcond=None)[0]
 
 
-def _arc_search(f_t, grad_t, project, t, fval, g, gap, d, step, flat):
+class _ChartPoint:
+    """One trial point: coefficients t, u = base + D t, F there, and the derivatives of ||u - c||^2."""
+
+    __slots__ = ("t", "u", "f", "sq")
+
+    def __init__(self, t, u, f, sq):
+        self.t, self.u, self.f, self.sq = t, u, f, sq
+
+
+class _ChartObjective:
+    """F(u) = ||u - c||^2 - 2 <ell, u> + ||ell||_*^2 at u = base + D t, one evaluation per point.
+
+    Calling it at t forms u and the residual r = u - c once and takes ||r||
+    from one ``norm_of`` call.  ``gradient`` turns that point into
+    2 D^T (w J(r) - w ell) from the same r and norm, and the point's
+    ``sq.hessian()`` gives the Hessian parts, sharing |r|^(p-1) sign(r)
+    with J.  It counts the objective and the gradient evaluations.
+    """
+
+    __slots__ = ("space", "base", "D", "c", "w", "wl", "ell_sq", "evaluations", "gradients")
+
+    def __init__(self, C: ConvexSet, c: np.ndarray, ell: np.ndarray):
+        self.space, self.base, self.D, self.c = C.space, C._base, C._D, c
+        self.w = C.space.weights
+        self.wl = self.w * ell
+        self.ell_sq = C.space.dual().norm_of(ell) ** 2
+        self.evaluations = self.gradients = 0
+
+    def __call__(self, t: np.ndarray) -> _ChartPoint:
+        self.evaluations += 1
+        u = self.base + self.D @ t
+        r = u - self.c
+        nrm = self.space.norm_of(r)
+        f = nrm**2 - 2.0 * float(np.dot(self.wl, u)) + self.ell_sq
+        return _ChartPoint(t, u, f, _SqNormAt(self.space, r, nrm))
+
+    def gradient(self, x: _ChartPoint) -> np.ndarray:
+        self.gradients += 1
+        return self.D.T @ (2.0 * (self.w * x.sq.jmap() - self.wl))
+
+
+def _arc_search(F, project, t, fval, g, gap, d, step, flat):
     """Armijo backtracking along the projection arc s -> P(t + s d).
 
-    Returns (t, f, g, gap) at the accepted point, or None when no step is
+    ``F`` evaluates one trial point (``_ChartObjective``).  Returns
+    (point, gradient, gap) at the accepted point, or None when no step is
     accepted.  Within ``flat`` of f the objective is at roundoff: there a
     decrease proves nothing, and a step is accepted only when it halves
     the gradient mapping, which still measures progress.
@@ -163,28 +216,33 @@ def _arc_search(f_t, grad_t, project, t, fval, g, gap, d, step, flat):
     near p = 1 the slope flips within a tiny distance of such a crossing
     and the test would force steps of that size.
     """
+    ulp = None  # one ulp of the fixed coefficients t, taken once, when first needed
     for shrink in range(_MAX_SHRINKS):
         cand = project(t + step * d)
         delta = cand - t
-        if not np.any(delta):
+        if not delta.any():
             return None
-        fc = f_t(cand)
+        x = F(cand)
+        fc = x.f
         slope = float(np.dot(g, delta))
         armijo = fc < fval - flat and fc <= fval + _ARMIJO_SLOPE * slope
         if armijo or fc <= fval + flat:
-            gc = grad_t(cand)
-            gap_c = float(np.linalg.norm(cand - project(cand - gc)))
+            gc = F.gradient(x)
+            step_c = cand - project(cand - gc)
+            gap_c = math.sqrt(float(step_c.dot(step_c)))
             if armijo:
                 accept = shrink > 0 or float(np.dot(gc, delta)) <= -_OVERSHOOT * slope
             else:
                 accept = gap_c <= 0.5 * gap
             if accept:
-                return cand, fc, gc, gap_c
+                return x, gc, gap_c
         # no smaller step can pass: |delta| only shrinks along the arc, so by
         # convexity f(cand) >= f - |g| |delta| >= f - flat rules out Armijo, and
         # a move below one ulp of the coefficients cannot halve the gap
-        tiny = np.max(np.abs(delta)) <= _EPS * (1.0 + np.max(np.abs(t)))
-        if tiny and np.linalg.norm(g) * np.linalg.norm(delta) <= flat:
+        if ulp is None:
+            ulp = _EPS * (1.0 + np.abs(t).max())
+        tiny = np.abs(delta).max() <= ulp
+        if tiny and math.sqrt(float(g.dot(g))) * math.sqrt(float(delta.dot(delta))) <= flat:
             return None
         step *= _ARMIJO_SHRINK
     return None
@@ -211,7 +269,7 @@ def _member_witness(C: ConvexSet, y: PrimalVec, t: np.ndarray) -> tuple[bool, np
     chart's directions are independent; otherwise a nonnegative
     least-squares fit decides, and there is no witness.
     """
-    tol = 1e-12 * (1.0 + float(np.max(np.abs(y.coords))))
+    tol = 1e-12 * (1.0 + float(np.abs(y.coords).max()))
     if C._fits(y, t, tol):
         return True, t
     if C._independent_directions():
@@ -227,38 +285,34 @@ def _solve_on_chart(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.ndarray)
     coefficients at their bound whose gradient pushes outward go to the
     bound, and the free block takes a Newton step with the exact Hessian
     D^T (diag(h) + beta a a^T) D, bordered by the sum constraint on the
-    simplex.  Returns the point, its coefficients, F there, the accepted
-    steps and the stop reason.
+    simplex.  Each trial point is one evaluation (``_ChartObjective``):
+    the residual, its norm and |r|^(p-1) sign(r) are formed once there and
+    shared by F, its gradient and, at an accepted point, the Hessian.
+    Returns the point, its coefficients, F there, the accepted steps, the
+    stop reason and the objective and gradient evaluation counts.
     """
     space = C.space
-    base, D, lo, simplex = C._base, C._D, C._lo, C._simplex
-    w = space.weights
-    wl = w * ell
-    ell_sq = space.dual().norm_of(ell) ** 2
-
-    def f_t(t):
-        u = base + D @ t
-        return space.norm_of(u - c) ** 2 - 2.0 * float(np.dot(wl, u)) + ell_sq
-
-    def grad_t(t):
-        return D.T @ (2.0 * (w * space.jmap(base + D @ t - c) - wl))
-
+    D, lo, simplex = C._D, C._lo, C._simplex
+    F = _ChartObjective(C, c, ell)
     project = _clamp(C)
     # the reduced Hessian has rank at most n, and its bordered form at most
     # n + 2; larger systems are singular
     rank_cap = space.n + 2 if simplex else space.n
-    data_sq = space.norm_of(c) ** 2 + ell_sq
-    fval, g = f_t(t), grad_t(t)
-    gap = float(np.linalg.norm(t - project(t - g)))
+    data_sq = space.norm_of(c) ** 2 + F.ell_sq
+    x = F(t)
+    g = F.gradient(x)
+    step_g = t - project(t - g)
+    gap = math.sqrt(float(step_g.dot(step_g)))
     iters = 0
     while True:
-        if gap <= _GRAD_TOL * (1.0 + np.linalg.norm(t)):
+        t = x.t
+        if gap <= _GRAD_TOL * (1.0 + math.sqrt(float(t.dot(t)))):
             stop = "grad-tol"
             break
         if iters >= _MAX_ITERS:
             stop = "max-iters"
             break
-        h, beta, a = space.sqnorm_hessian(base + D @ t - c)
+        h, beta, a = x.sq.hessian()
         Da = D.T @ a
         hess = D.T @ (h[:, None] * D) + beta * np.outer(Da, Da)
         # Bertsekas's active set: coefficients near their lower bound whose
@@ -275,13 +329,13 @@ def _solve_on_chart(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.ndarray)
             if simplex:
                 # the free block bordered by the sum constraint
                 H = np.zeros((m + 1, m + 1))
-                H[:m, :m] = hess[np.ix_(free, free)] if held else hess
+                H[:m, :m] = hess[free][:, free] if held else hess
                 H[:m, m] = H[m, :m] = 1.0
                 rhs = np.empty(m + 1)
                 rhs[:m] = -g[free]
                 rhs[m] = np.sum(t[active])
             else:
-                H = hess[np.ix_(free, free)] if held else hess
+                H = hess[free][:, free] if held else hess
                 rhs = -g[free]
             newton = -t  # active coefficients go to their bound
             newton[free] = _model_step(H, rhs, rhs.size <= rank_cap)[:m]
@@ -292,22 +346,22 @@ def _solve_on_chart(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.ndarray)
             active |= blocked
         curv = float(g @ hess @ g)
         cauchy = float(np.dot(g, g)) / curv if curv > 0.0 else 1.0
-        flat = _ROUNDOFF * (abs(fval) + data_sq)
+        flat = _ROUNDOFF * (abs(x.f) + data_sq)
         for d, step in ((newton, 1.0), (-g, cauchy)):
             if float(np.dot(g, d)) < 0.0:
-                moved = _arc_search(f_t, grad_t, project, t, fval, g, gap, d, step, flat)
+                moved = _arc_search(F, project, t, x.f, g, gap, d, step, flat)
                 if moved is not None:
-                    t, fval, g, gap = moved
+                    x, g, gap = moved
                     break
         else:
             stop = "flat"  # neither direction descends at working precision
             break
         iters += 1
-    return base + D @ t, t, fval, iters, stop
+    return x.u, x.t, x.f, iters, stop, (F.evaluations, F.gradients)
 
 
-def _certified(point, objective, res, opts, iters=0, stop="closed-form") -> ProjectionResult:
-    """A candidate with its VI residual; closed forms take no solver steps."""
+def _certified(point, objective, res, opts, iters=0, stop="closed-form", evaluations=(0, 0)) -> ProjectionResult:
+    """A candidate with its VI residual; closed forms take no solver steps and no evaluations."""
     return ProjectionResult(
         point=point,
         objective=objective,
@@ -316,6 +370,8 @@ def _certified(point, objective, res, opts, iters=0, stop="closed-form") -> Proj
         converged=bool(res <= opts.vi_tol),
         method="closed-form" if stop == "closed-form" else "projected-gradient",
         stop_reason=stop,
+        objective_evaluations=evaluations[0],
+        gradient_evaluations=evaluations[1],
     )
 
 
@@ -337,9 +393,9 @@ def _project(C: ConvexSet, data, y: PrimalVec, c, ell, objective, residual, opts
         res = residual(C, data, y, witness=witness)
         if res <= opts.vi_tol:
             return _certified(y, objective(data, y), res, opts)
-    u_arr, t, fval, iters, stop = _solve_on_chart(C, c, ell, t)
+    u_arr, t, fval, iters, stop, evaluations = _solve_on_chart(C, c, ell, t)
     u = C.space.point(u_arr)
-    return _certified(u, fval, residual(C, data, u, witness=t), opts, iters, stop)
+    return _certified(u, fval, residual(C, data, u, witness=t), opts, iters, stop, evaluations)
 
 
 def _sq_distance(x: PrimalVec, u: PrimalVec) -> float:
@@ -350,7 +406,7 @@ def metric_project(C: ConvexSet, x: PrimalVec, opts: SolverOptions | None = None
     """Nearest point of C to x in the space's norm, with a VI certificate."""
     _require_smooth(C.space)
     C._check_point(x)
-    opts = opts or SolverOptions()
+    opts = opts or _DEFAULT_OPTIONS
     return _project(C, x, x, x.coords, np.zeros(C.space.n), _sq_distance, vi_residual_metric, opts)
 
 
@@ -358,7 +414,7 @@ def generalized_project(C: ConvexSet, psi: DualVec, opts: SolverOptions | None =
     """Minimizer of V(psi, .) over C, with a VI certificate."""
     _require_smooth(C.space)
     C._check_functional(psi)
-    opts = opts or SolverOptions()
+    opts = opts or _DEFAULT_OPTIONS
     y = duality_map_inv(psi)
     return _project(C, psi, y, np.zeros(C.space.n), psi.coords, lyapunov, vi_residual_generalized, opts)
 
@@ -403,5 +459,5 @@ def inverse_image_member_metric(
 
     Decided by the exact VI reduction, not by running the solver.
     """
-    opts = opts or SolverOptions()
+    opts = opts or _DEFAULT_OPTIONS
     return vi_residual_metric(C, x, y) <= opts.vi_tol

@@ -120,7 +120,7 @@ class ConvexSet:
 
     def _slack(self, x: PrimalVec, tol: float) -> float:
         """The distance ``contains`` allows: tol scaled by the sizes of x and the set."""
-        return tol * (1.0 + float(np.linalg.norm(x.coords)) + self._scale())
+        return tol * (1.0 + math.sqrt(float(x.coords.dot(x.coords))) + self._scale())
 
     def _fits(self, x: PrimalVec, t, tol: float) -> bool:
         """True when chart coefficients t witness that x is a member within ``tol``."""
@@ -214,9 +214,10 @@ class _Polyhedral(ConvexSet):
         t = np.asarray(t, dtype=float)
         if t.shape != self._lo.shape:
             raise ValueError(f"a witness needs {self._lo.size} chart coefficients, got shape {t.shape}")
-        if not np.all((t >= self._lo) & (t <= self._hi)):
+        if not ((t >= self._lo) & (t <= self._hi)).all():
             return False
-        res = float(np.linalg.norm(self._D @ t - (x.coords - self._base)))
+        miss = self._D @ t - (x.coords - self._base)
+        res = math.sqrt(float(miss.dot(miss)))
         if self._simplex:
             res = math.hypot(res, self._sum_weight(x) * (float(np.sum(t)) - 1.0))
         return res <= self._slack(x, tol)

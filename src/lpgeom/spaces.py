@@ -166,30 +166,7 @@ class LpSpace:
             return np.zeros(self.n)
         else:
             scale = nrm ** (2.0 - self.p)
-        return np.abs(coords) ** (self.p - 1.0) * np.sign(coords) * scale
-
-    def sqnorm_hessian(self, coords: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-        """Parts (h, beta, a) of the Hessian diag(h) + beta a a^T of ||x||^2.
-
-        The gradient of ||x||^2 is 2 w jmap(x); differentiating once more
-        gives h = 2(p-1) ||x||^(2-p) w |x|^(p-2), beta = 2(2-p) ||x||^(2-2p)
-        and a = w |x|^(p-1) sign(x).  Below p = 2 the factor |x_i|^(p-2) is
-        unbounded at zero coordinates, so |x_i| is floored at 1e-8 max|x|.
-        At x = 0, where the Hessian is undefined for p != 2, the p = 2
-        Hessian 2 diag(w) stands in.
-        """
-        if math.isinf(self.p) or self.p <= 1.0:
-            raise ValueError("the Hessian of ||x||^2 requires exponent in (1, oo)")
-        w, p = self.weights, self.p
-        nrm = self.norm_of(coords)
-        if p == 2.0 or nrm == 0.0:
-            return 2.0 * w, 0.0, w * coords
-        mag = np.abs(coords)
-        a = w * mag ** (p - 1.0) * np.sign(coords)
-        if p < 2.0:
-            mag = np.maximum(mag, 1e-8 * float(np.max(mag)))
-        h = 2.0 * (p - 1.0) * nrm ** (2.0 - p) * w * mag ** (p - 2.0)
-        return h, 2.0 * (2.0 - p) * nrm ** (2.0 - 2.0 * p), a
+        return _signed_power(coords, self.p - 1.0) * scale
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -211,6 +188,58 @@ class LpSpace:
         if np.all(self.weights == 1.0):
             return f"LpSpace(n={self.n}, p={self.p:g})"
         return f"LpSpace(n={self.n}, p={self.p:g}, weights={self.weights.tolist()})"
+
+
+def _signed_power(coords: np.ndarray, e: float) -> np.ndarray:
+    """|x|^e sign(x), coordinatewise: the duality map before its norm factor."""
+    return np.abs(coords) ** e * np.sign(coords)
+
+
+class _SqNormAt:
+    """Derivatives of ||x||^2 at one point x, whose norm ``nrm`` the caller has taken.
+
+    The gradient of ||x||^2 is 2 w J(x), with J(x) = |x|^(p-1) sign(x)
+    ||x||^(2-p); differentiating once more gives the Hessian
+    diag(h) + beta a a^T with h = 2(p-1) ||x||^(2-p) w |x|^(p-2),
+    beta = 2(2-p) ||x||^(2-2p) and a = w |x|^(p-1) sign(x).  J and a share
+    |x|^(p-1) sign(x), formed at most once, when first asked for.  Below
+    p = 2 the factor |x_i|^(p-2) is unbounded at zero coordinates, so |x_i|
+    is floored at 1e-8 max|x| there.  At x = 0, where the Hessian is
+    undefined for p != 2, the p = 2 Hessian 2 diag(w) stands in.
+    """
+
+    __slots__ = ("space", "x", "nrm", "_power")
+
+    def __init__(self, space: LpSpace, x: np.ndarray, nrm: float):
+        if math.isinf(space.p) or space.p <= 1.0:
+            raise ValueError("the derivatives of ||x||^2 require exponent in (1, oo)")
+        self.space, self.x, self.nrm, self._power = space, x, nrm, None
+
+    def _signed(self) -> np.ndarray:
+        if self._power is None:
+            self._power = _signed_power(self.x, self.space.p - 1.0)
+        return self._power
+
+    def jmap(self) -> np.ndarray:
+        """J(x), with the bits of ``LpSpace.jmap``; at p = 2 it is x itself, not a copy."""
+        p = self.space.p
+        if p == 2.0:
+            return self.x
+        if self.nrm == 0.0:
+            return np.zeros(self.space.n)
+        return self._signed() * self.nrm ** (2.0 - p)
+
+    def hessian(self) -> tuple[np.ndarray, float, np.ndarray]:
+        """Parts (h, beta, a) of the Hessian diag(h) + beta a a^T of ||x||^2."""
+        w, p, x, nrm = self.space.weights, self.space.p, self.x, self.nrm
+        if p == 2.0 or nrm == 0.0:
+            return 2.0 * w, 0.0, w * x
+        mag = np.abs(x)
+        a = w * self._signed()
+        if p < 2.0:
+            mag = np.maximum(mag, 1e-8 * float(mag.max()))
+        h = 2.0 * (p - 1.0) * nrm ** (2.0 - p) * w * mag ** (p - 2.0)
+        return h, 2.0 * (2.0 - p) * nrm ** (2.0 - 2.0 * p), a
 
 
 class _CoordVec:

@@ -77,6 +77,61 @@ def euclid_project_subspace(x, basis):
     return B @ coef
 
 
+# -- the projected Newton loop's quantities, one separate call each ------------
+#
+# The loop once evaluated F, its gradient and the Hessian of ||.||^2 at each
+# point through these formulas, each rebuilding the residual and its norm.
+# They are kept as written then: the loop's shared evaluation must give the
+# same bits.
+
+
+def chart_objective(space, base, D, c, ell, t):
+    """F(base + D t) = ||u - c||^2 - 2 <ell, u> + ||ell||_*^2."""
+    wl = space.weights * ell
+    ell_sq = space.dual().norm_of(ell) ** 2
+    u = base + D @ t
+    return space.norm_of(u - c) ** 2 - 2.0 * float(np.dot(wl, u)) + ell_sq
+
+
+def chart_gradient(space, base, D, c, ell, t):
+    """The gradient of ``chart_objective`` in t: 2 D^T (w J(u - c) - w ell)."""
+    w = space.weights
+    wl = w * ell
+    return D.T @ (2.0 * (w * jmap(space, base + D @ t - c) - wl))
+
+
+def jmap(space, coords):
+    """(Jx)_i = |x_i|^(p-1) sign(x_i) ||x||^(2-p), row by row for a stack."""
+    if math.isinf(space.p) or space.p <= 1.0:
+        raise ValueError("duality mapping requires exponent in (1, oo)")
+    if space.p == 2.0:
+        return np.array(coords, dtype=float)
+    nrm = space.norm_of(coords)
+    if not isinstance(nrm, float):  # one norm per row; a zero row maps to zero whatever its scale
+        scale = np.where(nrm > 0.0, nrm, 1.0)[..., None] ** (2.0 - space.p)
+    elif nrm == 0.0:
+        return np.zeros(space.n)
+    else:
+        scale = nrm ** (2.0 - space.p)
+    return np.abs(coords) ** (space.p - 1.0) * np.sign(coords) * scale
+
+
+def sqnorm_hessian(space, coords):
+    """Parts (h, beta, a) of the Hessian diag(h) + beta a a^T of ||x||^2."""
+    if math.isinf(space.p) or space.p <= 1.0:
+        raise ValueError("the Hessian of ||x||^2 requires exponent in (1, oo)")
+    w, p = space.weights, space.p
+    nrm = space.norm_of(coords)
+    if p == 2.0 or nrm == 0.0:
+        return 2.0 * w, 0.0, w * coords
+    mag = np.abs(coords)
+    a = w * mag ** (p - 1.0) * np.sign(coords)
+    if p < 2.0:
+        mag = np.maximum(mag, 1e-8 * float(np.max(mag)))
+    h = 2.0 * (p - 1.0) * nrm ** (2.0 - p) * w * mag ** (p - 2.0)
+    return h, 2.0 * (2.0 - p) * nrm ** (2.0 - 2.0 * p), a
+
+
 # -- polyhedral cones, by brute force -----------------------------------------
 
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from lpgeom.projections import (
     ProjectionResult,
     SolverOptions,
     _arc_search,
+    _ChartObjective,
     _project_simplex,
     generalized_project,
     inverse_image_member_metric,
@@ -28,6 +30,8 @@ from lpgeom.spaces import LpSpace, duality_map, duality_map_inv, lyapunov, norm,
 from lpgeom.suite import _PROPERTIES, _rng, fuzz_target_ids
 
 from _oracles import (
+    chart_gradient,
+    chart_objective,
     euclid_project_ball,
     euclid_project_orthant_cone,
     euclid_project_segment,
@@ -155,12 +159,12 @@ def test_trace_is_monotone_nonincreasing(monkeypatch):
     # the objective at the warm start, then after each step the arc search accepts
     trace = []
 
-    def recording(f_t, grad_t, project, t, fval, *rest):
+    def recording(F, project, t, fval, *rest):
         if not trace:
             trace.append(fval)
-        moved = _arc_search(f_t, grad_t, project, t, fval, *rest)
+        moved = _arc_search(F, project, t, fval, *rest)
         if moved is not None:
-            trace.append(moved[1])
+            trace.append(moved[0].f)
         return moved
 
     monkeypatch.setattr(lpgeom.projections, "_arc_search", recording)
@@ -566,12 +570,101 @@ def test_arc_search_stops_once_no_smaller_step_can_pass():
     # a flat objective whose gradient mapping no step halves; the coefficient at
     # zero keeps the move from ever rounding away, so halving alone runs 60 times
     evals = []
-
-    def f_t(t):
-        evals.append(t)
-        return 1.0
-
     g = np.array([0.0, 1e-12])
+
+    class FlatObjective:
+        def __call__(self, t):
+            evals.append(t)
+            return SimpleNamespace(f=1.0)
+
+        def gradient(self, x):
+            return g
+
     t = np.array([1.0, 0.0])
-    assert _arc_search(f_t, lambda u: g, lambda u: u, t, 1.0, g, 1e-12, -g, 1.0, 1e-14) is None
+    assert _arc_search(FlatObjective(), lambda u: u, t, 1.0, g, 1e-12, -g, 1.0, 1e-14) is None
     assert len(evals) < 20
+
+
+def _guard_sets(S):
+    line = Line(S.point([1.0, -2.0, 0.5, 3.0]), S.point([0.3, 1.0, -1.0, 0.2]))
+    cone = FinitelyGeneratedCone(
+        S.zero(),
+        [S.point([1.0, 0.0, 0.0, 0.2]), S.point([0.0, 1.0, 0.1, 0.0]), S.point([0.0, 0.0, 1.0, 0.5])],
+    )
+    return line, cone
+
+
+def test_loop_takes_one_norm_per_trial_point_and_no_duality_map(monkeypatch):
+    # inside the loop norm_of runs once per objective evaluation, plus once
+    # each for ||ell||_* and ||c||; J comes from the shared kernel, not jmap
+    calls = {"norm_of": 0, "jmap": 0}
+    for name in calls:
+
+        def counted(self, *args, _name=name, _original=getattr(LpSpace, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(LpSpace, name, counted)
+    solve = lpgeom.projections._solve_on_chart
+    inside = []
+
+    def recording(*args):
+        before = dict(calls)
+        out = solve(*args)
+        inside.append((calls["norm_of"] - before["norm_of"], calls["jmap"] - before["jmap"]))
+        return out
+
+    monkeypatch.setattr(lpgeom.projections, "_solve_on_chart", recording)
+    x = [-1.0, 2.0, -0.5, 3.0]
+    for p in (1.5, 3.0, 4.0):
+        S = LpSpace(4, p, weights=[0.5, 1.0, 1.5, 2.0])
+        for C in _guard_sets(S):
+            for project, data in ((metric_project, S.point(x)), (generalized_project, S.functional(x))):
+                inside.clear()
+                res = project(C, data)
+                assert res.iterations >= 1 and len(inside) == 1, (p, C, project)
+                norms, jmaps = inside[0]
+                assert norms == res.objective_evaluations + 2, (p, C, project)
+                assert jmaps == 0, (p, C, project)
+
+
+def test_evaluation_counts():
+    # closed forms and members take no evaluation; the loop evaluates the
+    # warm start and then each trial point, and its gradient where the arc
+    # search asks for one, which it does at least at every accepted point
+    rng = np.random.default_rng(64)
+    S = LpSpace(4, 3.0, weights=[0.5, 1.0, 1.5, 2.0])
+    ball = metric_project(Ball(S, 1.0), S.point(rng.normal(size=4) * 5.0))
+    line, cone = _guard_sets(S)
+    member = metric_project(cone, S.point([2.0, 1.0, 1.1, 0.9]))  # 2 g1 + g2 + g3
+    for res in (ball, member):
+        assert res.stop_reason == "closed-form"
+        assert (res.objective_evaluations, res.gradient_evaluations) == (0, 0)
+    for C in (line, cone):
+        res = metric_project(C, S.point([-1.0, 2.0, -0.5, 3.0]))
+        assert res.stop_reason == "grad-tol" and res.iterations >= 1
+        assert res.iterations + 1 <= res.gradient_evaluations <= res.objective_evaluations
+
+
+def test_chart_objective_gives_the_separate_formulas_bit_for_bit():
+    # F and its gradient from one evaluation equal the formulas that each
+    # rebuild the residual, at random points, with zero residual coordinates
+    # and with a zero residual
+    rng = np.random.default_rng(65)
+    for p in (1.5, 2.0, 3.0, 4.0):
+        S = LpSpace(5, p, weights=rng.uniform(0.3, 3.0, 5))
+        C = FinitelyGeneratedCone(S.point(rng.normal(size=5)), [S.point(rng.normal(size=5)) for _ in range(3)])
+        base, D = C._base, C._D
+        for trial in range(12):
+            t = rng.uniform(0.0, 2.0, 3)
+            u = base + D @ t
+            c = rng.normal(size=5) * 3.0
+            if trial % 3 == 1:
+                c[:2] = u[:2]
+            elif trial % 3 == 2:
+                c = u.copy()
+            for ell in (np.zeros(5), rng.normal(size=5)):
+                F = _ChartObjective(C, c, ell)
+                at = F(t)
+                assert at.f == chart_objective(S, base, D, c, ell, t)
+                assert np.array_equal(F.gradient(at), chart_gradient(S, base, D, c, ell, t))

@@ -13,6 +13,10 @@ from lpgeom import (
     pair,
     window_functional,
 )
+from lpgeom.spaces import _SqNormAt
+
+from _oracles import jmap as jmap_oracle
+from _oracles import sqnorm_hessian as sqnorm_hessian_oracle
 
 CBRT36 = 36.0 ** (1.0 / 3.0)
 
@@ -66,7 +70,7 @@ class TestLpSpace:
         for p in (1.5, 2.0, 3.0, 4.0):
             space = LpSpace(5, p, weights=rng.uniform(0.3, 3.0, 5))
             x = rng.choice([-1.0, 1.0], 5) * rng.uniform(0.2, 2.0, 5)
-            h, beta, a = space.sqnorm_hessian(x)
+            h, beta, a = _SqNormAt(space, x, space.norm_of(x)).hessian()
             H = np.diag(h) + beta * np.outer(a, a)
             grad = lambda y: 2.0 * space.weights * space.jmap(y)  # noqa: E731
             step = 1e-6
@@ -76,6 +80,29 @@ class TestLpSpace:
             assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
             assert np.array_equal(H, H.T)
             assert np.min(np.linalg.eigvalsh(H)) >= -1e-12 * np.max(np.abs(H))
+
+    def test_sqnorm_kernel_gives_the_separate_formulas_bit_for_bit(self):
+        # J and the Hessian parts share |x|^(p-1) sign(x): whichever is asked
+        # for first, each equals its own formula exactly, zero coordinates and
+        # the zero vector included
+        rng = np.random.default_rng(63)
+        for p in (1.5, 2.0, 3.0, 4.0):
+            space = LpSpace(6, p, weights=rng.uniform(0.3, 3.0, 6))
+            cases = [rng.normal(size=6) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(20)]
+            for x in cases[:10]:
+                x[rng.choice(6, 2, replace=False)] = 0.0
+            cases.append(np.zeros(6))
+            for i, x in enumerate(cases):
+                kernel = _SqNormAt(space, x, space.norm_of(x))
+                if i % 2:
+                    hess = kernel.hessian()
+                    jx = kernel.jmap()
+                else:
+                    jx = kernel.jmap()
+                    hess = kernel.hessian()
+                assert np.array_equal(jx, jmap_oracle(space, x))
+                h, beta, a = sqnorm_hessian_oracle(space, x)
+                assert np.array_equal(hess[0], h) and hess[1] == beta and np.array_equal(hess[2], a)
 
     def test_stacked_rows_map_row_by_row(self):
         # norm_of and jmap reduce over the last axis: a stack of rows gives what each row gives alone
