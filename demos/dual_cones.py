@@ -28,7 +28,7 @@ for p in (3.0, 2.0):
     print("x member of dual:", member_metric_dual(K, x),
           " y member:", member_metric_dual(K, y))
 
-    w = probe_nonconvexity_metric_dual(K, seed=0, trials=300)
+    w = probe_nonconvexity_metric_dual(K)
     if w is None:
         print("convexity probe: no escaping combination found")
     else:
@@ -36,9 +36,9 @@ for p in (3.0, 2.0):
               "at lam =", w.data["lam"])
         print("  witness revalidates:", w.revalidate())
 
-    g = metric_double_dual_violation(K, seed=0, trials=300)
+    g = metric_double_dual_violation(K)
     if g is None:
-        print("double dual: no separation, K** collapses back to K")
+        print("double dual: the search finds no member that separates K from K**")
     else:
         print("double dual: member", g.data["x"], "separates K from K**,",
               "margin", g.value)

@@ -138,19 +138,19 @@ def _projection_result(res) -> tuple[dict, str]:
     return out, "pass" if res.converged else "fail"
 
 
-def _op_project(space, doc, tol, seed, trials):
+def _op_project(space, doc, tol):
     C = _the_set(space, doc)
     x = space.point(_need(doc, "point"))
     return _projection_result(metric_project(C, x, SolverOptions(vi_tol=tol)))
 
 
-def _op_gproject(space, doc, tol, seed, trials):
+def _op_gproject(space, doc, tol):
     C = _the_set(space, doc)
     psi = space.functional(_need(doc, "functional"))
     return _projection_result(generalized_project(C, psi, SolverOptions(vi_tol=tol)))
 
 
-def _op_face(space, doc, tol, seed, trials):
+def _op_face(space, doc, tol):
     C = _the_set(space, doc)
     psi = space.functional(_need(doc, "functional"))
     desc = face(C, psi, tol=tol)
@@ -166,7 +166,7 @@ def _op_face(space, doc, tol, seed, trials):
     return out, "pass"
 
 
-def _op_vision(space, doc, tol, seed, trials):
+def _op_vision(space, doc, tol):
     C = _the_set(space, doc)
     y = space.point(_need(doc, "point"))
     has_dual = "functional" in doc
@@ -181,7 +181,7 @@ def _op_vision(space, doc, tol, seed, trials):
     return {"member": bool(member), "route": "primal", "routes_agree": True}, "pass"
 
 
-def _op_classify(space, doc, tol, seed, trials):
+def _op_classify(space, doc, tol):
     C = _the_set(space, doc)
     y = space.point(_need(doc, "point"))
     res = classify_point(C, y, tol=tol)
@@ -193,7 +193,7 @@ def _op_classify(space, doc, tol, seed, trials):
     return out, "pass"
 
 
-def _op_dualcone(space, doc, tol, seed, trials, kind, check):
+def _op_dualcone(space, doc, tol, kind, check):
     if kind == "generalized" and check == "identity":
         sets_doc = _need(doc, "sets")
         cones = [_set_from(space, d) for d in sets_doc]
@@ -214,27 +214,15 @@ def _op_dualcone(space, doc, tol, seed, trials, kind, check):
             member = member_generalized_dual(K, space.functional(_need(doc, "functional")), tol=tol)
         return {"member": bool(member), "certificate": None}, "pass"
 
+    if kind == "metric" and check in ("convexity", "double-dual"):
+        w = (probe_nonconvexity_metric_dual if check == "convexity" else metric_double_dual_violation)(K)
+        return {"witness_found": w is not None, "witness": None if w is None else _witness_json(w)}, "pass"
+
     if check == "convexity":
-        if kind == "metric":
-            w = probe_nonconvexity_metric_dual(K, seed=seed, trials=trials)
-            out = {
-                "witness_found": w is not None,
-                "witness": None if w is None else _witness_json(w),
-                "trials": trials,
-            }
-            return out, "pass"
         # {psi : <psi - J(v), g_i> <= 0 for every i} is one half-space per generator, so it is convex
         return {"convex": True, "halfspaces": len(_vertex_and_generators(K)[1])}, "pass"
 
     if check == "double-dual":
-        if kind == "metric":
-            w = metric_double_dual_violation(K, seed=seed, trials=trials)
-            out = {
-                "witness_found": w is not None,
-                "witness": None if w is None else _witness_json(w),
-                "trials": trials,
-            }
-            return out, "pass"
         z = space.point(_need(doc, "point"))
         member = generalized_double_dual_member(K, z, tol=tol)
         cert = None if member else find_double_dual_certificate(K, z, tol=tol)
@@ -268,16 +256,14 @@ def _run_single(args, operation: str) -> int:
         )
     space = _space_from(doc["space"])
     tol = args.tol if args.tol is not None else float(doc.get("tol", 1e-9))
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    trials = args.trials if args.trials is not None else int(doc.get("trials", 200))
 
     t0 = time.perf_counter()
     if operation == "dualcone":
-        result, status = _op_dualcone(space, doc, tol, seed, trials, args.kind, args.check)
+        result, status = _op_dualcone(space, doc, tol, args.kind, args.check)
     else:
         if operation in ("project", "gproject") and args.tol is None and "tol" not in doc:
             tol = 1e-6  # default certificate tolerance for the solvers
-        result, status = _SINGLE_OPS[operation](space, doc, tol, seed, trials)
+        result, status = _SINGLE_OPS[operation](space, doc, tol)
     elapsed = time.perf_counter() - t0
 
     out = {
@@ -329,13 +315,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, problem=True):
-        # the operations that read a problem document also take its tol and trials
+        # the operations that read a problem document take its tol; only verify and fuzz draw, so take a seed
         if problem:
             sp.add_argument("--input", default=None, help="problem JSON file ('-' or omit for stdin)")
             sp.add_argument("--tol", type=float, default=None)
-            sp.add_argument("--trials", type=int, default=None)
+        else:
+            sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--json", action="store_true", help="emit the full JSON document")
-        sp.add_argument("--seed", type=int, default=None)
 
     for name, blurb in (
         ("project", "metric projection onto a set"),

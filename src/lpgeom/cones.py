@@ -11,19 +11,21 @@ The metric dual cone {x : <J(x - v), g_i> <= 0} is generally not convex
 when the exponent differs from 2, and the cone it came from need not
 survive dualizing twice.  The generalized dual cone
 {psi : <psi - J(v), g_i> <= 0} is the translate by J(v) of a polar cone,
-is always convex, and dualizing twice returns K exactly.  Routines here
-decide membership by two independent routes where possible and refuse to
-reconcile disagreements silently.
+is always convex, and dualizing twice returns K exactly.  One membership
+test, ``generalized_double_dual_member``, decides by two independent
+routes and refuses to reconcile a disagreement silently.
 
 Every routine takes the ray or finitely generated cone itself and reads
 the vertex from its one row of ``V`` and the generators from the rows of
 ``R``.  Each question is one matrix product over those rows.  The metric
 tests pair J(x - v) with R for a whole batch of candidates x at once
-(``_margins``), the witness searches score all their candidates in one
-product, and the generalized tests pair with the polar cone's generator
-matrix, which the set computes once (``sets._Polyhedral._polar``).  J and
-the norm come from ``LpSpace.jmap`` and ``LpSpace.norm_of``, which map a
-stack of rows row by row.
+(``_margins``), and the generalized tests pair with the polar cone's
+generator matrix, which the set computes once (``sets._Polyhedral._polar``).
+The witness searches draw nothing: every member of the metric dual cone is
+v + J*(phi) for phi in the polar, so they build their candidates from the
+polar generators and score them all in one product.  J, J* and the norm
+come from ``LpSpace.jmap`` (of the space or its dual) and
+``LpSpace.norm_of``, which map a stack of rows row by row.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .polyhedra import _nnls, _polar_rows, intersect_cone_generators
-from .projections import SolverOptions, metric_project, vi_residual_metric
+from .projections import SolverOptions, metric_project
 from .spaces import DualVec, PrimalVec, duality_map, norm, pair
 
 __all__ = [
@@ -54,9 +56,13 @@ __all__ = [
 # two members of the metric dual cone of the ray through (-25, -37, -77) at
 # exponent 3 whose 2/3 : 1/3 combination escapes.  In R^3 the convexity
 # search tries the pair, and the double-dual search its first member, before
-# their draws
+# the members built from the polar
 _PINNED_PAIR = np.array([[3.0, -2.0, -1.0], [1.0, -3.0, 2.0]])
 _PINNED_PAIR.setflags(write=False)
+
+# the mixes (1 - s) a + s b of two candidates, and the combinations lam x + (1 - lam) y tested for escape
+_MIXES = np.array([0.25, 0.5, 0.75])
+_LAMBDAS = np.array([2.0 / 3.0, 0.5, 0.25, 0.75])
 
 
 @dataclass(frozen=True)
@@ -86,75 +92,75 @@ def _require_origin_vertex(v: PrimalVec):
         raise ValueError("this check is defined for cones with vertex at the origin")
 
 
-def _offset_margins(K, D: np.ndarray) -> np.ndarray:
-    """max_i <d, g_i> for every row d of D; a functional J(v) + d is in the generalized dual cone when it is <= tol."""
-    return np.max((K.space.weights * D) @ K.R.T, axis=-1)
-
-
 def _margins(K, X: np.ndarray) -> np.ndarray:
     """max_i <J(x - v), g_i> for every row x of X; x is in the metric dual cone when it is <= tol."""
-    return _offset_margins(K, K.space.jmap(X - K.V[0]))
+    return np.max((K.space.weights * K.space.jmap(X - K.V[0])) @ K.R.T, axis=-1)
 
 
-def _draws(rng, n: int, count: int) -> np.ndarray:
-    """``count`` rows, each a standard normal vector times a scale from [0.5, 5].
+def _pair_mixes(rows: np.ndarray) -> np.ndarray:
+    """The rows, then (1 - s) a + s b for every pair a < b of them, pair-major, for s in ``_MIXES``."""
+    a, b = np.triu_indices(len(rows), k=1)
+    mixes = (1.0 - _MIXES[:, None]) * rows[a, None] + _MIXES[:, None] * rows[b, None]
+    return np.vstack([rows, mixes.reshape(-1, rows.shape[1])])
 
-    Each row draws its scale first, so a seed gives the points that
-    drawing one trial at a time gives.
+
+def _polar_members(K) -> np.ndarray:
+    """v + J*(c / w) for the unit polar generators c and their pair mixes, in ``_pair_mixes`` order.
+
+    <c / w, g_i> = <c, g_i> <= 0 and J(J* phi) = phi, so each row is a
+    member of the metric dual cone up to roundoff.
     """
-    rows = [float(rng.uniform(0.5, 5.0)) * rng.normal(size=n) for _ in range(count)]
-    return np.array(rows).reshape(-1, n)
+    space = K.space
+    C = K._polar / np.linalg.norm(K._polar, axis=1, keepdims=True)
+    return K.V[0] + space.dual().jmap(_pair_mixes(C) / space.weights)
 
 
 def member_metric_dual(K, x: PrimalVec, tol: float = 1e-9) -> bool:
     """Membership of x in the metric dual cone of K."""
-    v, R = _vertex_and_generators(K)
-    worst = float(_margins(K, x.coords))
-    # same reduction through the projection certificate; must agree.  v is
-    # the chart's base, so all-zero coefficients witness that it is a member
-    vi = vi_residual_metric(K, x, v, witness=np.zeros(len(R)))
-    if abs(max(worst, 0.0) - max(vi, 0.0)) > 1e-12 * (1.0 + abs(worst)):
-        raise RuntimeError(f"metric dual routes disagree: generators {worst:.3e}, certificate {vi:.3e}")
-    return worst <= tol
+    _vertex_and_generators(K)  # a ray or a cone, else TypeError
+    return bool(_margins(K, x.coords) <= tol)
 
 
 def member_generalized_dual(K, psi: DualVec, tol: float = 1e-9) -> bool:
-    """Membership of psi in the generalized dual cone of K."""
+    """Membership of psi in the generalized dual cone of K: psi - J(v) is bounded on K, by ``faces.face``'s rule."""
     v, _ = _vertex_and_generators(K)
-    return bool(_offset_margins(K, (psi - duality_map(v)).coords) <= tol)
+    return math.isfinite(K.support(psi - duality_map(v), tol))
 
 
-def probe_nonconvexity_metric_dual(
-    K, seed: int = 0, trials: int = 400, tol: float = 1e-9
-) -> Witness | None:
+def probe_nonconvexity_metric_dual(K, tol: float = 1e-9) -> Witness | None:
     """Search for a convex combination that escapes the metric dual cone.
 
     Returns a witness (x, y members, h = lam x + (1 - lam) y not a member)
-    or None when no escape is found within the trial budget.  At exponent
-    2 the dual cone is convex and the search comes back empty.
+    or None when no candidate escapes; None is the outcome of a search,
+    not a proof of convexity.  At exponent 2 the dual cone is convex and
+    the search comes back empty.
+
+    The members are built, not drawn (``_polar_members``).  The pairs are
+    the pinned pair in R^3, then, for each pair of polar generators, every
+    two of the five members along their segment (c_a, the three mixes,
+    c_b), so the pairs grow with the square of the polar generators.
     """
     v, R = _vertex_and_generators(K)
     space = K.space
-    rng = np.random.default_rng(seed)
-    lam_grid = np.array([2.0 / 3.0, 0.5, 0.25, 0.75, 0.1, 0.9])
+    pinned = _PINNED_PAIR if space.n == 3 else np.zeros((0, space.n))
+    X = np.vstack([pinned, _polar_members(K)])
 
-    # candidate pairs as rows [x, y]: the pinned pair first, then drawn members two by two
-    pairs = np.zeros((0, 2, space.n))
-    if space.n == 3 and np.all(_margins(K, _PINNED_PAIR) <= tol):
-        pairs = _PINNED_PAIR[None]
-    pts = _draws(rng, space.n, trials)
-    members = list(pts[_margins(K, pts) <= tol])
-    rng.shuffle(members)
-    drawn = np.array(members[: len(members) // 2 * 2]).reshape(-1, 2, space.n)
-    pairs = np.concatenate([pairs, drawn])
+    # rows of X as pairs [x, y]: the pinned pair, then every two of the five members along each polar segment
+    count = len(K._polar)
+    a, b = np.triu_indices(count, k=1)
+    segments = len(pinned) + np.column_stack([a, count + np.arange(3 * len(a)).reshape(-1, 3), b])
+    s, t = np.triu_indices(5, k=1)
+    pairs = np.stack([segments[:, s], segments[:, t]], axis=-1).reshape(-1, 2)
+    pairs = np.vstack([np.arange(len(pinned)).reshape(-1, 2), pairs])
+    pairs = pairs[np.all(_margins(K, X)[pairs] <= tol, axis=1)]
 
-    grid = lam_grid[:, None]
-    H = grid * pairs[:, None, 0] + (1.0 - grid) * pairs[:, None, 1]  # pair-major, then lam_grid order
+    grid = _LAMBDAS[:, None]
+    H = grid * X[pairs[:, None, 0]] + (1.0 - grid) * X[pairs[:, None, 1]]  # pair-major, then _LAMBDAS order
     escaped = np.flatnonzero(_margins(K, H.reshape(-1, space.n)) > tol)
     if not escaped.size:
         return None
-    k, j = divmod(int(escaped[0]), len(lam_grid))
-    x, y, lam = space.point(pairs[k, 0]), space.point(pairs[k, 1]), float(lam_grid[j])
+    k, j = divmod(int(escaped[0]), len(_LAMBDAS))
+    x, y, lam = space.point(X[pairs[k, 0]]), space.point(X[pairs[k, 1]]), float(_LAMBDAS[j])
     h = lam * x + (1.0 - lam) * y
     gaps = tuple((R @ (space.weights * duality_map(h - v).coords)).tolist())
 
@@ -170,7 +176,7 @@ def probe_nonconvexity_metric_dual(
     )
 
 
-def metric_double_dual_violation(K, seed: int = 0, trials: int = 200, tol: float = 1e-9) -> Witness | None:
+def metric_double_dual_violation(K, tol: float = 1e-9) -> Witness | None:
     """Search for z in K that the twice-dualized metric cone rejects.
 
     z lies in the double dual only if <J z, x> <= 0 for every member x of
@@ -178,19 +184,15 @@ def metric_double_dual_violation(K, seed: int = 0, trials: int = 200, tol: float
     is not contained in its metric double dual.  Returns None when the
     search finds nothing (the expected outcome at exponent 2).
 
-    The candidates z are the generators, then min(trials // 4, 25) samples
-    of K; the candidates x are the first member of the pinned pair in R^3,
-    then ``trials`` draws, of which the dual cone's members are kept.
+    The candidates z are the generators and their pair mixes
+    (``_pair_mixes``); the candidates x are the first member of the pinned
+    pair in R^3, then the built members of ``_polar_members``.
     """
     v, R = _vertex_and_generators(K)
     _require_origin_vertex(v)
     space = K.space
-    rng = np.random.default_rng(seed)
-
-    samples = [s.coords for s in K.sample(min(trials // 4, 25), seed=seed + 1)]
-    Z = np.vstack([R, *samples])
-    pinned_x = _PINNED_PAIR[:1] if space.n == 3 else np.zeros((0, space.n))
-    X = np.vstack([pinned_x, _draws(rng, space.n, trials)])
+    Z = _pair_mixes(R)
+    X = np.vstack([_PINNED_PAIR[:1] if space.n == 3 else np.zeros((0, space.n)), _polar_members(K)])
     X = X[_margins(K, X) <= tol]
 
     # every pair at once, z-major as a loop over z then x would meet them

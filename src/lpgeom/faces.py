@@ -20,7 +20,8 @@ the radius.  A polyhedral set looks for a nonzero c with <w_j, c> <= 0
 on the difference directions w_j at y: a null vector when the cone of
 such c holds a line, otherwise one nonnegative least-squares fit by
 Stiemke's alternative, in any dimension.  Every witness is checked once
-more here, by face membership.
+more here, by face membership.  Nothing here draws samples: the
+dual-vision identity is checked on the polar cone's generators.
 """
 
 from __future__ import annotations
@@ -228,24 +229,28 @@ class DualVisionIdentityReport:
     ok: bool
 
 
-def dual_vision_identity_check(K, seed: int = 0, trials: int = 200, tol: float = 1e-9) -> DualVisionIdentityReport:
-    """Sampled check that the generalized dual cone is J(v) plus the dual vision of v.
+def dual_vision_identity_check(K, tol: float = 1e-9) -> DualVisionIdentityReport:
+    """Exact check that the generalized dual cone is J(v) plus the dual vision of v.
 
-    Functionals psi are drawn around J(v); membership of psi in the dual
-    cone must match membership of psi - J(v) in the dual vision of the
-    vertex, i.e. v attaining the supremum of psi - J(v) on the cone.
+    The double-description polar is the second route: with c = w phi,
+    {phi : <phi, g_i> <= 0} is the cone of the polar generators c.  So
+    psi = J(v) + phi must be in the dual cone, and phi must see the vertex,
+    for phi = 0 and for each unit polar generator.  Pushed across the facet
+    of each generator g it lies on (<c, g> >= 0, within tol), to
+    c + g / |g|, it must be in neither.  ``disagreements`` counts the
+    cases where either side departs from the polar's answer.
     """
-    v, _ = _vertex_and_generators(K)
+    v, R = _vertex_and_generators(K)
     space = K.space
     jv = duality_map(v)
-    rng = np.random.default_rng(seed)
-
-    checked = disagreements = 0
-    for _ in range(trials):
-        offset = rng.normal(size=space.n) * float(rng.uniform(0.1, 5.0))
-        psi = DualVec(space.dual(), jv.coords + offset)
-        lhs = member_generalized_dual(K, psi, tol)
-        rhs = face_membership(K, psi - jv, v, tol)
-        checked += 1
-        disagreements += int(lhs != rhs)
-    return DualVisionIdentityReport(checked, disagreements, disagreements == 0)
+    lengths = np.linalg.norm(R, axis=1)
+    cases = []
+    for c in np.vstack([np.zeros(space.n), K._polar / np.linalg.norm(K._polar, axis=1, keepdims=True)]):
+        on_facet = R @ c >= -tol * lengths
+        cases += [(c, True)] + [(c + g / length, False) for g, length in zip(R[on_facet], lengths[on_facet])]
+    disagreements = 0
+    for c, member in cases:
+        psi = jv + DualVec(space.dual(), c / space.weights)
+        sides = (member_generalized_dual(K, psi, tol), face_membership(K, psi - jv, v, tol))
+        disagreements += sides != (member, member)
+    return DualVisionIdentityReport(len(cases), disagreements, disagreements == 0)

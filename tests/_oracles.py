@@ -216,10 +216,11 @@ def _trial_point(rng, space):
 
 
 def convex_combination_escape_by_loops(K, seed=0, trials=400, tol=1e-9):
-    """The metric dual convexity search, pair by pair: (x, y, lam, h, gaps) or None.
+    """The seeded metric dual convexity search, pair by pair: (x, y, lam, h, gaps) or None.
 
     Draws, pinned pair, pairing order and lam grid are those of
-    ``cones.probe_nonconvexity_metric_dual``.
+    ``cones.probe_nonconvexity_metric_dual`` before it built its
+    candidates from the polar; it is the reference that search must cover.
     """
     space, v, R = K.space, K.space.point(K.V[0]), K.R
     rng = np.random.default_rng(seed)
@@ -246,12 +247,12 @@ def convex_combination_escape_by_loops(K, seed=0, trials=400, tol=1e-9):
 
 
 def double_dual_gap_by_loops(K, seed=0, trials=200, tol=1e-9):
-    """The metric double dual search, pair by pair: (z, x, <J z, x>) or None.
+    """The seeded metric double dual search, pair by pair: (z, x, <J z, x>) or None.
 
     Candidates and their order are those of
-    ``cones.metric_double_dual_violation``: z runs over the generators,
-    then the samples of K; x over the pinned member in R^3, then the
-    draws.  K has its vertex at the origin.
+    ``cones.metric_double_dual_violation`` before it built its candidates:
+    z runs over the generators, then the samples of K; x over the pinned
+    member in R^3, then the draws.  K has its vertex at the origin.
     """
     space, v, R = K.space, K.space.point(K.V[0]), K.R
     rng = np.random.default_rng(seed)

@@ -183,8 +183,7 @@ def test_dualcone_rejects_sets_that_are_not_cones(tmp_path, capsys, name):
                 doc["sets"] = [_RAY_PROBLEM["set"], _NOT_CONES[name]]
             else:
                 doc["set"] = _NOT_CONES[name]
-            argv = ["dualcone", "--input", _write(tmp_path, doc), "--kind", kind, "--check", check,
-                    "--trials", "5"]
+            argv = ["dualcone", "--input", _write(tmp_path, doc), "--kind", kind, "--check", check]
             assert _run(capsys, argv)[0] == 2, (kind, check)
 
 
@@ -206,8 +205,7 @@ def test_dualcone_metric_convexity_probe_finds_witness(tmp_path, capsys):
     path = _write(tmp_path, doc)
     code, out = _run(
         capsys,
-        ["dualcone", "--input", path, "--kind", "metric", "--check", "convexity",
-         "--trials", "200", "--json"],
+        ["dualcone", "--input", path, "--kind", "metric", "--check", "convexity", "--json"],
     )
     assert code == 0
     parsed = json.loads(out)
@@ -526,18 +524,25 @@ _THIN_CONE = {"type": "cone", "vertex": [0, 0], "generators": [[1, 0], [-1, 0], 
 )
 def test_generalized_convexity_is_the_halfspace_count(tmp_path, capsys, doc, halfspaces):
     path = _write(tmp_path, dict(doc, operation="dualcone"))
-    results = []
-    for extra in (["--seed", "0"], ["--seed", "5"], ["--trials", "5"], ["--trials", "500"]):
-        code, out = _run(capsys, ["dualcone", "--input", path, "--kind", "generalized", "--check", "convexity",
-                                  "--json", *extra])
-        assert code == 0
-        parsed = json.loads(out)
-        assert parsed["status"] == "pass"
-        assert parsed["result"] == {"convex": True, "halfspaces": halfspaces}
-        del parsed["elapsed_seconds"]
-        results.append(parsed)
-    # decided without samples, so neither the seed nor the trial count reaches the document
-    assert all(r == results[0] for r in results)
+    code, out = _run(capsys, ["dualcone", "--input", path, "--kind", "generalized", "--check", "convexity", "--json"])
+    assert code == 0
+    parsed = json.loads(out)
+    assert parsed["status"] == "pass"
+    assert parsed["result"] == {"convex": True, "halfspaces": halfspaces}
+
+
+@pytest.mark.parametrize("operation", ["project", "gproject", "face", "vision", "classify", "dualcone"])
+def test_single_operations_take_no_seed_or_trials(tmp_path, capsys, operation):
+    # nothing a single operation answers is sampled, so neither the options nor the fields exist
+    extra = ["--kind", "metric", "--check", "convexity"] if operation == "dualcone" else []
+    for option in ("--seed", "--trials"):
+        with pytest.raises(SystemExit) as exc:
+            main([operation, *extra, option, "5"])
+        assert exc.value.code == 2
+    for field in ("seed", "trials"):
+        path = _write(tmp_path, dict(_RAY_PROBLEM, operation=operation, **{field: 5}))
+        assert main([operation, *extra, "--input", path]) == 2
+        assert "rejected by schema" in capsys.readouterr().err
 
 
 def test_cold_cone_dual_membership_loads_nnls_on_demand(tmp_path):

@@ -61,12 +61,14 @@ def test_cli_holds_no_dual_cone_math():
         assert not hasattr(cli, name), name
 
 
-def test_only_the_metric_searches_sample():
-    # every other dual-cone answer is decided exactly, so no other routine takes a seed or a trial count
-    cones = importlib.import_module("lpgeom.cones")
-    sampling = {
-        name
-        for name, fn in inspect.getmembers(cones, inspect.isfunction)
-        if fn.__module__ == cones.__name__ and {"seed", "trials"} & set(inspect.signature(fn).parameters)
-    }
-    assert sampling == {"probe_nonconvexity_metric_dual", "metric_double_dual_violation"}
+def test_no_dual_cone_or_face_routine_samples():
+    # every dual-cone and vision answer is decided or built from the polar, so no routine takes a
+    # seed or a trial count and neither module builds a random generator
+    for module in (importlib.import_module("lpgeom.cones"), importlib.import_module("lpgeom.faces")):
+        sampling = {
+            name
+            for name, fn in inspect.getmembers(module, inspect.isfunction)
+            if fn.__module__ == module.__name__ and {"seed", "trials"} & set(inspect.signature(fn).parameters)
+        }
+        assert sampling == set(), module.__name__
+        assert "random" not in inspect.getsource(module), module.__name__

@@ -41,7 +41,7 @@ def _problems():
     docs = []
     for i, (op, s) in enumerate((op, s) for op in _OPERATIONS for s in _SETS):
         doc = {"operation": op, "space": _SPACES[i % len(_SPACES)], "set": s, "point": [-28, -35, -76],
-               "functional": [1, -2.5, 3], "tol": 1e-9, "seed": 3, "trials": 10}
+               "functional": [1, -2.5, 3], "tol": 1e-9}
         if op == "vision":
             doc["probe_point"] = [4, -1.5, -2]
         if op == "dualcone":
@@ -138,7 +138,7 @@ _EMITTING = [
 
 def _emitted(argv, doc, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
-    assert main([*argv, "--trials", "5", "--json"]) in (0, 1), capsys.readouterr().err
+    assert main([*argv, "--json"]) in (0, 1), capsys.readouterr().err
     return json.loads(capsys.readouterr().out)
 
 
@@ -156,7 +156,7 @@ def test_emitted_document_mutations_get_the_reference_verdicts(monkeypatch, caps
             doc.update(set=_SETS[4], point=[0.2, 0.2, 0.2])
         results.append(_emitted(argv, doc, monkeypatch, capsys))
     assert len({json.dumps(sorted(r["result"])) for r in results}) >= 8
-    report = _emitted(["fuzz", "--target", "metric-dual-convexity"], {}, monkeypatch, capsys)
+    report = _emitted(["fuzz", "--target", "metric-dual-convexity", "--trials", "5"], {}, monkeypatch, capsys)
     for name, bases, count in (("result.schema.json", results, 2600), ("report.schema.json", [report], 400)):
         valid = _differential(jsonschema, name, bases, count, seed=23)
         assert 0 < valid < count, (name, valid)

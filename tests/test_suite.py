@@ -18,7 +18,7 @@ CLAIMS = [
      "that escapes with violation -14*4^(1/3) per unit coefficient"),
     ("04-metric-double-dual-gap",
      "a certified dual-cone member separates the pinned ray from its metric double dual at "
-     "exponent 3, while 1000 trials at exponent 2 find no gap"),
+     "exponent 3, while the search at exponent 2 finds no gap"),
     ("05-cone-projection-identities",
      "projection onto the pinned ray lands on its generator with a certified residual, the "
      "inner-product identity defect is strictly negative at exponent 3 and vanishes at "
@@ -64,8 +64,8 @@ def test_checks_keep_their_ids_and_claims_and_pass(seed):
 
 
 def test_double_dual_gap_check_passes_at_seed_72():
-    # without the pinned member (3, -2, -1) among its candidates, the search on the
-    # pinned ray finds no witness at this seed and check 04 fails
+    # a search that drew its candidates from the seed found no witness on the pinned ray at
+    # this seed without the pinned member (3, -2, -1); the built candidates do not depend on it
     rec = suite.check_metric_double_dual_gap(seed=72)
     assert rec.status == "pass", rec.values
 
