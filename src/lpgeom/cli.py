@@ -8,6 +8,10 @@ document read back reproduces the exact floats.  The package's own
 validator, ``_schemacheck``, does both checks; it implements just the
 keywords the three schemas use, so no command imports jsonschema.  Exit
 codes: 0 all pass, 1 a check failed, 2 usage or schema error.
+
+A single operation's tolerance is the document's ``tol`` field, which the
+schema keeps positive; no command takes a ``--tol`` option.  ``verify``
+has one configuration: its checks test both exponents of every contrast.
 """
 
 from __future__ import annotations
@@ -255,14 +259,13 @@ def _run_single(args, operation: str) -> int:
             f"{operation!r} subcommand was invoked"
         )
     space = _space_from(doc["space"])
-    tol = args.tol if args.tol is not None else float(doc.get("tol", 1e-9))
+    # the document's tol, which the schema keeps positive; the solvers certify to 1e-6 by default
+    tol = float(doc.get("tol", 1e-6 if operation in ("project", "gproject") else 1e-9))
 
     t0 = time.perf_counter()
     if operation == "dualcone":
         result, status = _op_dualcone(space, doc, tol, args.kind, args.check)
     else:
-        if operation in ("project", "gproject") and args.tol is None and "tol" not in doc:
-            tol = 1e-6  # default certificate tolerance for the solvers
         result, status = _SINGLE_OPS[operation](space, doc, tol)
     elapsed = time.perf_counter() - t0
 
@@ -285,7 +288,7 @@ def _run_single(args, operation: str) -> int:
 # the commands that run a whole report instead of one problem document, and how each builds
 # it from the suite, which is imported only when one of them runs
 _REPORTS = {
-    "verify": lambda suite, args: suite.run_verification_suite(seed=args.seed or 0, force_p=args.p),
+    "verify": lambda suite, args: suite.run_verification_suite(seed=args.seed or 0),
     "fuzz": lambda suite, args: suite.run_fuzz(
         args.target, trials=args.trials if args.trials is not None else 200, seed=args.seed or 0, p=args.p
     ),
@@ -315,10 +318,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, problem=True):
-        # the operations that read a problem document take its tol; only verify and fuzz draw, so take a seed
+        # the operations that read a problem document take its tol field and no option for it;
+        # only verify and fuzz draw, so take a seed
         if problem:
             sp.add_argument("--input", default=None, help="problem JSON file ('-' or omit for stdin)")
-            sp.add_argument("--tol", type=float, default=None)
         else:
             sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--json", action="store_true", help="emit the full JSON document")
@@ -339,10 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the full reproducible verification suite")
     add_common(ver, problem=False)
-    ver.add_argument(
-        "--p", type=float, choices=(2.0, 3.0), default=None,
-        help="run the witness checks at exponent 2 (where they confirm the empty search) or 3",
-    )
 
     fz = sub.add_parser("fuzz", help="randomized property run for one target")
     add_common(fz, problem=False)

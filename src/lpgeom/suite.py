@@ -11,7 +11,7 @@ primal visions.  Nineteen fuzz targets run the randomized claims.
 Each randomized claim is one property, after QuickCheck (Claessen &
 Hughes 2000): a sampler ``sample(rng, p)`` (p None lets it choose the
 exponent), a predicate that returns None or a hit dict, and optional
-pinned instances ``pinned(p, seed)``.  A check runs a fixed batch of its
+pinned instances ``pinned(p)``.  A check runs a fixed batch of its
 property plus the pinned instances, beside any closed forms it pins; the
 matching fuzz target runs the same property, pinned instances first, for
 ``--trials`` draws.  A witness-seeking property claims that a Hilbert
@@ -20,16 +20,16 @@ at p != 2 passes when it finds one, and at p = 2 every hit is a failure.
 The routines under test take no seed: the two metric witness searches
 build their candidates from the polar cone, and the seed picks the rays.
 
+Every check that states such a contrast tests both halves in one run:
+the failure at exponent 3, where the pinned closed forms hold, and the
+Hilbert-space fact at exponent 2, where the search or the built
+candidates must find nothing (checks 03, 04, 05 and 12).
+
 Seeds are split by a fixed rule: check number k draws its whole batch
 from ``SeedSequence([seed, k])``, and fuzz trial t of target i from
 ``SeedSequence([seed, i, t])``.  Identical seeds therefore reproduce
 reports bit for bit, timing aside, and a fuzz hit replays from (seed,
 target, trial) alone.  Reports sort their records by check id.
-
-``force_p`` reruns the witness-seeking checks at exponent 2 or 3, the
-only exponents their pinned closed forms hold at; at exponent 2 the
-negative phenomena legitimately vanish and those checks pass by
-confirming the empty search instead.
 """
 
 from __future__ import annotations
@@ -42,7 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import (
+    _LAMBDAS,
     _PINNED_PAIR,
+    _polar_members,
     find_double_dual_certificate,
     generalized_double_dual_member,
     hilbert_identity_violation,
@@ -136,7 +138,6 @@ class SuiteReport:
     seed: int
     records: tuple[CheckRecord, ...]
     elapsed_seconds: float
-    force_p: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -164,7 +165,6 @@ class SuiteReport:
             "version": TOOLKIT_VERSION,
             "kind": self.kind,
             "seed": self.seed,
-            "force_p": self.force_p,
             "records": [r.to_json() for r in self.records],
             "summary": self.counts(),
             "elapsed_seconds": self.elapsed_seconds,
@@ -187,6 +187,7 @@ def _record(check_id, claim, ok=True, values=None, notes=(), runs=()) -> CheckRe
 # ray's metric dual cone are ``cones._PINNED_PAIR``
 
 _RAY_DIR = (-25.0, -37.0, -77.0)
+_SEGMENT_END = (25.0, 37.0, 77.0)
 _ESCAPE_MARGIN = 14.0 * 4.0 ** (1.0 / 3.0)
 
 
@@ -205,10 +206,10 @@ Property = namedtuple("Property", "sample holds pinned seeks_witness", defaults=
 _Run = namedtuple("_Run", "hits trials failures")
 
 
-def _test(prop: Property, draws, p: float | None, seed: int) -> _Run:
+def _test(prop: Property, draws, p: float | None) -> _Run:
     """Test ``prop`` on its pinned instances at ``p``, then once per ``(rng, exponent)`` draw."""
     hits = []
-    for case in prop.pinned(p, seed) if prop.pinned else ():
+    for case in prop.pinned(p) if prop.pinned else ():
         hit = prop.holds(*case)
         if hit is not None:
             hits.append({**hit, "pinned": True})
@@ -223,9 +224,9 @@ def _test(prop: Property, draws, p: float | None, seed: int) -> _Run:
     return _Run(hits, trials, len(hits))
 
 
-def _batch(name: str, rng, exponents, seed: int = 0, p: float | None = None) -> _Run:
+def _batch(name: str, rng, exponents, p: float | None = None) -> _Run:
     """A check's run of property ``name``: one draw from ``rng`` per exponent."""
-    return _test(_PROPERTIES[name], ((rng, q) for q in exponents), p, seed)
+    return _test(_PROPERTIES[name], ((rng, q) for q in exponents), p)
 
 
 _SET_KINDS = ("segment", "ray", "cone", "polytope", "ball", "line", "subspace")
@@ -394,10 +395,10 @@ def _sample_cone_case(rng, p):
     vertex = S.point(rng.normal(size=S.n)) if rng.integers(2) else S.zero()
     x = S.point(rng.normal(size=S.n) * 3.0)
     t = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-    return gens, vertex, x, t, int(rng.integers(10**9))
+    return gens, vertex, x, t
 
 
-def _homogeneity(gens, _vertex, x, t, _seed):
+def _homogeneity(gens, _vertex, x, t):
     K = FinitelyGeneratedCone(x.space.zero(), gens)
     a = metric_project(K, t * x)
     b = metric_project(K, x)
@@ -412,18 +413,20 @@ def _homogeneity(gens, _vertex, x, t, _seed):
     return None if err <= 1e-6 else {"t": t, "error": err}
 
 
-def _witness_search(search) -> Property:
-    """``search`` on random rays at exponent p (3 when None), the pinned ray first."""
+def _witness_search(name: str) -> Property:
+    """The search this module imports as ``name``, on random rays at exponent p (3 when
+    None), the pinned ray first.  The name is looked up at each call, so a rebinding of
+    it (a tracer's, say) reaches the search."""
 
     def sample(rng, p):
         S = LpSpace(3, 3.0 if p is None else p)
         return (Ray(S.zero(), S.point(rng.normal(size=3) * 20.0)),)
 
     def holds(K):
-        w = search(K)
+        w = globals()[name](K)
         return None if w is None or not w.revalidate() else {"witness": _witness_json(w)}
 
-    def pinned(p, seed):
+    def pinned(p):
         return [(_pinned_ray(p)[1],)]
 
     return Property(sample, holds, pinned, seeks_witness=True)
@@ -462,7 +465,7 @@ def _generalized_double_duality(K, inside, outside):
 
 def _sample_cone_pair(rng, p):
     S = _random_space(rng, p, dims=(2, 7))
-    return [_pointed_cone(rng, S), _pointed_cone(rng, S)], int(rng.integers(10**9))
+    return ([_pointed_cone(rng, S), _pointed_cone(rng, S)],)
 
 
 _PLANE_PAIR = (np.eye(2), [(1.0, 1.0), (-1.0, 1.0)])
@@ -474,24 +477,23 @@ _R4_PAIR = (
 )
 
 
-def _pinned_families(p, seed):
+def _pinned_families(p):
     """Plane, space and R^4 pairs and a three-cone family, unweighted: weights cancel here."""
     out = []
-    for k, family in enumerate((_PLANE_PAIR, _SPACE_PAIR, (*_SPACE_PAIR, _THIRD_CONE), _R4_PAIR)):
+    for family in (_PLANE_PAIR, _SPACE_PAIR, (*_SPACE_PAIR, _THIRD_CONE), _R4_PAIR):
         S = LpSpace(len(family[1][0]), p)
-        cones = [FinitelyGeneratedCone(S.zero(), [S.point(g) for g in gens]) for gens in family]
-        out.append((cones, seed + 81 + k))
+        out.append(([FinitelyGeneratedCone(S.zero(), [S.point(g) for g in gens]) for gens in family],))
     return out
 
 
-def _intersection_dual_union(cones, _seed):
+def _intersection_dual_union(cones):
     rep = intersection_dual_check_family(cones, tol=1e-8)
     if rep.ok and rep.forward_margin <= 1e-8 and rep.backward_residual <= 1e-8:
         return None
     return {"forward": rep.forward_margin, "backward": rep.backward_residual}
 
 
-def _dual_vision_identity(gens, vertex, _x, _t, _seed):
+def _dual_vision_identity(gens, vertex, _x, _t):
     rep = dual_vision_identity_check(FinitelyGeneratedCone(vertex, gens))
     return None if rep.ok else {"disagreements": rep.disagreements}
 
@@ -543,8 +545,8 @@ _PROPERTIES = {
     "metric-projection-homogeneity": Property(_sample_cone_case, _homogeneity),
     "generalized-projection-vi": Property(_sample_set_case, _generalized_projection_vi),
     "generalized-projection-fixed-members": Property(_sample_set_case, _generalized_fixed_member),
-    "metric-dual-convexity": _witness_search(probe_nonconvexity_metric_dual),
-    "metric-double-dual-gap": _witness_search(metric_double_dual_violation),
+    "metric-dual-convexity": _witness_search("probe_nonconvexity_metric_dual"),
+    "metric-double-dual-gap": _witness_search("metric_double_dual_violation"),
     "generalized-double-duality": Property(_sample_cone_and_points, _generalized_double_duality),
     "intersection-dual-union": Property(
         _sample_cone_pair, _intersection_dual_union, _pinned_families
@@ -561,7 +563,7 @@ _PROPERTIES = {
 # check 01: duality-map values on two pinned vectors
 
 
-def check_duality_map_regression(seed: int = 0, force_p: float | None = None) -> CheckRecord:
+def check_duality_map_regression(seed: int = 0) -> CheckRecord:
     S = LpSpace(3, 3.0)
     jx = duality_map(S.point(_PINNED_PAIR[0]))
     want_x = np.array([9.0, -4.0, -1.0]) * 36.0 ** (-1.0 / 3.0)
@@ -583,7 +585,7 @@ def check_duality_map_regression(seed: int = 0, force_p: float | None = None) ->
 # check 02: identity sweep over random weighted spaces
 
 
-def check_duality_identity_sweep(seed: int = 0, force_p: float | None = None) -> CheckRecord:
+def check_duality_identity_sweep(seed: int = 0) -> CheckRecord:
     exponents = [p for p in (1.5, 2.0, 3.0, 4.0) for _ in range(250)]
     return _record(
         "02-duality-identity-sweep",
@@ -600,19 +602,15 @@ def check_duality_identity_sweep(seed: int = 0, force_p: float | None = None) ->
 _SEARCH_BATCH = 2
 
 
-def check_metric_dual_cone_nonconvexity(seed: int = 0, force_p: float | None = None) -> CheckRecord:
-    cid = "03-metric-dual-cone-nonconvexity"
-    p = 3.0 if force_p is None else float(force_p)
-    run = _batch("metric-dual-convexity", _rng(seed, 3), (p,) * _SEARCH_BATCH, seed, p)
-    if p == 2.0:
-        return _record(
-            cid,
-            "metric dual cone convex-combination probe at exponent 2 finds nothing",
-            notes=(_NO_WITNESS_NOTE,),
-            runs=[run],
-        )
+def _contrast_runs(name: str, check: int, seed: int) -> list[_Run]:
+    """Witness search ``name`` at exponent 3, then at 2, from check ``check``'s one generator."""
+    rng = _rng(seed, check)
+    return [_batch(name, rng, (q,) * _SEARCH_BATCH, q) for q in (3.0, 2.0)]
 
-    S, K = _pinned_ray(p)
+
+def check_metric_dual_cone_nonconvexity(seed: int = 0) -> CheckRecord:
+    runs = _contrast_runs("metric-dual-convexity", 3, seed)
+    S, K = _pinned_ray(3.0)
     u = S.point(_RAY_DIR)
     x = S.point(_PINNED_PAIR[0])
     y = S.point(_PINNED_PAIR[1])
@@ -625,7 +623,7 @@ def check_metric_dual_cone_nonconvexity(seed: int = 0, force_p: float | None = N
     violation = -pair(duality_map(h), u)
     target = -_ESCAPE_MARGIN
 
-    margin = next((hit["witness"]["value"] for hit in run.hits if hit.get("pinned")), None)
+    margin = next((hit["witness"]["value"] for hit in runs[0].hits if hit.get("pinned")), None)
     ok = (
         members
         and escaped
@@ -635,9 +633,10 @@ def check_metric_dual_cone_nonconvexity(seed: int = 0, force_p: float | None = N
         and abs(margin - _ESCAPE_MARGIN) <= 1e-9
     )
     return _record(
-        cid,
+        "03-metric-dual-cone-nonconvexity",
         "two certified members of the metric dual cone of the pinned ray have a "
-        "convex combination that escapes with violation -14*4^(1/3) per unit coefficient",
+        "convex combination that escapes with violation -14*4^(1/3) per unit coefficient "
+        "at exponent 3, while the probe at exponent 2 finds no escape",
         ok,
         {
             "member_pairing_first": pair_x,
@@ -646,7 +645,8 @@ def check_metric_dual_cone_nonconvexity(seed: int = 0, force_p: float | None = N
             "violation_target": target,
             "witness_margin": margin,
         },
-        runs=[run],
+        notes=[_NO_WITNESS_NOTE for run in runs if not run.hits],
+        runs=runs,
     )
 
 
@@ -654,31 +654,19 @@ def check_metric_dual_cone_nonconvexity(seed: int = 0, force_p: float | None = N
 # check 04: metric double dualization does not recover the ray
 
 
-def check_metric_double_dual_gap(seed: int = 0, force_p: float | None = None) -> CheckRecord:
-    p = 3.0 if force_p is None else float(force_p)
-    rng = _rng(seed, 4)
-    # at the check's exponent, then at 2; once when they coincide
-    runs = [
-        _batch("metric-double-dual-gap", rng, (q,) * _SEARCH_BATCH, seed, q)
-        for q in dict.fromkeys((p, 2.0))
-    ]
-    values: dict = {}
-    main_ok = True
-    if p != 2.0:
-        S, K = _pinned_ray(p)
-        u = S.point(_RAY_DIR)
-        x = S.point(_PINNED_PAIR[0])
-        direct = pair(duality_map(u), x)
-        margin = next((hit["witness"]["value"] for hit in runs[0].hits if hit.get("pinned")), None)
-        values = {"pair_ju_with_minus_x": -direct, "witness_margin": margin}
-        main_ok = member_metric_dual(K, x) and (-direct) < -1e-6 and margin is not None
-
+def check_metric_double_dual_gap(seed: int = 0) -> CheckRecord:
+    runs = _contrast_runs("metric-double-dual-gap", 4, seed)
+    S, K = _pinned_ray(3.0)
+    u = S.point(_RAY_DIR)
+    x = S.point(_PINNED_PAIR[0])
+    direct = pair(duality_map(u), x)
+    margin = next((hit["witness"]["value"] for hit in runs[0].hits if hit.get("pinned")), None)
     return _record(
         "04-metric-double-dual-gap",
         "a certified dual-cone member separates the pinned ray from its metric "
         "double dual at exponent 3, while the search at exponent 2 finds no gap",
-        main_ok,
-        values,
+        member_metric_dual(K, x) and (-direct) < -1e-6 and margin is not None,
+        {"pair_ju_with_minus_x": -direct, "witness_margin": margin},
         notes=[_NO_WITNESS_NOTE for run in runs if not run.hits],
         runs=runs,
     )
@@ -688,30 +676,21 @@ def check_metric_double_dual_gap(seed: int = 0, force_p: float | None = None) ->
 # check 05: cone projection identities
 
 
-def check_cone_projection_identities(seed: int = 0, force_p: float | None = None) -> CheckRecord:
-    cid = "05-cone-projection-identities"
+def check_cone_projection_identities(seed: int = 0) -> CheckRecord:
     rng = _rng(seed, 5)
-    p = 3.0 if force_p is None else float(force_p)
-    values: dict = {}
-    notes = []
-
-    if p == 2.0:
-        main_ok = True
-        notes.append("identity defect absent (expected at p=2)")
-    else:
-        S, K = _pinned_ray(p)
-        w = S.point([-28.0, -35.0, -76.0])
-        res = metric_project(K, w)
-        d = np.asarray(_RAY_DIR)
-        t_star = float(np.dot(res.point.coords, d) / np.dot(d, d))
-        delta = hilbert_identity_violation(K, w)
-        values = {"t_star": t_star, "vi_residual": res.vi_residual, "identity_defect": delta}
-        main_ok = (
-            res.converged
-            and abs(t_star - 1.0) <= 1e-6
-            and res.vi_residual <= 1e-9
-            and delta < -1e-3
-        )
+    S, K = _pinned_ray(3.0)
+    w = S.point([-28.0, -35.0, -76.0])
+    res = metric_project(K, w)
+    d = np.asarray(_RAY_DIR)
+    t_star = float(np.dot(res.point.coords, d) / np.dot(d, d))
+    delta = hilbert_identity_violation(K, w)
+    values = {"t_star": t_star, "vi_residual": res.vi_residual, "identity_defect": delta}
+    main_ok = (
+        res.converged
+        and abs(t_star - 1.0) <= 1e-6
+        and res.vi_residual <= 1e-9
+        and delta < -1e-3
+    )
 
     homogeneity = _batch("metric-projection-homogeneity", rng, (1.5,) * 50 + (3.0,) * 50)
 
@@ -729,13 +708,12 @@ def check_cone_projection_identities(seed: int = 0, force_p: float | None = None
     values["worst_p2_identity_defect"] = worst_p2
 
     return _record(
-        cid,
+        "05-cone-projection-identities",
         "projection onto the pinned ray lands on its generator with a certified "
         "residual, the inner-product identity defect is strictly negative at "
         "exponent 3 and vanishes at exponent 2, and projection is positively homogeneous",
         main_ok and worst_p2 <= 1e-8,
         values,
-        notes=notes,
         runs=[homogeneity],
     )
 
@@ -790,7 +768,7 @@ def _oracle_line_minima(x, base, direction, p, weights, bounded) -> np.ndarray:
     return np.minimum.reduce([f(a), fc, fd, f(b)])
 
 
-def check_projection_solver_oracle(seed: int = 0, force_p: float | None = None) -> CheckRecord:
+def check_projection_solver_oracle(seed: int = 0) -> CheckRecord:
     rng = _rng(seed, 6)
     cases, objectives = [], []  # each certified instance and its solver objective
     for p in (1.5, 3.0):
@@ -858,7 +836,7 @@ def check_projection_solver_oracle(seed: int = 0, force_p: float | None = None) 
 # check 07: generalized double duality on random cones
 
 
-def check_generalized_double_duality(seed: int = 0, force_p: float | None = None) -> CheckRecord:
+def check_generalized_double_duality(seed: int = 0) -> CheckRecord:
     # 20 cones, each with 5 sampled members and 5 outsiders
     exponents = [(1.5, 2.0, 3.0)[c % 3] for c in range(20)]
     return _record(
@@ -874,13 +852,13 @@ def check_generalized_double_duality(seed: int = 0, force_p: float | None = None
 # check 08: dual of an intersection versus hull of the union of duals
 
 
-def check_intersection_dual_union(seed: int = 0, force_p: float | None = None) -> CheckRecord:
+def check_intersection_dual_union(seed: int = 0) -> CheckRecord:
     rng = _rng(seed, 8)
     return _record(
         "08-intersection-dual-union",
         "the generalized dual of an intersection equals the closed conic hull "
         "of the union of duals, on plane and space cone pairs and a three-cone family",
-        runs=[_batch("intersection-dual-union", rng, (p,), seed, p) for p in (2.0, 3.0)],
+        runs=[_batch("intersection-dual-union", rng, (p,), p) for p in (2.0, 3.0)],
     )
 
 
@@ -888,7 +866,7 @@ def check_intersection_dual_union(seed: int = 0, force_p: float | None = None) -
 # check 09: pinned face computations
 
 
-def check_face_examples(seed: int = 0, force_p: float | None = None) -> CheckRecord:
+def check_face_examples(seed: int = 0) -> CheckRecord:
     S = LpSpace(3, 3.0)
     C = Ray(S.zero(), S.point([25.0, 37.0, 77.0]))
     whole = face(C, S.functional([-9.0, 4.0, 1.0]))
@@ -953,7 +931,7 @@ def check_face_examples(seed: int = 0, force_p: float | None = None) -> CheckRec
 # check 10: ball classification and sphere visions
 
 
-def check_ball_classification(seed: int = 0, force_p: float | None = None) -> CheckRecord:
+def check_ball_classification(seed: int = 0) -> CheckRecord:
     rng = _rng(seed, 10)
     classified = _batch("ball-classification", rng, (1.5,) * 500 + (3.0,) * 500)
     r = 2.0
@@ -989,7 +967,7 @@ def check_ball_classification(seed: int = 0, force_p: float | None = None) -> Ch
 # check 11: fixed-point equivalences and the dual-cone/vision identity
 
 
-def check_fixed_point_and_dual_vision(seed: int = 0, force_p: float | None = None) -> CheckRecord:
+def check_fixed_point_and_dual_vision(seed: int = 0) -> CheckRecord:
     rng = _rng(seed, 11)
     return _record(
         "11-fixed-point-and-dual-vision",
@@ -1008,35 +986,31 @@ def check_fixed_point_and_dual_vision(seed: int = 0, force_p: float | None = Non
 # check 12: primal visions form a nonconvex set at p != 2
 
 
-def check_primal_vision_nonconvexity(seed: int = 0, force_p: float | None = None) -> CheckRecord:
-    cid = "12-primal-vision-nonconvexity"
-    p = 3.0 if force_p is None else float(force_p)
-    S = LpSpace(3, p)
-    y = S.point([25.0, 37.0, 77.0])
+def _hilbert_vision_escapes() -> tuple[int, int]:
+    """(candidates, escapes) of the primal vision of the pinned segment endpoint at exponent 2.
+
+    The primal vision of y on [0, y] is {u : <J u, y> >= 0}, the metric dual
+    cone of the pinned ray, which runs through -y.  So its members are built
+    from that ray's polar (``cones._polar_members``), not drawn.  Each member,
+    and each ``_LAMBDAS`` combination of two of the unit-generator members,
+    must see y; an escape is one that does not.
+    """
+    S, K = _pinned_ray(2.0)
+    y = S.point(_SEGMENT_END)
     C = Segment(S.zero(), y)
+    members = _polar_members(K)
+    a, b = np.triu_indices(len(K._polar), k=1)
+    lam = _LAMBDAS[:, None, None]
+    mixes = (lam * members[a] + (1.0 - lam) * members[b]).reshape(-1, S.n)
+    candidates = np.vstack([members, mixes])
+    escapes = sum(not vision_primal_member(C, y, S.point(u)) for u in candidates)
+    return len(candidates), escapes
 
-    if p == 2.0:
-        rng = _rng(seed, 12)
-        escapes = 0
-        found = 0
-        while found < 200:
-            u1 = S.point(rng.normal(size=3) * 3.0)
-            u2 = S.point(rng.normal(size=3) * 3.0)
-            if not (vision_primal_member(C, y, u1) and vision_primal_member(C, y, u2)):
-                continue
-            found += 1
-            for lam in (0.25, 0.5, 2.0 / 3.0, 0.75):
-                h = lam * u1 + (1.0 - lam) * u2
-                if not vision_primal_member(C, y, h):
-                    escapes += 1
-        return _record(
-            cid,
-            "convex combinations of primal-vision members stay members at exponent 2",
-            escapes == 0,
-            {"member_pairs": found, "escapes": escapes},
-            notes=(_NO_WITNESS_NOTE,),
-        )
 
+def check_primal_vision_nonconvexity(seed: int = 0) -> CheckRecord:
+    S = LpSpace(3, 3.0)
+    y = S.point(_SEGMENT_END)
+    C = Segment(S.zero(), y)
     x = S.point(_PINNED_PAIR[0])
     z = S.point(_PINNED_PAIR[1])
     h = (2.0 / 3.0) * x + (1.0 / 3.0) * z
@@ -1054,12 +1028,21 @@ def check_primal_vision_nonconvexity(seed: int = 0, force_p: float | None = None
         and vision_conjugation_check(C, y, x)
         and not vision_conjugation_check(C, y, h)
     )
+    candidates, escapes = _hilbert_vision_escapes()
     return _record(
-        cid,
+        "12-primal-vision-nonconvexity",
         "two points that see the pinned segment endpoint combine to one that "
-        "does not, with the expected pairing signs",
-        ok,
-        {"pairing_first": px, "pairing_second": pz, "pairing_combination": ph},
+        "does not, with the expected pairing signs, at exponent 3, while at exponent 2 "
+        "every built member of its vision and their convex combinations see it",
+        ok and escapes == 0,
+        {
+            "pairing_first": px,
+            "pairing_second": pz,
+            "pairing_combination": ph,
+            "p2_candidates": candidates,
+            "p2_escapes": escapes,
+        },
+        notes=() if escapes else (_NO_WITNESS_NOTE,),
     )
 
 
@@ -1069,21 +1052,11 @@ def check_primal_vision_nonconvexity(seed: int = 0, force_p: float | None = None
 _CHECKS = tuple(globals()[name] for name in __all__ if name.startswith("check_"))
 
 
-def run_verification_suite(seed: int = 0, force_p: float | None = None) -> SuiteReport:
+def run_verification_suite(seed: int = 0) -> SuiteReport:
     """Run all twelve checks and aggregate a deterministic report."""
-    if force_p is not None and float(force_p) not in (2.0, 3.0):
-        raise ValueError("force_p must be 2 or 3: the pinned closed forms hold only there")
     t0 = time.perf_counter()
-    records = sorted(
-        (fn(seed=seed, force_p=force_p) for fn in _CHECKS), key=lambda r: r.check_id
-    )
-    return SuiteReport(
-        "verification",
-        int(seed),
-        tuple(records),
-        time.perf_counter() - t0,
-        None if force_p is None else float(force_p),
-    )
+    records = sorted((fn(seed=seed) for fn in _CHECKS), key=lambda r: r.check_id)
+    return SuiteReport("verification", int(seed), tuple(records), time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -1096,16 +1069,19 @@ def fuzz_target_ids() -> tuple[str, ...]:
 
 def run_fuzz(target: str, trials: int = 200, seed: int = 0, p: float | None = None) -> SuiteReport:
     """Fuzz one named property: its pinned instances at ``p`` (3 when None),
-    then ``trials`` draws; deterministic given the seed."""
+    then ``trials`` draws; deterministic given the seed.  A run of no draws tests
+    nothing on most targets, so ``trials`` below 1 is refused."""
     if target not in _PROPERTIES:
         raise ValueError(
             f"unknown fuzz target {target!r}; known: {', '.join(fuzz_target_ids())}"
         )
+    if int(trials) < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     prop = _PROPERTIES[target]
     index = fuzz_target_ids().index(target)
     pp = p if p is not None else 3.0
     t0 = time.perf_counter()
-    run = _test(prop, ((_rng(seed, index, t), p) for t in range(int(trials))), pp, seed)
+    run = _test(prop, ((_rng(seed, index, t), p) for t in range(int(trials))), pp)
 
     notes = []
     if prop.seeks_witness and pp != 2.0:
@@ -1127,4 +1103,4 @@ def run_fuzz(target: str, trials: int = 200, seed: int = 0, p: float | None = No
         tuple(notes),
         tuple(run.hits[:8]),
     )
-    return SuiteReport("fuzz", int(seed), (record,), time.perf_counter() - t0, p)
+    return SuiteReport("fuzz", int(seed), (record,), time.perf_counter() - t0)

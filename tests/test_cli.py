@@ -296,7 +296,11 @@ def test_unknown_fuzz_target_is_an_error(capsys):
 
 @pytest.mark.parametrize(
     "argv", [["verify", "--tol", "1"], ["verify", "--trials", "5"],
-             ["fuzz", "--target", "set-sampling", "--tol", "1"]]
+             ["fuzz", "--target", "set-sampling", "--tol", "1"],
+             # a single operation's tolerance is its document's tol field, which the schema checks
+             *([op, "--tol", "1e-9"] for op in ("project", "gproject", "face", "vision", "classify")),
+             ["face", "--tol", "-1"],
+             ["dualcone", "--kind", "metric", "--check", "member", "--tol", "nan"]]
 )
 def test_suite_commands_take_no_tolerance_or_verify_trials(argv):
     with pytest.raises(SystemExit) as exc:
@@ -304,10 +308,30 @@ def test_suite_commands_take_no_tolerance_or_verify_trials(argv):
     assert exc.value.code == 2
 
 
-def test_verify_forces_only_exponents_two_and_three():
+def test_face_tolerance_comes_from_the_document_alone(tmp_path, capsys):
+    doc = {"operation": "face", "space": {"n": 2, "p": 3},
+           "set": {"type": "ray", "vertex": [0, 0], "direction": [1, 0]}, "functional": [0, 1]}
+    code, out = _run(capsys, ["face", "--input", _write(tmp_path, doc), "--json"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["kind"], result["level"]) == ("whole-set", 0.0)
+    code, _ = _run(capsys, ["face", "--input", _write(tmp_path, {**doc, "tol": -1})])
+    assert code == 2
+
+
+def test_verify_takes_no_exponent():
+    # every contrast check runs both exponents in the one configuration
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--p", "4"])
+        main(["verify", "--p", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_fuzz_refuses_a_run_of_no_draws(capsys, trials):
+    # run_fuzz raises ValueError: most targets have no pinned instance, so no draws would test nothing
+    code = main(["fuzz", "--target", "set-sampling", "--trials", trials])
+    assert code == 2
+    assert "trials" in capsys.readouterr().err
 
 
 def test_fuzz_run_emits_a_valid_report(capsys):

@@ -272,7 +272,7 @@ def test_hull_combinations_obey_every_intersection_inequality():
     # stacked polar generators, lam ~ U[0, 2], pairs with each intersection generator g
     # to at most sum(lam) tol scale, which the exact forward margin already bounds
     rng = np.random.default_rng(18)
-    families = [cones for p in (2.0, 3.0) for cones, _ in _pinned_families(p, 0)]
+    families = [cones for p in (2.0, 3.0) for (cones,) in _pinned_families(p)]
     families += [_sample_cone_pair(rng, p)[0] for p in (2.0, 3.0) * 50]
     tol = 1e-8
     for cones in families:

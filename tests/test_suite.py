@@ -1,12 +1,14 @@
-"""Suite-level semantics: determinism, forced exponent 2, fuzz plumbing."""
+"""Suite-level semantics: determinism, the exponent-2 halves, fuzz plumbing."""
 
+import numpy as np
 import pytest
 from _oracles import assert_schema_valid
 
 import lpgeom.suite as suite
+from lpgeom import Segment, member_metric_dual, vision_primal_member
 from lpgeom.suite import _PROPERTIES, _rng, fuzz_target_ids, run_fuzz, run_verification_suite
 
-# (check id, claim) of the twelve checks, as the suite has always stated them
+# (check id, claim) of the twelve checks, as the suite states them
 CLAIMS = [
     ("01-duality-map-regression",
      "duality map at exponent 3 reproduces both pinned vector images to 1e-12"),
@@ -15,7 +17,8 @@ CLAIMS = [
      "random weighted spaces at exponents 1.5, 2, 3, 4"),
     ("03-metric-dual-cone-nonconvexity",
      "two certified members of the metric dual cone of the pinned ray have a convex combination "
-     "that escapes with violation -14*4^(1/3) per unit coefficient"),
+     "that escapes with violation -14*4^(1/3) per unit coefficient at exponent 3, while the "
+     "probe at exponent 2 finds no escape"),
     ("04-metric-double-dual-gap",
      "a certified dual-cone member separates the pinned ray from its metric double dual at "
      "exponent 3, while the search at exponent 2 finds no gap"),
@@ -45,7 +48,8 @@ CLAIMS = [
      "matches face membership of the shifted functional"),
     ("12-primal-vision-nonconvexity",
      "two points that see the pinned segment endpoint combine to one that does not, with the "
-     "expected pairing signs"),
+     "expected pairing signs, at exponent 3, while at exponent 2 every built member of its "
+     "vision and their convex combinations see it"),
 ]
 
 
@@ -89,20 +93,43 @@ def test_suite_is_deterministic_for_a_seed():
     assert a == b
 
 
-def test_forcing_exponent_two_degrades_gracefully():
-    rep = run_verification_suite(seed=0, force_p=2.0)
+def test_default_report_carries_the_exponent_two_results():
+    # each contrast check tests its Hilbert-space half in the one default run
+    rep = run_verification_suite(seed=0)
     assert rep.ok
     assert_schema_valid(rep.to_json(), "report.schema.json")
-    noted = [r for r in rep.records if any("expected at p=2" in n for n in r.notes)]
-    assert len(noted) >= 3
+    assert set(rep.to_json()) == {"tool", "version", "kind", "seed", "records", "summary",
+                                  "elapsed_seconds"}
+    by_id = {r.check_id[:2]: r for r in rep.records}
+    noted = {cid for cid, r in by_id.items() if "no witness (expected at p=2)" in r.notes}
+    assert {"03", "04", "12"} <= noted
+    # both witness searches ran at exponent 3 and at exponent 2, two random rays each
+    assert by_id["03"].values["trials"] == by_id["04"].values["trials"] == 4
+    assert by_id["12"].values["p2_candidates"] > 0
+    assert by_id["12"].values["p2_escapes"] == 0
 
 
-def test_force_p_must_be_smooth():
-    with pytest.raises(ValueError):
-        run_verification_suite(force_p=1.0)
-    # smooth but unpinned: checks 03, 05 and 12 hold only at exponents 2 and 3
-    with pytest.raises(ValueError, match="2 or 3"):
-        run_verification_suite(force_p=4.0)
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_primal_vision_of_the_segment_end_is_the_pinned_rays_metric_dual_cone(p):
+    # why check 12 may build its exponent-2 candidates from the pinned ray's polar
+    S, K = suite._pinned_ray(p)
+    y = S.point(suite._SEGMENT_END)
+    C = Segment(S.zero(), y)
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        u = S.point(rng.normal(size=3) * 3.0)
+        assert vision_primal_member(C, y, u) == member_metric_dual(K, u)
+
+
+def test_exponent_two_vision_half_is_built_not_drawn(monkeypatch):
+    # no generator is made for check 12, and its exponent-2 candidates do not move with the seed
+    def no_rng(*_):
+        raise AssertionError("check 12 drew from a generator")
+
+    monkeypatch.setattr(suite, "_rng", no_rng)
+    a = suite.check_primal_vision_nonconvexity(seed=0)
+    b = suite.check_primal_vision_nonconvexity(seed=7)
+    assert a.status == "pass" and a == b
 
 
 def test_unknown_fuzz_target_raises():
