@@ -59,7 +59,6 @@ from .faces import (
     face_membership,
     vision_dual_member,
     vision_primal_member,
-    vision_conjugation_check,
     ClassifyResult,
     classify_point,
     FixedPointReport,
@@ -111,7 +110,6 @@ __all__ = [
     "face_membership",
     "vision_dual_member",
     "vision_primal_member",
-    "vision_conjugation_check",
     "ClassifyResult",
     "classify_point",
     "FixedPointReport",

@@ -7,7 +7,8 @@ numbers ride through ``json`` with shortest round-trip formatting, so a
 document read back reproduces the exact floats.  The package's own
 validator, ``_schemacheck``, does both checks; it implements just the
 keywords the three schemas use, so no command imports jsonschema.  Exit
-codes: 0 all pass, 1 a check failed, 2 usage or schema error.
+codes: 0 all pass, 1 a check failed, 2 usage or schema error, 3 any other
+exception, which ``--json`` reports in a result document of status "error".
 
 A single operation's tolerance is the document's ``tol`` field, which the
 schema keeps positive; no command takes a ``--tol`` option.  ``verify``
@@ -37,7 +38,7 @@ from .cones import (
     probe_nonconvexity_metric_dual,
 )
 from .encoding import TOOLKIT_VERSION, _jsonable, _witness_json
-from .faces import classify_point, face, vision_conjugation_check, vision_dual_member
+from .faces import classify_point, face, vision_dual_member, vision_primal_member
 from .projections import SolverOptions, generalized_project, metric_project
 from .sets import Ball, FinitelyGeneratedCone, Line, Polytope, Ray, Segment, Subspace
 from .spaces import LpSpace
@@ -180,9 +181,8 @@ def _op_vision(space, doc, tol):
     if has_dual:
         member = vision_dual_member(C, y, space.functional(doc["functional"]), tol=tol)
         return {"member": bool(member), "route": "dual"}, "pass"
-    u = space.point(doc["probe_point"])
-    member = vision_conjugation_check(C, y, u, tol=tol)
-    return {"member": bool(member), "route": "primal", "routes_agree": True}, "pass"
+    member = vision_primal_member(C, y, space.point(doc["probe_point"]), tol=tol)
+    return {"member": bool(member), "route": "primal"}, "pass"
 
 
 def _op_classify(space, doc, tol):
@@ -367,6 +367,13 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"check failure: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a defect, not a verdict on the input
+        error = {"exception": type(exc).__name__, "message": str(exc)}
+        print(f"unexpected {error['exception']} in {args.command}: {exc}", file=sys.stderr)
+        if args.json:
+            doc = {"tool": "lpgeom", "version": TOOLKIT_VERSION, "operation": args.command, "status": "error"}
+            _emit(args, {**doc, "result": error}, "result.schema.json", [], False)
+        return 3
 
 
 if __name__ == "__main__":

@@ -20,13 +20,14 @@ the radius.  A polyhedral set looks for a nonzero c with <w_j, c> <= 0
 on the difference directions w_j at y: a null vector when the cone of
 such c holds a line, otherwise one nonnegative least-squares fit by
 Stiemke's alternative, in any dimension.  Every witness is checked once
-more here, by face membership.  Nothing here draws samples: the
-dual-vision identity is checked on the polar cone's generators.
+more here, by the face: a point already fitted is not fitted again.  The
+second route to a primal vision is ``fixed_point_check``.  Nothing here
+draws samples: the dual-vision identity is checked on the polar cone's
+generators.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,6 @@ __all__ = [
     "face_membership",
     "vision_dual_member",
     "vision_primal_member",
-    "vision_conjugation_check",
     "ClassifyResult",
     "classify_point",
     "FixedPointReport",
@@ -85,18 +85,20 @@ def face(C: ConvexSet, psi: DualVec, tol: float = 1e-9) -> FaceDescription:
     return FaceDescription(*C._face(psi, tol))
 
 
-def _attains(psi: DualVec, y: PrimalVec, level: float, tol: float) -> bool:
-    """Whether <psi, y> reaches ``level`` within tol (1 + |level| + |psi| |y|), in Euclidean norms."""
-    scale = tol * (1.0 + abs(level) + float(np.linalg.norm(psi.coords)) * float(np.linalg.norm(y.coords)))
-    return pair(psi, y) >= level - scale
+def _attains(C: ConvexSet, psi: DualVec, y: PrimalVec, tol: float) -> bool:
+    """Whether the member y reaches the face of psi on C, within tol (1 + |level| + |psi| |y|)."""
+    desc = face(C, psi, tol)
+    if desc.kind == "empty":
+        return False
+    scale = tol * (1.0 + abs(desc.level) + float(np.linalg.norm(psi.coords)) * float(np.linalg.norm(y.coords)))
+    return pair(psi, y) >= desc.level - scale
 
 
 def face_membership(C: ConvexSet, psi: DualVec, y: PrimalVec, tol: float = 1e-9) -> bool:
     """Whether the member y attains the supremum of psi on C."""
     if not C.contains(y, max(tol, 1e-9)):
         raise ValueError("y is not a member of the set")
-    desc = face(C, psi, tol)
-    return desc.kind != "empty" and _attains(psi, y, desc.level, tol)
+    return _attains(C, psi, y, tol)
 
 
 def vision_dual_member(C: ConvexSet, y: PrimalVec, psi: DualVec, tol: float = 1e-9) -> bool:
@@ -107,24 +109,6 @@ def vision_dual_member(C: ConvexSet, y: PrimalVec, psi: DualVec, tol: float = 1e
 def vision_primal_member(C: ConvexSet, y: PrimalVec, u: PrimalVec, tol: float = 1e-9) -> bool:
     """Whether u sees y through the duality map: y lies in the face of J(u)."""
     return face_membership(C, duality_map(u), y, tol)
-
-
-def vision_conjugation_check(C: ConvexSet, y: PrimalVec, u: PrimalVec, tol: float = 1e-9) -> bool:
-    """Primal and dual vision memberships must agree through J; returns the verdict.
-
-    The primal route reads whether y lies in the face of J(u) from
-    ``face``.  The dual route asks whether <J(u), y> reaches the support
-    function of C at J(u), within the slack ``face_membership`` allows
-    (``_attains``); both routes count a direction as flat by the same
-    unit-pairing rule.  Disagreement raises.
-    """
-    primal = vision_primal_member(C, y, u, tol)
-    psi = duality_map(u)
-    level = C.support(psi, tol)
-    dual = math.isfinite(level) and _attains(psi, y, level, tol)
-    if primal != dual:
-        raise RuntimeError("vision routes disagree through the duality map")
-    return primal
 
 
 @dataclass(frozen=True)
@@ -145,8 +129,8 @@ def classify_point(C: ConvexSet, y: PrimalVec, tol: float = 1e-9) -> ClassifyRes
     psi, method = C._supporting_functional(y, tol)
     if psi is None:
         return ClassifyResult("internal", None, method)
-    # second route: the witness must put y in its own face
-    if not face_membership(C, psi, y, max(tol, 1e-7)):
+    # second route: the witness must put y, fitted above, in its own face
+    if not _attains(C, psi, y, max(tol, 1e-7)):
         raise RuntimeError("classification witness does not support the set at the point")
     return ClassifyResult("cuticle", psi, method)
 
@@ -251,6 +235,6 @@ def dual_vision_identity_check(K, tol: float = 1e-9) -> DualVisionIdentityReport
     disagreements = 0
     for c, member in cases:
         psi = jv + DualVec(space.dual(), c / space.weights)
-        sides = (member_generalized_dual(K, psi, tol), face_membership(K, psi - jv, v, tol))
+        sides = (member_generalized_dual(K, psi, tol), _attains(K, psi - jv, v, tol))
         disagreements += sides != (member, member)
     return DualVisionIdentityReport(len(cases), disagreements, disagreements == 0)

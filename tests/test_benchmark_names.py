@@ -3,18 +3,22 @@
 ``perfbench/spans.py`` wraps every entry of its ``FUNCTIONS`` and ``METHODS``
 lists with ``getattr``, so a renamed or deleted function crashes every
 traced benchmark run, and ``perfbench/run.py`` refuses a ``verify`` round
-that is not one call per check and per fuzz target.  Both files are only
-read here.
+that is not one call per check and per fuzz target.  ``BENCHMARK.json``
+names a per-trial metric for each fuzz target, so a target id is part of
+the benchmark too.  These files are only read here.
 """
 
 import importlib.util
+import json
 import os
+import re
 import sys
 
 from lpgeom import fuzz_target_ids
 from lpgeom.suite import _CHECKS
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def _load(name):
@@ -38,3 +42,11 @@ def test_a_verify_round_is_one_call_per_check_and_fuzz_target():
     run = _load("run")
     assert len(_CHECKS) == 12
     assert len(_CHECKS) + len(fuzz_target_ids()) == run.ROUND_SIZE["verify"]
+
+
+def test_every_benchmarked_fuzz_target_exists():
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        names = [metric["name"] for metric in json.load(fh)["per_layer"]]
+    targets = [m.group(1) for m in map(re.compile(r"suite\.fuzz\.(.+)_ms_per_trial").fullmatch, names) if m]
+    assert targets
+    assert sorted(set(targets) - set(fuzz_target_ids())) == []

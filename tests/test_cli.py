@@ -107,7 +107,7 @@ def test_face_unbounded_level_encodes_as_null(tmp_path, capsys):
     assert result["kind"] == "empty"
 
 
-def test_vision_primal_route_reports_agreement(tmp_path, capsys):
+def test_vision_primal_route_answers_through_the_face_of_the_image(tmp_path, capsys):
     doc = {
         "operation": "vision",
         "space": {"n": 3, "p": 3},
@@ -118,7 +118,7 @@ def test_vision_primal_route_reports_agreement(tmp_path, capsys):
     code, out = _run(capsys, ["vision", "--input", _write(tmp_path, doc), "--json"])
     assert code == 0
     result = json.loads(out)["result"]
-    assert result == {"member": True, "route": "primal", "routes_agree": True}
+    assert result == {"member": True, "route": "primal"}
 
 
 def test_vision_needs_exactly_one_probe(tmp_path, capsys):
@@ -392,6 +392,45 @@ def test_packaged_schemas_are_valid_draft_2020_12():
     assert names == ["problem.schema.json", "report.schema.json", "result.schema.json"]
     for name in names:
         jsonschema.Draft202012Validator.check_schema(packaged_schema(name))
+
+
+# schema-valid, but the duality map at p = 200 overflows a float
+_P200_CONE_PROBLEM = {
+    "operation": "project",
+    "space": {"n": 3, "p": 200},
+    "set": {
+        "type": "cone",
+        "vertex": [0, 0, 0],
+        "generators": [[-1.278, 0.63, 0.581], [1.295, -0.755, 1.689], [-0.287, 1.574, -0.433]],
+    },
+    "point": [-1.471, 0.5, 2.063],
+}
+
+
+def test_an_unexpected_exception_exits_3_with_an_error_document(tmp_path, capsys):
+    path = _write(tmp_path, _P200_CONE_PROBLEM)
+    code, out = _run(capsys, ["project", "--input", path, "--json"])
+    assert code == 3
+    doc = json.loads(out)
+    assert (doc["operation"], doc["status"]) == ("project", "error")
+    assert doc["result"]["exception"] == "OverflowError"
+    assert main(["project", "--input", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "OverflowError" in captured.err and "Traceback" not in captured.err
+
+
+def test_a_report_command_names_itself_in_its_error_document(capsys, monkeypatch):
+    import lpgeom.suite
+
+    def broken(seed=0):
+        raise KeyError("no such check")
+
+    monkeypatch.setattr(lpgeom.suite, "run_verification_suite", broken)
+    assert main(["verify", "--json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert_schema_valid(doc, "result.schema.json")
+    assert (doc["operation"], doc["status"], doc["result"]["exception"]) == ("verify", "error", "KeyError")
 
 
 def test_schema_rejected_problem_exits_2(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -9,7 +8,6 @@ import numpy as np
 import pytest
 
 import _oracles
-import lpgeom.faces
 from lpgeom.cones import member_generalized_dual
 from lpgeom.faces import (
     classify_point,
@@ -18,12 +16,11 @@ from lpgeom.faces import (
     face_membership,
     fixed_point_check,
     solve_vi,
-    vision_conjugation_check,
     vision_dual_member,
     vision_primal_member,
 )
 from lpgeom.projections import generalized_project
-from lpgeom.sets import Ball, FinitelyGeneratedCone, Line, Polytope, Ray, Segment, Subspace
+from lpgeom.sets import Ball, ConvexSet, FinitelyGeneratedCone, Line, Polytope, Ray, Segment, Subspace
 from lpgeom.spaces import LpSpace, duality_map, duality_map_inv, norm, pair, window_functional
 
 
@@ -115,8 +112,8 @@ def test_only_the_zero_functional_has_the_whole_ball_as_its_face():
     assert tiny.level == pytest.approx(5e-9, rel=1e-12)
     assert ball.support(psi, tol=1e-9) == tiny.level
     assert not face_membership(ball, psi, y)
-    assert not vision_conjugation_check(ball, y, u)  # both routes say no, so it does not raise
-    assert vision_conjugation_check(ball, -y, u)
+    assert not vision_primal_member(ball, y, u)
+    assert vision_primal_member(ball, -y, u)
     zero = face(ball, S.zero_functional())
     assert (zero.kind, zero.level) == ("whole-set", 0.0)
     assert face_membership(ball, S.zero_functional(), y)
@@ -164,36 +161,6 @@ def test_segment_vision_membership_signs():
         vision_primal_member(seg, S.point([1.0, 1.0, 1.0]), x)
 
 
-def test_vision_routes_agree_through_duality():
-    rng = np.random.default_rng(71)
-    S = LpSpace(3, 1.5, weights=[0.6, 1.0, 1.8])
-    ball = Ball(S, 2.0)
-    y = 2.0 * duality_map_inv(S.functional([1.0, 0.5, -0.2]))
-    y = (2.0 / norm(y)) * y
-    for _ in range(40):
-        u = S.point(rng.normal(size=3) * 2.0)
-        assert vision_conjugation_check(ball, y, u) in (True, False)
-
-
-def test_vision_dual_route_does_not_read_the_face(monkeypatch):
-    # the dual route decides from the support function, so a face whose
-    # level is off by one makes the routes disagree
-    S = _cubic_space()
-    y = S.point([25.0, 37.0, 77.0])
-    seg = Segment(S.zero(), y)
-    x = S.point([3.0, -2.0, -1.0])
-    assert vision_conjugation_check(seg, y, x)
-    true_face = lpgeom.faces.face
-
-    def raised(C, psi, tol=1e-9):
-        desc = true_face(C, psi, tol)
-        return dataclasses.replace(desc, level=desc.level + 1.0)
-
-    monkeypatch.setattr(lpgeom.faces, "face", raised)
-    with pytest.raises(RuntimeError):
-        vision_conjugation_check(seg, y, x)
-
-
 def test_vision_routes_share_the_flat_ray_tolerance():
     # J(u) pairs 1e-17 per unit length with the ray: flat for the face and for
     # the support alike, however long the ray's direction vector is
@@ -202,7 +169,7 @@ def test_vision_routes_share_the_flat_ray_tolerance():
     for length in (1.0, 1e10):
         ray = Ray(S.zero(), S.point([length, 0.0, 0.0]))
         assert 0.0 < pair(duality_map(u), ray.direction) <= 1e-17 * length
-        assert vision_conjugation_check(ray, ray.vertex, u)
+        assert vision_primal_member(ray, ray.vertex, u)
         assert ray.support(duality_map(u), tol=1e-9) == 0.0
 
 
@@ -417,6 +384,39 @@ def test_dual_vision_identity_sides_share_one_tolerance_rule():
     assert face_membership(K, psi - duality_map(v), v) is False
 
 
+def _count_contains(monkeypatch):
+    calls, contains = [], ConvexSet.contains
+
+    def counted(self, x, tol=1e-9):
+        calls.append(x)
+        return contains(self, x, tol)
+
+    monkeypatch.setattr(ConvexSet, "contains", counted)
+    return calls
+
+
+def test_classification_fits_the_point_once(monkeypatch):
+    # the witness check takes y as the member classification has already fitted
+    S = _cubic_space()
+    K = FinitelyGeneratedCone(S.zero(), [S.point([1.0, 0.0, 0.0]), S.point([0.0, 1.0, 0.0])])
+    calls = _count_contains(monkeypatch)
+    for C, y in ((K, [2.0, 1.0, 0.0]), (K, [2.0, 0.0, 0.0]), (Ball(S, 2.0), [2.0, 0.0, 0.0])):
+        calls.clear()
+        assert classify_point(C, S.point(y)).verdict == "cuticle"
+        assert len(calls) == 1
+
+
+def test_dual_vision_identity_does_not_fit_the_vertex(monkeypatch):
+    # y is the cone's own vertex, a member by construction
+    rng = np.random.default_rng(74)
+    S = LpSpace(3, 3.0, weights=rng.uniform(0.5, 1.8, size=3))
+    K = FinitelyGeneratedCone(S.point(rng.normal(size=3)), [S.point(rng.normal(size=3)) for _ in range(3)])
+    calls = _count_contains(monkeypatch)
+    rep = dual_vision_identity_check(K)
+    assert rep.ok and rep.checked > 1
+    assert calls == []
+
+
 def test_face_membership_requires_a_member():
     S = _cubic_space()
     ball = Ball(S, 1.0)
@@ -431,7 +431,7 @@ def test_classification_cross_check_survives_optimized_mode():
         "import lpgeom.faces as F\n"
         "from lpgeom import LpSpace\n"
         "from lpgeom.sets import Ball\n"
-        "F.face_membership = lambda *args, **kwargs: False\n"
+        "F._attains = lambda *args, **kwargs: False\n"
         "S = LpSpace(3, 3.0)\n"
         "try:\n"
         "    F.classify_point(Ball(S, 2.0), S.point([2.0, 0.0, 0.0]))\n"

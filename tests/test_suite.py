@@ -165,3 +165,39 @@ def test_fuzz_hits_replay_from_seed_target_and_trial():
     for hit in hits:
         again = prop.holds(*prop.sample(_rng(seed, index, hit["trial"]), 3.0))
         assert {**again, "trial": hit["trial"]} == hit
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "target", ["metric-projection-vi", "generalized-projection-vi", "metric-projection-homogeneity"]
+)
+def test_a_crashing_trial_is_a_hit_and_the_run_goes_on(target):
+    # at p = 200 the duality map overflows a float on some draws
+    rep = run_fuzz(target, trials=300, seed=0, p=200.0)
+    assert_schema_valid(rep.to_json(), "report.schema.json")
+    record = rep.records[0]
+    assert record.values["trials"] == 300
+    crashes = [hit for hit in record.witnesses if "exception" in hit]
+    assert crashes and record.status == "fail"
+    for hit in crashes:
+        assert set(hit) == {"trial", "exception", "message"}
+        assert isinstance(hit["trial"], int) and 0 <= hit["trial"] < 300
+
+
+def test_a_crash_fails_even_a_witness_seeking_property(monkeypatch):
+    name = "metric-dual-convexity"
+    prop = _PROPERTIES[name]
+
+    def holds(K):
+        if K is pinned:
+            raise ZeroDivisionError("pinned")
+        return prop.holds(K)
+
+    pinned = prop.pinned(3.0)[0][0]
+    monkeypatch.setitem(_PROPERTIES, name, prop._replace(holds=holds, pinned=lambda p: [(pinned,)]))
+    record = run_fuzz(name, trials=8, seed=0, p=3.0).records[0]
+    # the random rays still give witnesses, but the crash is a failure
+    assert record.witnesses[0] == {"pinned": True, "exception": "ZeroDivisionError", "message": "pinned"}
+    assert record.values["witness_count"] > 0
+    assert f"{record.values['witness_count']} witnesses found (successes for this target)" in record.notes
+    assert record.values["failures"] == 1 and record.status == "fail"
