@@ -33,7 +33,6 @@ from .sets import (
     Subspace,
 )
 from .projections import (
-    SolverOptions,
     ProjectionResult,
     metric_project,
     generalized_project,
@@ -88,7 +87,6 @@ __all__ = [
     "Polytope",
     "Ball",
     "Subspace",
-    "SolverOptions",
     "ProjectionResult",
     "metric_project",
     "generalized_project",

@@ -8,11 +8,14 @@ document read back reproduces the exact floats.  The package's own
 validator, ``_schemacheck``, does both checks; it implements just the
 keywords the three schemas use, so no command imports jsonschema.  Exit
 codes: 0 all pass, 1 a check failed, 2 usage or schema error, 3 any other
-exception, which ``--json`` reports in a result document of status "error".
+exception, which ``--json`` reports in a result document of status "error",
+as for a duality map that overflows.  Problem documents are standard
+JSON: NaN and Infinity are refused, with exit 2.
 
 A single operation's tolerance is the document's ``tol`` field, which the
-schema keeps positive; no command takes a ``--tol`` option.  ``verify``
-has one configuration: its checks test both exponents of every contrast.
+schema keeps positive; no command takes a ``--tol`` option.  It is the
+projections' ``vi_tol``.  ``verify`` has one configuration: its checks
+test both exponents of every contrast.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .cones import (
 )
 from .encoding import TOOLKIT_VERSION, _jsonable, _witness_json
 from .faces import classify_point, face, vision_dual_member, vision_primal_member
-from .projections import SolverOptions, generalized_project, metric_project
+from .projections import generalized_project, metric_project
 from .sets import Ball, FinitelyGeneratedCone, Line, Polytope, Ray, Segment, Subspace
 from .spaces import LpSpace
 
@@ -62,6 +65,10 @@ def _validate(instance: dict, schema_name: str) -> None:
     _validator(schema_name).validate(instance)
 
 
+def _refuse_constant(name: str):
+    raise _UsageError(f"problem document is not valid JSON: {name} is not a JSON number")
+
+
 def _load_problem(path: str | None) -> dict:
     try:
         if path in (None, "-"):
@@ -69,7 +76,7 @@ def _load_problem(path: str | None) -> dict:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        doc = json.loads(raw)
+        doc = json.loads(raw, parse_constant=_refuse_constant)  # NaN, Infinity and -Infinity
     except OSError as exc:
         raise _UsageError(f"cannot read problem document: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -146,13 +153,13 @@ def _projection_result(res) -> tuple[dict, str]:
 def _op_project(space, doc, tol):
     C = _the_set(space, doc)
     x = space.point(_need(doc, "point"))
-    return _projection_result(metric_project(C, x, SolverOptions(vi_tol=tol)))
+    return _projection_result(metric_project(C, x, tol))
 
 
 def _op_gproject(space, doc, tol):
     C = _the_set(space, doc)
     psi = space.functional(_need(doc, "functional"))
-    return _projection_result(generalized_project(C, psi, SolverOptions(vi_tol=tol)))
+    return _projection_result(generalized_project(C, psi, tol))
 
 
 def _op_face(space, doc, tol):
@@ -238,7 +245,7 @@ def _op_dualcone(space, doc, tol, kind, check):
 
     # identity, metric kind: the inner-product defect of the projection
     w = space.point(_need(doc, "point"))
-    defect, u = _identity_defect(K, w, SolverOptions(vi_tol=tol if tol < 1e-6 else 1e-6))
+    defect, u = _identity_defect(K, w, min(tol, 1e-6))
     return {"defect": float(defect), "point": _vec(u)}, "pass"
 
 

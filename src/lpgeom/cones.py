@@ -25,7 +25,8 @@ The witness searches draw nothing: every member of the metric dual cone is
 v + J*(phi) for phi in the polar, so they build their candidates from the
 polar generators and score them all in one product.  J, J* and the norm
 come from ``LpSpace.jmap`` (of the space or its dual) and
-``LpSpace.norm_of``, which map a stack of rows row by row.
+``LpSpace.norm_of``, which map a stack of rows row by row.  The two
+searches and ``hilbert_identity_violation`` take no tolerance.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .polyhedra import _nnls, _polar_rows, intersect_cone_generators
-from .projections import SolverOptions, metric_project
+from .projections import _VI_TOL, metric_project
 from .spaces import DualVec, PrimalVec, duality_map, norm, pair
 
 __all__ = [
@@ -63,6 +64,8 @@ _PINNED_PAIR.setflags(write=False)
 # the mixes (1 - s) a + s b of two candidates, and the combinations lam x + (1 - lam) y tested for escape
 _MIXES = np.array([0.25, 0.5, 0.75])
 _LAMBDAS = np.array([2.0 / 3.0, 0.5, 0.25, 0.75])
+# the searches' metric dual membership slack: a candidate is in when its margin is at most this
+_SEARCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ def member_generalized_dual(K, psi: DualVec, tol: float = 1e-9) -> bool:
     return math.isfinite(K.support(psi - duality_map(v), tol))
 
 
-def probe_nonconvexity_metric_dual(K, tol: float = 1e-9) -> Witness | None:
+def probe_nonconvexity_metric_dual(K) -> Witness | None:
     """Search for a convex combination that escapes the metric dual cone.
 
     Returns a witness (x, y members, h = lam x + (1 - lam) y not a member)
@@ -152,11 +155,11 @@ def probe_nonconvexity_metric_dual(K, tol: float = 1e-9) -> Witness | None:
     s, t = np.triu_indices(5, k=1)
     pairs = np.stack([segments[:, s], segments[:, t]], axis=-1).reshape(-1, 2)
     pairs = np.vstack([np.arange(len(pinned)).reshape(-1, 2), pairs])
-    pairs = pairs[np.all(_margins(K, X)[pairs] <= tol, axis=1)]
+    pairs = pairs[np.all(_margins(K, X)[pairs] <= _SEARCH_TOL, axis=1)]
 
     grid = _LAMBDAS[:, None]
     H = grid * X[pairs[:, None, 0]] + (1.0 - grid) * X[pairs[:, None, 1]]  # pair-major, then _LAMBDAS order
-    escaped = np.flatnonzero(_margins(K, H.reshape(-1, space.n)) > tol)
+    escaped = np.flatnonzero(_margins(K, H.reshape(-1, space.n)) > _SEARCH_TOL)
     if not escaped.size:
         return None
     k, j = divmod(int(escaped[0]), len(_LAMBDAS))
@@ -166,7 +169,7 @@ def probe_nonconvexity_metric_dual(K, tol: float = 1e-9) -> Witness | None:
 
     def check() -> float:
         m = _margins(K, np.array([x.coords, y.coords, (lam * x + (1.0 - lam) * y).coords]))
-        return float(m[2]) if max(m[0], m[1]) <= tol else -math.inf
+        return float(m[2]) if max(m[0], m[1]) <= _SEARCH_TOL else -math.inf
 
     return Witness(
         kind="convex-combination-escape",
@@ -176,7 +179,7 @@ def probe_nonconvexity_metric_dual(K, tol: float = 1e-9) -> Witness | None:
     )
 
 
-def metric_double_dual_violation(K, tol: float = 1e-9) -> Witness | None:
+def metric_double_dual_violation(K) -> Witness | None:
     """Search for z in K that the twice-dualized metric cone rejects.
 
     z lies in the double dual only if <J z, x> <= 0 for every member x of
@@ -193,18 +196,18 @@ def metric_double_dual_violation(K, tol: float = 1e-9) -> Witness | None:
     space = K.space
     Z = _pair_mixes(R)
     X = np.vstack([_PINNED_PAIR[:1] if space.n == 3 else np.zeros((0, space.n)), _polar_members(K)])
-    X = X[_margins(K, X) <= tol]
+    X = X[_margins(K, X) <= _SEARCH_TOL]
 
     # every pair at once, z-major as a loop over z then x would meet them
     scores = (space.weights * space.jmap(Z)) @ X.T
-    hits = np.argwhere(scores > np.maximum(tol, (1e-9 * space.norm_of(Z))[:, None] * space.norm_of(X)))
+    hits = np.argwhere(scores > np.maximum(_SEARCH_TOL, (1e-9 * space.norm_of(Z))[:, None] * space.norm_of(X)))
     if not len(hits):
         return None
     i, j = hits[0]
     z, x = space.point(Z[i]), space.point(X[j])
 
     def check() -> float:
-        if _margins(K, x.coords) > tol or not K.contains(z):
+        if _margins(K, x.coords) > _SEARCH_TOL or not K.contains(z):
             return -math.inf
         return pair(duality_map(z), x)
 
@@ -325,17 +328,17 @@ def intersection_dual_check_family(cones, tol: float = 1e-8) -> IntersectionDual
     )
 
 
-def _identity_defect(K, w: PrimalVec, opts: SolverOptions | None) -> tuple[float, PrimalVec]:
-    """(<J w, P_K w> - ||P_K w||^2, P_K w) for a cone with vertex at the origin."""
+def _identity_defect(K, w: PrimalVec, vi_tol: float) -> tuple[float, PrimalVec]:
+    """(<J w, P_K w> - ||P_K w||^2, P_K w) for a cone with vertex at the origin, P_K w certified to ``vi_tol``."""
     v, _ = _vertex_and_generators(K)
     _require_origin_vertex(v)
-    res = metric_project(K, w, opts)
+    res = metric_project(K, w, vi_tol)
     if not res.converged:
         raise RuntimeError("projection did not certify; defect value would be unreliable")
     u = res.point
     return pair(duality_map(w), u) - norm(u) ** 2, u
 
 
-def hilbert_identity_violation(K, w: PrimalVec, opts: SolverOptions | None = None) -> float:
+def hilbert_identity_violation(K, w: PrimalVec) -> float:
     """Defect <J w, P_K w> - ||P_K w||^2, zero in the Euclidean case only."""
-    return _identity_defect(K, w, opts)[0]
+    return _identity_defect(K, w, _VI_TOL)[0]

@@ -20,20 +20,21 @@ the radius.  A polyhedral set looks for a nonzero c with <w_j, c> <= 0
 on the difference directions w_j at y: a null vector when the cone of
 such c holds a line, otherwise one nonnegative least-squares fit by
 Stiemke's alternative, in any dimension.  Every witness is checked once
-more here, by the face: a point already fitted is not fitted again.  The
-second route to a primal vision is ``fixed_point_check``.  Nothing here
-draws samples: the dual-vision identity is checked on the polar cone's
-generators.
+more here, by the support function: a point already fitted is not fitted
+again.  The second route to a primal vision is ``fixed_point_check``.
+Nothing here draws samples: the dual-vision identity is checked on the
+polar cone's generators.  The three cross-checks take no tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cones import _vertex_and_generators, member_generalized_dual
-from .projections import SolverOptions, generalized_project, metric_project
+from .projections import generalized_project, metric_project
 from .sets import ConvexSet
 from .spaces import DualVec, PrimalVec, duality_map, duality_map_inv, pair
 
@@ -52,6 +53,10 @@ __all__ = [
     "DualVisionIdentityReport",
     "dual_vision_identity_check",
 ]
+
+# how far a projection may land from y, relative to 1 + |y|, for y to be its fixed point
+_FIXED_POINT_TOL = 1e-6
+_DUAL_VISION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,11 +92,11 @@ def face(C: ConvexSet, psi: DualVec, tol: float = 1e-9) -> FaceDescription:
 
 def _attains(C: ConvexSet, psi: DualVec, y: PrimalVec, tol: float) -> bool:
     """Whether the member y reaches the face of psi on C, within tol (1 + |level| + |psi| |y|)."""
-    desc = face(C, psi, tol)
-    if desc.kind == "empty":
+    level = C.support(psi, tol)  # the face's level bit for bit, infinite exactly when the face is empty
+    if level == math.inf:
         return False
-    scale = tol * (1.0 + abs(desc.level) + float(np.linalg.norm(psi.coords)) * float(np.linalg.norm(y.coords)))
-    return pair(psi, y) >= desc.level - scale
+    scale = tol * (1.0 + abs(level) + float(np.linalg.norm(psi.coords)) * float(np.linalg.norm(y.coords)))
+    return pair(psi, y) >= level - scale
 
 
 def face_membership(C: ConvexSet, psi: DualVec, y: PrimalVec, tol: float = 1e-9) -> bool:
@@ -121,8 +126,9 @@ class ClassifyResult:
 def classify_point(C: ConvexSet, y: PrimalVec, tol: float = 1e-9) -> ClassifyResult:
     """Decide whether y is internal to C or a cuticle point, with a witness.
 
-    A cuticle verdict comes with a nonzero functional whose face contains
-    y; an internal verdict certifies that no such functional exists.
+    A cuticle verdict comes with a nonzero functional whose supremum on C,
+    its support function, y attains; an internal verdict certifies that no
+    such functional exists.
     """
     if not C.contains(y, max(tol, 1e-9)):
         raise ValueError("y is not a member of the set")
@@ -146,13 +152,17 @@ class FixedPointReport:
     inconclusive: bool
 
 
-def fixed_point_check(
-    C: ConvexSet,
-    u: PrimalVec,
-    y: PrimalVec,
-    tol: float = 1e-6,
-    opts: SolverOptions | None = None,
-) -> FixedPointReport:
+def _fixed_point_errors(C: ConvexSet, u: PrimalVec, ju: DualVec, y: PrimalVec) -> tuple[float, float, bool, float]:
+    """|P_C(u + y) - y|, |pi_C(ju + Jy) - y| for ju = J(u), whether both certified, and the scale to judge them."""
+    mres = metric_project(C, u + y)
+    gres = generalized_project(C, ju + duality_map(y))
+    m_err = float(np.linalg.norm(mres.point.coords - y.coords))
+    g_err = float(np.linalg.norm(gres.point.coords - y.coords))
+    scale = _FIXED_POINT_TOL * (1.0 + float(np.linalg.norm(y.coords)))
+    return m_err, g_err, mres.converged and gres.converged, scale
+
+
+def fixed_point_check(C: ConvexSet, u: PrimalVec, y: PrimalVec) -> FixedPointReport:
     """Check y in face(J u) against y = P_C(u + y) and y = pi_C(Ju + Jy).
 
     The three are equivalent characterizations; ``agree`` reports whether
@@ -160,15 +170,11 @@ def fixed_point_check(
     of guessing when a projection solve fails to certify.
     """
     ju = duality_map(u)
-    fm = face_membership(C, ju, y, tol)
-
-    mres = metric_project(C, u + y, opts)
-    gres = generalized_project(C, ju + duality_map(y), opts)
-    if not (mres.converged and gres.converged):
+    fm = face_membership(C, ju, y, _FIXED_POINT_TOL)
+    m_err, g_err, certified, scale = _fixed_point_errors(C, u, ju, y)
+    if not certified:
         return FixedPointReport(fm, False, False, False, True)
-    scale = tol * (1.0 + float(np.linalg.norm(y.coords)))
-    mf = bool(np.linalg.norm(mres.point.coords - y.coords) <= scale)
-    gf = bool(np.linalg.norm(gres.point.coords - y.coords) <= scale)
+    mf, gf = m_err <= scale, g_err <= scale
     return FixedPointReport(fm, mf, gf, fm == mf == gf, False)
 
 
@@ -182,7 +188,7 @@ class VISolution:
     generalized_residual: float | None
 
 
-def solve_vi(C: ConvexSet, psi: DualVec, tol: float = 1e-6, opts: SolverOptions | None = None) -> VISolution:
+def solve_vi(C: ConvexSet, psi: DualVec) -> VISolution:
     """Solve the variational inequality of psi over C through its face.
 
     The solution set is exactly the face of psi on C; when nonempty, one
@@ -193,13 +199,8 @@ def solve_vi(C: ConvexSet, psi: DualVec, tol: float = 1e-6, opts: SolverOptions 
     if not desc.representatives:
         return VISolution(None, desc, None, None)
     y = desc.representatives[0]
-    u = duality_map_inv(psi)
-    mres = metric_project(C, u + y, opts)
-    gres = generalized_project(C, psi + duality_map(y), opts)
-    m_err = float(np.linalg.norm(mres.point.coords - y.coords))
-    g_err = float(np.linalg.norm(gres.point.coords - y.coords))
-    scale = tol * (1.0 + float(np.linalg.norm(y.coords)))
-    if mres.converged and gres.converged and (m_err > scale or g_err > scale):
+    m_err, g_err, certified, scale = _fixed_point_errors(C, duality_map_inv(psi), psi, y)
+    if certified and (m_err > scale or g_err > scale):
         raise RuntimeError(
             f"face representative fails a projection equation: metric {m_err:.3e}, generalized {g_err:.3e}"
         )
@@ -213,19 +214,19 @@ class DualVisionIdentityReport:
     ok: bool
 
 
-def dual_vision_identity_check(K, tol: float = 1e-9) -> DualVisionIdentityReport:
+def dual_vision_identity_check(K) -> DualVisionIdentityReport:
     """Exact check that the generalized dual cone is J(v) plus the dual vision of v.
 
     The double-description polar is the second route: with c = w phi,
     {phi : <phi, g_i> <= 0} is the cone of the polar generators c.  So
     psi = J(v) + phi must be in the dual cone, and phi must see the vertex,
     for phi = 0 and for each unit polar generator.  Pushed across the facet
-    of each generator g it lies on (<c, g> >= 0, within tol), to
+    of each generator g it lies on (<c, g> >= 0, within ``_DUAL_VISION_TOL``), to
     c + g / |g|, it must be in neither.  ``disagreements`` counts the
     cases where either side departs from the polar's answer.
     """
     v, R = _vertex_and_generators(K)
-    space = K.space
+    space, tol = K.space, _DUAL_VISION_TOL
     jv = duality_map(v)
     lengths = np.linalg.norm(R, axis=1)
     cases = []

@@ -12,7 +12,9 @@ variational characterizations
 whose worst violation over the set each set reports itself
 (``ConvexSet._vi_violation``): finitely many pairings with the vertices,
 and with rays and lineality directions per unit coefficient, or the
-ball's support function.  A nonpositive residual certifies optimality.
+ball's support function.  A nonpositive residual certifies optimality;
+the one setting, ``vi_tol`` (1e-6 by default), is how far above 0 a
+``converged`` result's residual may be.
 The certificate also proves u in C.  For a solver answer the proof is the
 solver's own chart coefficients t: they lie in the chart's domain and
 rebuild u = base + D t within the membership tolerance.  The chart is the
@@ -52,7 +54,6 @@ from .sets import ConvexSet
 from .spaces import DualVec, PrimalVec, _SqNormAt, duality_map, duality_map_inv, lyapunov
 
 __all__ = [
-    "SolverOptions",
     "ProjectionResult",
     "metric_project",
     "generalized_project",
@@ -81,20 +82,8 @@ _GRAD_TOL = 1e-10
 _MAX_ITERS = 10000
 # how far a candidate may sit from the set, through ConvexSet._slack, for its certificate
 _MEMBERSHIP_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """The certificate threshold on the VI residual, shared by both projections."""
-
-    vi_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.vi_tol <= 0.0:
-            raise ValueError("vi_tol must be positive")
-
-
-_DEFAULT_OPTIONS = SolverOptions()
+# the default certificate threshold on the VI residual, also inverse_image_member_metric's
+_VI_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -360,14 +349,14 @@ def _solve_on_chart(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.ndarray)
     return x.u, x.t, x.f, iters, stop, (F.evaluations, F.gradients)
 
 
-def _certified(point, objective, res, opts, iters=0, stop="closed-form", evaluations=(0, 0)) -> ProjectionResult:
+def _certified(point, objective, res, vi_tol, iters=0, stop="closed-form", evaluations=(0, 0)) -> ProjectionResult:
     """A candidate with its VI residual; closed forms take no solver steps and no evaluations."""
     return ProjectionResult(
         point=point,
         objective=objective,
         vi_residual=res,
         iterations=iters,
-        converged=bool(res <= opts.vi_tol),
+        converged=bool(res <= vi_tol),
         method="closed-form" if stop == "closed-form" else "projected-gradient",
         stop_reason=stop,
         objective_evaluations=evaluations[0],
@@ -375,7 +364,7 @@ def _certified(point, objective, res, opts, iters=0, stop="closed-form", evaluat
     )
 
 
-def _project(C: ConvexSet, data, y: PrimalVec, c, ell, objective, residual, opts) -> ProjectionResult:
+def _project(C: ConvexSet, data, y: PrimalVec, c, ell, objective, residual, vi_tol) -> ProjectionResult:
     """Minimize ||u - c||^2 - 2 <ell, u> over C, from the unconstrained minimizer y.
 
     ``data`` is x or psi, ``objective(data, u)`` the projection's own
@@ -384,39 +373,39 @@ def _project(C: ConvexSet, data, y: PrimalVec, c, ell, objective, residual, opts
     chart.  A member y is its own projection once its residual passes,
     which holds exactly for the metric projection, where phi = J(0) = 0.
     """
+    if not 0.0 < vi_tol < math.inf:  # false for NaN too
+        raise ValueError("vi_tol must be positive and finite")
     u = C._closed_form(y, data)
     if u is not None:
-        return _certified(u, objective(data, u), residual(C, data, u), opts)
+        return _certified(u, objective(data, u), residual(C, data, u), vi_tol)
     t = _warm_start(C, y)
     member, witness = _member_witness(C, y, t)
     if member:
         res = residual(C, data, y, witness=witness)
-        if res <= opts.vi_tol:
-            return _certified(y, objective(data, y), res, opts)
+        if res <= vi_tol:
+            return _certified(y, objective(data, y), res, vi_tol)
     u_arr, t, fval, iters, stop, evaluations = _solve_on_chart(C, c, ell, t)
     u = C.space.point(u_arr)
-    return _certified(u, fval, residual(C, data, u, witness=t), opts, iters, stop, evaluations)
+    return _certified(u, fval, residual(C, data, u, witness=t), vi_tol, iters, stop, evaluations)
 
 
 def _sq_distance(x: PrimalVec, u: PrimalVec) -> float:
     return x.space.norm_of(x.coords - u.coords) ** 2
 
 
-def metric_project(C: ConvexSet, x: PrimalVec, opts: SolverOptions | None = None) -> ProjectionResult:
-    """Nearest point of C to x in the space's norm, with a VI certificate."""
+def metric_project(C: ConvexSet, x: PrimalVec, vi_tol: float = _VI_TOL) -> ProjectionResult:
+    """Nearest point of C to x in the space's norm, certified when its VI residual is at most ``vi_tol``."""
     _require_smooth(C.space)
     C._check_point(x)
-    opts = opts or _DEFAULT_OPTIONS
-    return _project(C, x, x, x.coords, np.zeros(C.space.n), _sq_distance, vi_residual_metric, opts)
+    return _project(C, x, x, x.coords, np.zeros(C.space.n), _sq_distance, vi_residual_metric, vi_tol)
 
 
-def generalized_project(C: ConvexSet, psi: DualVec, opts: SolverOptions | None = None) -> ProjectionResult:
-    """Minimizer of V(psi, .) over C, with a VI certificate."""
+def generalized_project(C: ConvexSet, psi: DualVec, vi_tol: float = _VI_TOL) -> ProjectionResult:
+    """Minimizer of V(psi, .) over C, certified when its VI residual is at most ``vi_tol``."""
     _require_smooth(C.space)
     C._check_functional(psi)
-    opts = opts or _DEFAULT_OPTIONS
     y = duality_map_inv(psi)
-    return _project(C, psi, y, np.zeros(C.space.n), psi.coords, lyapunov, vi_residual_generalized, opts)
+    return _project(C, psi, y, np.zeros(C.space.n), psi.coords, lyapunov, vi_residual_generalized, vi_tol)
 
 
 def _require_member(C: ConvexSet, u: PrimalVec, witness: np.ndarray | None) -> None:
@@ -452,12 +441,9 @@ def vi_residual_generalized(C: ConvexSet, psi: DualVec, y: PrimalVec, witness: n
     return C._vi_violation(psi - duality_map(y), y)
 
 
-def inverse_image_member_metric(
-    C: ConvexSet, y: PrimalVec, x: PrimalVec, opts: SolverOptions | None = None
-) -> bool:
+def inverse_image_member_metric(C: ConvexSet, y: PrimalVec, x: PrimalVec) -> bool:
     """True when x projects metrically onto the member y of C.
 
     Decided by the exact VI reduction, not by running the solver.
     """
-    opts = opts or _DEFAULT_OPTIONS
-    return vi_residual_metric(C, x, y) <= opts.vi_tol
+    return vi_residual_metric(C, x, y) <= _VI_TOL

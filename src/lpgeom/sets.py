@@ -360,24 +360,6 @@ class _Polyhedral(ConvexSet):
                 coeffs *= rng.choice([-1.0, 1.0], shape)
         return [self.space.point(self._base + self._D @ c) for c in coeffs]
 
-    def is_pointed(self, tol: float = 1e-9) -> bool:
-        """True when the set contains no full line.
-
-        A nontrivial nonnegative combination sum t_i r_i = 0 exists iff
-        -r_j lies in the cone of the rays for some j (move the j-th term
-        across the equation), so checking each negated ray decides
-        pointedness exactly once the lineality is empty.  The fit is
-        judged relative to the ray's length, so scaling the set does not
-        change the answer.
-        """
-        if len(self.L):
-            return False
-        for r in self.R:
-            _, resid = _nnls(self.R.T, -r)
-            if resid <= tol * float(np.linalg.norm(r)):
-                return False
-        return True
-
     def _scale(self) -> float:
         return self._extent
 

@@ -323,26 +323,36 @@ def pair(psi: DualVec, x: PrimalVec) -> float:
     return x.space.pairing(psi.coords, x.coords)
 
 
+def _image(cls, space: LpSpace, coords: np.ndarray):
+    # the input was finite, so a non-finite image is an overflow (|x_i|^(p-1) at a large p), not a bad input
+    try:
+        return cls(space, coords)
+    except ValueError as exc:
+        raise OverflowError("the duality map overflowed on finite coordinates") from exc
+
+
 def duality_map(x: PrimalVec) -> DualVec:
     """Normalized duality mapping J: X -> X*.
 
     J(x) is the unique functional with <Jx, x> = ||x||^2 = ||Jx||^2
     (unique because the space is smooth for p in (1, oo)).  J(0) = 0,
     and at p = 2 the mapping is the coordinatewise identity, exactly.
+    Raises OverflowError when the image of x is not finite.
     """
     if not isinstance(x, PrimalVec):
         raise TypeError("duality_map expects a PrimalVec")
-    return DualVec(x.space.dual(), x.space.jmap(x.coords))
+    return _image(DualVec, x.space.dual(), x.space.jmap(x.coords))
 
 
 def duality_map_inv(psi: DualVec) -> PrimalVec:
     """Inverse duality mapping J*: X* -> X, the duality mapping of the dual.
 
-    J* o J is the identity on X and J o J* the identity on X*.
+    J* o J is the identity on X and J o J* the identity on X*.  Raises
+    OverflowError when the image of psi is not finite.
     """
     if not isinstance(psi, DualVec):
         raise TypeError("duality_map_inv expects a DualVec")
-    return PrimalVec(psi.space.dual(), psi.space.jmap(psi.coords))
+    return _image(PrimalVec, psi.space.dual(), psi.space.jmap(psi.coords))
 
 
 def lyapunov(psi: DualVec, x: PrimalVec) -> float:

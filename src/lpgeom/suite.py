@@ -523,7 +523,7 @@ def _sample_seen_point(rng, p):
 
 
 def _fixed_point_equivalence(C, u, y):
-    rep = fixed_point_check(C, u, y, tol=1e-6)
+    rep = fixed_point_check(C, u, y)
     if rep.agree and not rep.inconclusive:
         return None
     return {"u": u, "y": y, "set": type(C).__name__, "inconclusive": rep.inconclusive}

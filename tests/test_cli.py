@@ -278,6 +278,22 @@ def test_invalid_json_is_a_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "field, value, constant",
+    [("tol", math.nan, "NaN"), ("tol", math.inf, "Infinity"), ("point", [-28.0, -math.inf, -76.0], "-Infinity")],
+    ids=["nan-tol", "infinite-tol", "infinite-coordinate"],
+)
+def test_non_finite_numbers_are_a_usage_error(tmp_path, capsys, field, value, constant):
+    # Python's json reads these literals, which standard JSON has not: a NaN tol certified
+    # nothing (exit 1) and an infinite one anything (exit 0)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(dict(_RAY_PROBLEM, **{field: value})))
+    assert main(["project", "--input", str(path), "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: problem document is not valid JSON: {constant} is not a JSON number\n"
+
+
 def test_reads_problem_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(_RAY_PROBLEM)))
     code, out = _run(capsys, ["project", "--json"])
@@ -418,6 +434,32 @@ def test_an_unexpected_exception_exits_3_with_an_error_document(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "OverflowError" in captured.err and "Traceback" not in captured.err
+
+
+# trial 9 of run_fuzz("metric-projection-homogeneity", seed=0, p=200), projected at t x: the
+# duality map of the solver's residual overflows, a defect of the computation, not a bad input
+_P200_HOMOGENEITY_PROBLEM = {
+    "operation": "project",
+    "space": {"n": 3, "p": 200.0, "weights": [1.8239935961112728, 1.2246403689711045, 2.606874026294626]},
+    "set": {
+        "type": "cone",
+        "vertex": [0.0, 0.0, 0.0],
+        "generators": [
+            [-1.9564706988250076, 0.6389534865576653, -0.21420550681455192],
+            [0.30570741959373227, -0.8470868701827108, 0.8847448146803054],
+        ],
+    },
+    "point": [17.758861699500482, 46.764266323882715, 1.9321905309669682],
+}
+
+
+def test_a_duality_map_overflow_exits_3_not_as_a_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, _P200_HOMOGENEITY_PROBLEM)
+    code, out = _run(capsys, ["project", "--input", path, "--json"])
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == "error"
+    assert doc["result"] == {"exception": "OverflowError", "message": "the duality map overflowed on finite coordinates"}
 
 
 def test_a_report_command_names_itself_in_its_error_document(capsys, monkeypatch):

@@ -307,10 +307,12 @@ def test_cone_routines_take_a_ray_and_reject_a_segment():
         (member_generalized_dual, S.functional([1.0, 0.0])),
         (generalized_double_dual_member, S.point([0.5, 0.0])),
         (find_double_dual_certificate, S.point([0.5, 0.0])),
-        (probe_nonconvexity_metric_dual, 1e-9),
         (hilbert_identity_violation, S.point([1.0, 1.0])),
     ):
         with pytest.raises(TypeError):
             routine(seg, arg)
+    for search in (probe_nonconvexity_metric_dual, metric_double_dual_violation):
+        with pytest.raises(TypeError, match="ray or a finitely generated cone"):
+            search(seg)
     with pytest.raises(TypeError):
         intersection_dual_check_family([r, seg])

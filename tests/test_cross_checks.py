@@ -23,8 +23,8 @@ def _off_by_one_percent(monkeypatch):
     """Break the metric projection route of ``faces``: every answer moves outward by 1%."""
     project = lpgeom.faces.metric_project
 
-    def moved(C, x, opts=None):
-        res = project(C, x, opts)
+    def moved(C, x, **kw):
+        res = project(C, x, **kw)
         return dataclasses.replace(res, point=1.01 * res.point)
 
     monkeypatch.setattr(lpgeom.faces, "metric_project", moved)
@@ -48,17 +48,12 @@ def test_generalized_double_dual_member(monkeypatch):
 
 
 def test_classify_point(monkeypatch):
-    # route one builds the supporting functional; route two asks the face whether y attains it
+    # route one builds the supporting functional; route two asks the support function whether y attains it
     S = LpSpace(3, 3.0)
     ball, y = Ball(S, 2.0), S.point([2.0, 0.0, 0.0])
     assert classify_point(ball, y).verdict == "cuticle"
-    face = lpgeom.faces.face
-
-    def raised(C, psi, tol=1e-9):
-        desc = face(C, psi, tol)
-        return dataclasses.replace(desc, level=desc.level + 1.0)
-
-    monkeypatch.setattr(lpgeom.faces, "face", raised)
+    support = Ball.support
+    monkeypatch.setattr(Ball, "support", lambda self, psi, tol=0.0: support(self, psi, tol) + 1.0)
     with pytest.raises(RuntimeError, match="does not support"):
         classify_point(ball, y)
 

@@ -7,7 +7,6 @@ import pytest
 import lpgeom.projections
 from lpgeom.projections import (
     ProjectionResult,
-    SolverOptions,
     _arc_search,
     _ChartObjective,
     _project_simplex,
@@ -329,7 +328,7 @@ def test_nonconvergence_is_reported_honestly(monkeypatch):
     K = FinitelyGeneratedCone(S.zero(), [S.point([1.0, 0.0, 0.0]), S.point([0.0, 1.0, 1.0])])
     with monkeypatch.context() as m:
         m.setattr(lpgeom.projections, "_MAX_ITERS", 1)
-        res = generalized_project(K, psi, SolverOptions(vi_tol=1e-12))
+        res = generalized_project(K, psi, vi_tol=1e-12)
     assert not res.converged
     assert res.iterations == 1 and res.stop_reason == "max-iters"
     assert K.contains(res.point, 1e-6)
@@ -403,10 +402,14 @@ def test_line_and_polytope_round_trip():
 
 
 def test_solver_options_validated():
-    with pytest.raises(ValueError):
-        SolverOptions(vi_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(vi_tol=-1e-6)
+    # vi_tol must be a finite positive float: NaN would certify nothing, inf anything
+    S = LpSpace(2, 3.0)
+    ball = Ball(S, 1.0)
+    for vi_tol in (0.0, -1e-6, math.nan, math.inf):
+        with pytest.raises(ValueError, match="vi_tol"):
+            metric_project(ball, S.point([2.0, 0.0]), vi_tol)
+        with pytest.raises(ValueError, match="vi_tol"):
+            generalized_project(ball, S.functional([2.0, 0.0]), vi_tol=vi_tol)
 
 
 def test_metric_projection_small_perturbation_proxy():
@@ -417,7 +420,6 @@ def test_metric_projection_small_perturbation_proxy():
     itself but catches any jump the solvers could smuggle in.
     """
     rng = np.random.default_rng(77)
-    opts = SolverOptions(vi_tol=1e-9)
     checked = 0
     for trial in range(40):
         p = (1.5, 3.0)[trial % 2]
@@ -433,12 +435,12 @@ def test_metric_projection_small_perturbation_proxy():
         )
         x = S.point(rng.normal(size=3) * 3.0)
         scale = 1.0 + float(np.max(np.abs(x.coords)))
-        base = metric_project(C, x, opts)
+        base = metric_project(C, x, vi_tol=1e-9)
         if not base.converged:
             continue
         shift = rng.normal(size=3)
         shift *= 1e-6 * scale / np.linalg.norm(shift)
-        moved = metric_project(C, S.point(x.coords + shift), opts)
+        moved = metric_project(C, S.point(x.coords + shift), vi_tol=1e-9)
         if not moved.converged:
             continue
         drift = float(np.max(np.abs(moved.point.coords - base.point.coords)))

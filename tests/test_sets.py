@@ -233,18 +233,6 @@ def test_mixed_charts_are_refused(l3):
             _Polyhedral(l3, V, R, L)
 
 
-def test_pointedness(l3):
-    orthant = FinitelyGeneratedCone(
-        l3.zero(), [l3.point([1, 0, 0]), l3.point([0, 1, 0]), l3.point([0, 0, 1])]
-    )
-    assert orthant.is_pointed()
-    flat = FinitelyGeneratedCone(
-        l3.zero(), [l3.point([1, 0, 0]), l3.point([-1, 0, 0]), l3.point([0, 1, 0])]
-    )
-    assert not flat.is_pointed()
-    assert Ray(l3.zero(), l3.point([1, 2, 3])).is_pointed()
-
-
 def test_trivial_subspace(l3):
     sub = Subspace(l3)
     assert sub.dim() == 0

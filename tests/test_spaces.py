@@ -208,6 +208,16 @@ class TestDualityMap:
         with pytest.raises(ValueError):
             duality_map_inv(space.functional([1.0, 0.0, 0.0]))
 
+    def test_overflow_of_a_finite_input_is_an_overflow_error(self):
+        # |x_i|^(p-1) at p = 200 exceeds a float; a non-finite input stays a ValueError
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OverflowError):
+                duality_map(LpSpace(2, 200.0).point([1e3, 1.0]))
+            with pytest.raises(OverflowError):
+                duality_map_inv(LpSpace(2, 200.0 / 199.0).functional([1e3, 1.0]))
+        with pytest.raises(ValueError):
+            LpSpace(2, 200.0).point([math.inf, 1.0])
+
     def test_identity_suite(self):
         # <Jx,x> = ||x||^2 = ||Jx||^2, J* o J = id, V(Jx, x) = 0
         rng = np.random.default_rng(20260819)
