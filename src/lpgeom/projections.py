@@ -37,7 +37,13 @@ jumping across the minimum.  Each trial point of the loop is one
 evaluation: the residual r = u - c, its norm and |r|^(p-1) sign(r) are
 formed once there and shared by F, its gradient (the duality map J(r))
 and the Hessian, and the result counts the objective and gradient
-evaluations.
+evaluations.  The zero datum of each projection (ell or c) enters no
+evaluation.  The set keeps what its chart needs across calls: sqrt(w),
+A = sqrt(w) D, the Gram matrix A^T A of the fit and the clamp onto the
+coefficient domain (``sets._Polyhedral._chart``).  Segments, rays and
+lines have one coefficient, so their Newton systems are 1 x 1, and
+``_model_step`` solves those with the one division LAPACK would make, bit
+for bit.
 That loop keeps the method label "projected-gradient", which reports and
 the result schema read; ``stop_reason`` says why it stopped.
 """
@@ -46,12 +52,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .sets import ConvexSet
-from .spaces import DualVec, PrimalVec, _SqNormAt, duality_map, duality_map_inv, lyapunov
+from .spaces import DualVec, PrimalVec, _image, _SqNormAt, duality_map_inv, lyapunov
 
 __all__ = [
     "ProjectionResult",
@@ -99,7 +104,8 @@ class ProjectionResult:
     are 0 for closed forms.  ``stop_reason`` is "closed-form",
     "grad-tol" (the gradient mapping fell below its tolerance), "flat"
     (neither the Newton nor the gradient direction descends at working
-    precision) or "max-iters".
+    precision), "max-iters", or "overflow" (the objective at the warm
+    start is not a finite float, so no step can be judged).
     """
 
     point: PrimalVec
@@ -118,28 +124,24 @@ def _require_smooth(space):
         raise ValueError("projections require a space exponent in (1, oo)")
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    # Euclidean projection onto {t >= 0, sum t = 1}, by sorting.
-    u = np.sort(v)[::-1]
-    cssv = np.cumsum(u) - 1.0
-    k = np.arange(1, v.size + 1)
-    rho = int(np.nonzero(u * k > cssv)[0][-1])
-    theta = cssv[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def _clamp(C: ConvexSet) -> Callable[[np.ndarray], np.ndarray]:
-    """Euclidean projection onto C's coefficient domain: the simplex, or the box [lo, hi].
-
-    min(max(t, lo), hi) is np.clip written out, at a third of its per-call cost.
-    """
-    if C._simplex:
-        return _project_simplex
-    lo, hi = C._lo, C._hi
-    return lambda t: np.minimum(np.maximum(t, lo), hi)
-
-
 def _model_step(H: np.ndarray, rhs: np.ndarray, full_rank: bool) -> np.ndarray:
+    """The solution of H s = rhs; in the least-squares sense unless ``full_rank`` and nonsingular.
+
+    A 1 x 1 system with a nonzero pivot is the one division that LAPACK's
+    dgesv makes for n = 1, so it equals ``np.linalg.solve`` bit for bit
+    without numpy.linalg's per-call dispatch.  A system with an entry that
+    is not finite gets a NaN step and never reaches LAPACK, whose scaling
+    routine would print an error for it: the NaN step fails every descent
+    test, and the loop takes the gradient direction instead.
+    """
+    if rhs.size == 1:
+        h, r = float(H[0, 0]), float(rhs[0])
+        if not (math.isfinite(h) and math.isfinite(r)):
+            return np.full(1, math.nan)
+        if full_rank and h != 0.0:
+            return np.array([r / h])
+    elif not (np.isfinite(H).all() and np.isfinite(rhs).all()):
+        return np.full(rhs.size, math.nan)
     if full_rank:
         try:
             return np.linalg.solve(H, rhs)
@@ -165,28 +167,33 @@ class _ChartObjective:
     2 D^T (w J(r) - w ell) from the same r and norm, and the point's
     ``sq.hessian()`` gives the Hessian parts, sharing |r|^(p-1) sign(r)
     with J.  It counts the objective and the gradient evaluations.
+    ``c`` or ``ell`` is None where it is zero, and its terms are then left
+    out: each would add or subtract an exact 0.
     """
 
     __slots__ = ("space", "base", "D", "c", "w", "wl", "ell_sq", "evaluations", "gradients")
 
-    def __init__(self, C: ConvexSet, c: np.ndarray, ell: np.ndarray):
+    def __init__(self, C: ConvexSet, c: np.ndarray | None, ell: np.ndarray | None):
         self.space, self.base, self.D, self.c = C.space, C._base, C._D, c
         self.w = C.space.weights
-        self.wl = self.w * ell
-        self.ell_sq = C.space.dual().norm_of(ell) ** 2
+        self.wl = None if ell is None else self.w * ell
+        self.ell_sq = 0.0 if ell is None else C.space.dual().norm_of(ell) ** 2
         self.evaluations = self.gradients = 0
 
     def __call__(self, t: np.ndarray) -> _ChartPoint:
         self.evaluations += 1
         u = self.base + self.D @ t
-        r = u - self.c
+        r = u if self.c is None else u - self.c
         nrm = self.space.norm_of(r)
-        f = nrm**2 - 2.0 * float(np.dot(self.wl, u)) + self.ell_sq
+        f = nrm**2
+        if self.wl is not None:
+            f = f - 2.0 * float(self.wl.dot(u)) + self.ell_sq
         return _ChartPoint(t, u, f, _SqNormAt(self.space, r, nrm))
 
     def gradient(self, x: _ChartPoint) -> np.ndarray:
         self.gradients += 1
-        return self.D.T @ (2.0 * (self.w * x.sq.jmap() - self.wl))
+        wj = self.w * x.sq.jmap()
+        return self.D.T @ (2.0 * (wj if self.wl is None else wj - self.wl))
 
 
 def _arc_search(F, project, t, fval, g, gap, d, step, flat):
@@ -213,14 +220,14 @@ def _arc_search(F, project, t, fval, g, gap, d, step, flat):
             return None
         x = F(cand)
         fc = x.f
-        slope = float(np.dot(g, delta))
+        slope = float(g.dot(delta))
         armijo = fc < fval - flat and fc <= fval + _ARMIJO_SLOPE * slope
         if armijo or fc <= fval + flat:
             gc = F.gradient(x)
             step_c = cand - project(cand - gc)
             gap_c = math.sqrt(float(step_c.dot(step_c)))
             if armijo:
-                accept = shrink > 0 or float(np.dot(gc, delta)) <= -_OVERSHOOT * slope
+                accept = shrink > 0 or float(gc.dot(delta)) <= -_OVERSHOOT * slope
             else:
                 accept = gap_c <= 0.5 * gap
             if accept:
@@ -240,14 +247,16 @@ def _arc_search(F, project, t, fval, g, gap, d, step, flat):
 def _warm_start(C: ConvexSet, y: PrimalVec) -> np.ndarray:
     """Chart coefficients of the weighted least-squares fit of y, projected onto the domain.
 
-    The fit's normal equations are k x k, far cheaper than an n x k lstsq.
-    They are solved directly when the chart's directions are independent,
-    and in the least-squares sense otherwise.
+    The fit's normal equations A^T A t = A^T sqrt(w) (y - base), with
+    A = sqrt(w) D, are k x k, far cheaper than an n x k lstsq.  The set
+    forms A and A^T A once and keeps them, so a call costs one product
+    with A^T and one solve: a division on a one-direction chart, a direct
+    solve when the directions are independent, and a least-squares solve
+    otherwise.
     """
-    sw = np.sqrt(C.space.weights)
-    A = sw[:, None] * C._D
-    rhs = A.T @ (sw * (y.coords - C._base))
-    return _clamp(C)(_model_step(A.T @ A, rhs, C._independent_directions()))
+    chart = C._chart
+    rhs = chart.A.T @ (chart.sqrt_weights * (y.coords - C._base))
+    return chart.clamp(_model_step(chart.gram, rhs, chart.independent))
 
 
 def _member_witness(C: ConvexSet, y: PrimalVec, t: np.ndarray) -> tuple[bool, np.ndarray | None]:
@@ -261,7 +270,7 @@ def _member_witness(C: ConvexSet, y: PrimalVec, t: np.ndarray) -> tuple[bool, np
     tol = 1e-12 * (1.0 + float(np.abs(y.coords).max()))
     if C._fits(y, t, tol):
         return True, t
-    if C._independent_directions():
+    if C._chart.independent:
         return False, None
     return C.contains(y, tol), None
 
@@ -277,19 +286,22 @@ def _solve_on_chart(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.ndarray)
     simplex.  Each trial point is one evaluation (``_ChartObjective``):
     the residual, its norm and |r|^(p-1) sign(r) are formed once there and
     shared by F, its gradient and, at an accepted point, the Hessian.
-    Returns the point, its coefficients, F there, the accepted steps, the
-    stop reason and the objective and gradient evaluation counts.
+    ``c`` or ``ell`` is None where it is zero.  Returns the point, its
+    coefficients, F there, the accepted steps, the stop reason and the
+    objective and gradient evaluation counts.
     """
     space = C.space
     D, lo, simplex = C._D, C._lo, C._simplex
     F = _ChartObjective(C, c, ell)
-    project = _clamp(C)
+    project = C._chart.clamp
     # the reduced Hessian has rank at most n, and its bordered form at most
     # n + 2; larger systems are singular
     rank_cap = space.n + 2 if simplex else space.n
-    data_sq = space.norm_of(c) ** 2 + F.ell_sq
     x = F(t)
+    if not math.isfinite(x.f):
+        return x.u, x.t, x.f, 0, "overflow", (F.evaluations, F.gradients)
     g = F.gradient(x)
+    data_sq = None  # the data's scale for the roundoff test, taken at the first step
     step_g = t - project(t - g)
     gap = math.sqrt(float(step_g.dot(step_g)))
     iters = 0
@@ -303,48 +315,70 @@ def _solve_on_chart(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.ndarray)
             break
         h, beta, a = x.sq.hessian()
         Da = D.T @ a
-        hess = D.T @ (h[:, None] * D) + beta * np.outer(Da, Da)
+        hess = D.T @ (h[:, None] * D) + beta * (Da[:, None] * Da)
         # Bertsekas's active set: coefficients near their lower bound whose
         # gradient pushes outward; on the simplex the gradient is level across
         # the support at the optimum, so "outward" is measured from that level
         near = t - lo <= min(gap, _ACTIVE_WIDTH)
-        support = t > gap
-        level = float(np.mean(g[support])) if simplex and support.any() else 0.0
-        active = near & (g > level)
+        can_hold = near.any()  # else the active set is empty, whatever the step
+        if can_hold:
+            level = 0.0
+            if simplex:
+                support = t > gap
+                if support.any():
+                    level = float(np.mean(g[support]))
+            active = near & (g > level)
         while True:
-            free = ~active
-            held = active.any()
-            m = int(free.sum())
+            held = can_hold and active.any()
+            if held:
+                free = ~active
+                H, g_free = hess[free][:, free], g[free]
+            else:
+                H, g_free = hess, g
+            m = g_free.size
             if simplex:
                 # the free block bordered by the sum constraint
-                H = np.zeros((m + 1, m + 1))
-                H[:m, :m] = hess[free][:, free] if held else hess
-                H[:m, m] = H[m, :m] = 1.0
+                bordered = np.zeros((m + 1, m + 1))
+                bordered[:m, :m] = H
+                bordered[:m, m] = bordered[m, :m] = 1.0
+                H = bordered
                 rhs = np.empty(m + 1)
-                rhs[:m] = -g[free]
-                rhs[m] = np.sum(t[active])
+                rhs[:m] = -g_free
+                rhs[m] = np.sum(t[active]) if held else 0.0
             else:
-                H = hess[free][:, free] if held else hess
-                rhs = -g[free]
-            newton = -t  # active coefficients go to their bound
-            newton[free] = _model_step(H, rhs, rhs.size <= rank_cap)[:m]
+                rhs = -g_free
+            step = _model_step(H, rhs, rhs.size <= rank_cap)[:m]
+            if held:
+                newton = -t  # active coefficients go to their bound
+                newton[free] = step
+            else:
+                newton = step
+            if not can_hold:
+                break
             # a free coefficient at its bound that the step pushes outward is held there
-            blocked = free & near & (newton < 0.0)
+            blocked = near & (newton < 0.0)
+            if held:
+                blocked &= free
             if not blocked.any():
                 break
             active |= blocked
-        curv = float(g @ hess @ g)
-        cauchy = float(np.dot(g, g)) / curv if curv > 0.0 else 1.0
+        if data_sq is None:
+            data_sq = F.ell_sq if c is None else space.norm_of(c) ** 2 + F.ell_sq
         flat = _ROUNDOFF * (abs(x.f) + data_sq)
-        for d, step in ((newton, 1.0), (-g, cauchy)):
-            if float(np.dot(g, d)) < 0.0:
-                moved = _arc_search(F, project, t, x.f, g, gap, d, step, flat)
-                if moved is not None:
-                    x, g, gap = moved
-                    break
-        else:
+        moved = None
+        if float(g.dot(newton)) < 0.0:
+            moved = _arc_search(F, project, t, x.f, g, gap, newton, 1.0, flat)
+        if moved is None:
+            # the Cauchy step along -g, the gradient direction
+            curv = float(g @ hess @ g)
+            cauchy = float(g.dot(g)) / curv if curv > 0.0 else 1.0
+            d = -g
+            if float(g.dot(d)) < 0.0:
+                moved = _arc_search(F, project, t, x.f, g, gap, d, cauchy, flat)
+        if moved is None:
             stop = "flat"  # neither direction descends at working precision
             break
+        x, g, gap = moved
         iters += 1
     return x.u, x.t, x.f, iters, stop, (F.evaluations, F.gradients)
 
@@ -397,7 +431,7 @@ def metric_project(C: ConvexSet, x: PrimalVec, vi_tol: float = _VI_TOL) -> Proje
     """Nearest point of C to x in the space's norm, certified when its VI residual is at most ``vi_tol``."""
     _require_smooth(C.space)
     C._check_point(x)
-    return _project(C, x, x, x.coords, np.zeros(C.space.n), _sq_distance, vi_residual_metric, vi_tol)
+    return _project(C, x, x, x.coords, None, _sq_distance, vi_residual_metric, vi_tol)
 
 
 def generalized_project(C: ConvexSet, psi: DualVec, vi_tol: float = _VI_TOL) -> ProjectionResult:
@@ -405,7 +439,7 @@ def generalized_project(C: ConvexSet, psi: DualVec, vi_tol: float = _VI_TOL) -> 
     _require_smooth(C.space)
     C._check_functional(psi)
     y = duality_map_inv(psi)
-    return _project(C, psi, y, np.zeros(C.space.n), psi.coords, lyapunov, vi_residual_generalized, vi_tol)
+    return _project(C, psi, y, None, psi.coords, lyapunov, vi_residual_generalized, vi_tol)
 
 
 def _require_member(C: ConvexSet, u: PrimalVec, witness: np.ndarray | None) -> None:
@@ -423,22 +457,28 @@ def vi_residual_metric(C: ConvexSet, x: PrimalVec, u: PrimalVec, witness: np.nda
     rays and lineality (``sets._Polyhedral``), from which the solver built
     u: then u is a member when t lies in the chart's domain and base + D t
     reproduces u within that tolerance, and nothing is fitted.  A witness
-    that passes always passes ``C.contains`` too.
+    that passes always passes ``C.contains`` too.  J(x - u) is formed on
+    the coordinates and wrapped once; OverflowError when it is not finite.
     """
     _require_smooth(C.space)
+    C._check_point(x)
     _require_member(C, u, witness)
-    return C._vi_violation(duality_map(x - u), u)
+    space = C.space
+    return C._vi_violation(_image(DualVec, space.dual(), space.jmap(x.coords - u.coords)), u)
 
 
 def vi_residual_generalized(C: ConvexSet, psi: DualVec, y: PrimalVec, witness: np.ndarray | None = None) -> float:
     """Certificate for y = generalized projection of psi onto C.
 
     Membership is decided as in ``vi_residual_metric``, by the ``witness``
-    coefficients when given.
+    coefficients when given, and psi - J(y) is formed on the coordinates
+    and wrapped once; OverflowError when it is not finite.
     """
     _require_smooth(C.space)
+    C._check_functional(psi)
     _require_member(C, y, witness)
-    return C._vi_violation(psi - duality_map(y), y)
+    space = C.space
+    return C._vi_violation(_image(DualVec, space.dual(), psi.coords - space.jmap(y.coords)), y)
 
 
 def inverse_image_member_metric(C: ConvexSet, y: PrimalVec, x: PrimalVec) -> bool:

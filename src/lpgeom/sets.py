@@ -13,14 +13,16 @@ inequality, the face of a functional, and a supporting functional at a
 member.  This is the one module that tells the set types apart.  Each
 polyhedral set reads from (V, R, L) the affine chart the projection
 solver works on: base + D t, with per-coefficient bounds lo <= t <= hi,
-or the probability simplex over the vertices.
+or the probability simplex over the vertices.  It forms the solver's
+constants for that chart on the first projection and keeps them
+(``_Polyhedral._chart``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,6 +55,26 @@ def _as_points(points, what: str) -> tuple[PrimalVec, ...]:
         if p.space != space:
             raise ValueError(f"{what} must share one space")
     return pts
+
+
+def _project_simplex(v: np.ndarray) -> np.ndarray:
+    # Euclidean projection onto {t >= 0, sum t = 1}, by sorting.
+    u = np.sort(v)[::-1]
+    cssv = np.cumsum(u) - 1.0
+    k = np.arange(1, v.size + 1)
+    rho = int(np.nonzero(u * k > cssv)[0][-1])
+    theta = cssv[rho] / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+class _SolverChart(NamedTuple):
+    """What the projection solver reads from a polyhedral set's chart u = base + D t."""
+
+    sqrt_weights: np.ndarray  # sqrt(w)
+    A: np.ndarray  # sqrt(w) D: a Euclidean fit in A is the weighted fit in D
+    gram: np.ndarray  # A^T A, the matrix of that fit's k x k normal equations
+    clamp: Callable[[np.ndarray], np.ndarray]  # Euclidean projection onto the coefficient domain
+    independent: bool  # _Polyhedral._independent_directions
 
 
 def _frozen_rows(rows, n: int) -> np.ndarray:
@@ -176,7 +198,29 @@ class _Polyhedral(ConvexSet):
         self._rows = np.vstack([self.V, self.R, self.L])
         self._lengths = np.linalg.norm(self._rows[nv:], axis=1)  # of the rays and lineality directions
         self._extent = float(np.max(np.linalg.norm(self.V, axis=1)) + np.max(self._lengths, initial=0.0))
-        self._independent: bool | None = None  # set by _independent_directions on first use
+
+    @functools.cached_property
+    def _chart(self) -> _SolverChart:
+        """The constants the projection solver reads from the chart, formed on first use and kept."""
+        sw = np.sqrt(self.space.weights)
+        A = sw[:, None] * self._D
+        return _SolverChart(sw, A, A.T @ A, self._domain_clamp(), self._independent_directions())
+
+    def _domain_clamp(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Euclidean projection onto the coefficient domain: the simplex, or the box [lo, hi].
+
+        The box is read from the one kind of column the chart has: free
+        lineality coefficients (or none) pass as they are, ray coefficients
+        are floored at 0, and an edge's coefficient is held in [0, 1].
+        Each form returns the bits of min(max(t, lo), hi).
+        """
+        if self._simplex:
+            return _project_simplex
+        if not np.isfinite(self._lo).any():
+            return lambda t: t
+        if np.isfinite(self._hi).any():
+            return lambda t: np.minimum(np.maximum(t, 0.0), 1.0)
+        return lambda t: np.maximum(t, 0.0)
 
     def distance(self, x: PrimalVec) -> float:
         self._check_point(x)
@@ -227,20 +271,25 @@ class _Polyhedral(ConvexSet):
 
         Then each member has one coefficient vector, which the normal
         equations D^T D t = D^T r recover, so a fit that misses x proves x is
-        not a member.  Decided on the first call by ``polyhedra._svd_rank``'s
-        rule on the singular values of the k x k matrix D^T D, with
+        not a member.  Decided once per set, when ``_chart`` is formed, by
+        ``polyhedra._svd_rank``'s rule on the singular values of the k x k
+        matrix D^T D (at k = 1, on its one entry), with
         rcond = sqrt(eps) to clear the roundoff of forming it; so cond(D) is
         below eps^(-1/4), about 1e4.  More directions than the dimension are
         dependent.  No n x k factorization is taken: with BLAS threads on a
         2-CPU Xeon, an SVD of 200 x 50 stalled for about 50 ms.
         """
-        if self._independent is None:
-            n, k = self._D.shape
-            gram = self._D.T @ self._D
-            # a 1 x 1 Gram matrix is its own singular value
-            s = np.linalg.svd(gram, compute_uv=False) if k > 1 else gram.ravel()
-            self._independent = k <= n and _rank(s, gram.shape, _GRAM_RCOND) == k
-        return self._independent
+        n, k = self._D.shape
+        if k > n:
+            return False
+        if k == 0:
+            return True
+        gram = self._D.T @ self._D
+        if k == 1:
+            # a 1 x 1 Gram matrix is its own singular value, and _rank's rule on it is this
+            g = float(gram[0, 0])
+            return g > g * _GRAM_RCOND
+        return _rank(np.linalg.svd(gram, compute_uv=False), gram.shape, _GRAM_RCOND) == k
 
     @functools.cached_property
     def _polar(self) -> np.ndarray:
@@ -290,9 +339,10 @@ class _Polyhedral(ConvexSet):
         wphi = self.space.weights * phi.coords
         vals = self._rows @ wphi
         nv, nr = len(self.V), len(self.R)
-        vals[:nv] -= float(np.dot(wphi, u.coords))
-        vals[nv + nr:] = np.abs(vals[nv + nr:])
-        return float(np.max(vals))
+        vals[:nv] -= float(wphi.dot(u.coords))
+        if len(self.L):
+            vals[nv + nr:] = np.abs(vals[nv + nr:])
+        return float(vals.max())
 
     def _face(self, psi: DualVec, tol: float) -> tuple:
         """As ``faces.face`` states it; a vertex within tol (1 + max |<psi, v>|) of the level is on it."""

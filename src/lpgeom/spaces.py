@@ -133,15 +133,21 @@ class LpSpace:
     # -- array-level kernels used by the solvers ------------------------------
 
     def norm_of(self, coords: np.ndarray) -> float | np.ndarray:
-        """Norm of ``coords``, or of each row of a stack of them (the last axis is reduced)."""
-        if math.isinf(self.p):
+        """Norm of ``coords``, or of each row of a stack of them (the last axis is reduced).
+
+        One vector's root is taken on a Python float, with the bits of the
+        numpy root and without its per-call cost.
+        """
+        p = self.p
+        if math.isinf(p):
             nrm = np.max(np.abs(coords), axis=-1)
-        elif self.p == 1.0:
+        elif p == 1.0:
             nrm = np.dot(np.abs(coords), self.weights)
-        elif self.p == 2.0:
-            nrm = np.sqrt(np.dot(coords * coords, self.weights))
         else:
-            nrm = np.dot(np.abs(coords) ** self.p, self.weights) ** (1.0 / self.p)
+            total = np.dot(coords * coords if p == 2.0 else np.abs(coords) ** p, self.weights)
+            if total.ndim == 0:
+                return math.sqrt(total) if p == 2.0 else float(total) ** (1.0 / p)
+            nrm = np.sqrt(total) if p == 2.0 else total ** (1.0 / p)
         return float(nrm) if nrm.ndim == 0 else nrm
 
     def pairing(self, psi_coords: np.ndarray, x_coords: np.ndarray) -> float:

@@ -17,11 +17,12 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from _oracles import assert_schema_valid, packaged_schema
 
 import lpgeom
-from lpgeom import cli, cones, polyhedra, sets
+from lpgeom import cli, cones, polyhedra, projections, sets
 from lpgeom.cli import main
 from lpgeom.spaces import LpSpace, duality_map
 
@@ -460,6 +461,20 @@ def test_a_duality_map_overflow_exits_3_not_as_a_usage_error(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["status"] == "error"
     assert doc["result"] == {"exception": "OverflowError", "message": "the duality map overflowed on finite coordinates"}
+
+
+def test_an_overflowed_objective_stops_the_loop_as_overflow_not_flat():
+    # ||x|| at p = 200 exceeds a float here, so F is inf at the warm start, before any step
+    doc = _P200_HOMOGENEITY_PROBLEM
+    S = LpSpace(3, doc["space"]["p"], weights=doc["space"]["weights"])
+    K = sets.FinitelyGeneratedCone(S.point(doc["set"]["vertex"]), [S.point(g) for g in doc["set"]["generators"]])
+    x = S.point(doc["point"])
+    t = projections._warm_start(K, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, t_end, f, iters, stop, evaluations = projections._solve_on_chart(K, x.coords, np.zeros(3), t)
+    assert stop == "overflow" and f == math.inf
+    assert iters == 0 and evaluations == (1, 0)
+    assert np.array_equal(t_end, t)
 
 
 def test_a_report_command_names_itself_in_its_error_document(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ from lpgeom.projections import (
     ProjectionResult,
     _arc_search,
     _ChartObjective,
-    _project_simplex,
+    _model_step,
     generalized_project,
     inverse_image_member_metric,
     metric_project,
@@ -24,6 +25,8 @@ from lpgeom.sets import (
     Ray,
     Segment,
     Subspace,
+    _Polyhedral,
+    _project_simplex,
 )
 from lpgeom.spaces import LpSpace, duality_map, duality_map_inv, lyapunov, norm, pair
 from lpgeom.suite import _PROPERTIES, _rng, fuzz_target_ids
@@ -598,7 +601,9 @@ def _guard_sets(S):
 
 def test_loop_takes_one_norm_per_trial_point_and_no_duality_map(monkeypatch):
     # inside the loop norm_of runs once per objective evaluation, plus once
-    # each for ||ell||_* and ||c||; J comes from the shared kernel, not jmap
+    # for the nonzero datum: ||c|| of the metric projection, ||ell||_* of the
+    # generalized one (the zero datum takes no norm); J comes from the shared
+    # kernel, not jmap
     calls = {"norm_of": 0, "jmap": 0}
     for name in calls:
 
@@ -626,7 +631,7 @@ def test_loop_takes_one_norm_per_trial_point_and_no_duality_map(monkeypatch):
                 res = project(C, data)
                 assert res.iterations >= 1 and len(inside) == 1, (p, C, project)
                 norms, jmaps = inside[0]
-                assert norms == res.objective_evaluations + 2, (p, C, project)
+                assert norms == res.objective_evaluations + 1, (p, C, project)
                 assert jmaps == 0, (p, C, project)
 
 
@@ -670,3 +675,87 @@ def test_chart_objective_gives_the_separate_formulas_bit_for_bit():
                 at = F(t)
                 assert at.f == chart_objective(S, base, D, c, ell, t)
                 assert np.array_equal(F.gradient(at), chart_gradient(S, base, D, c, ell, t))
+
+
+def test_one_by_one_systems_divide_with_the_bits_of_solve(monkeypatch):
+    # the division is dgesv's at n = 1; entries span 1e-150..1e150, both signs
+    rng = np.random.default_rng(66)
+    H = rng.uniform(-1.0, 1.0, 10000) * 10.0 ** rng.uniform(-150.0, 150.0, 10000)
+    rhs = rng.uniform(-1.0, 1.0, 10000) * 10.0 ** rng.uniform(-150.0, 150.0, 10000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h, r in zip(H, rhs):
+            system = (np.array([[h]]), np.array([r]))
+            step = _model_step(*system, True)
+            assert step.shape == (1,) and step[0] == np.linalg.solve(*system)[0], (h, r)
+        # a singular 1 x 1 system still goes to the least-squares solve, which returns 0
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        assert np.array_equal(_model_step(np.zeros((1, 1)), np.zeros(1), True), [0.0])
+        assert len(calls) == 1
+
+
+def test_non_finite_systems_never_reach_lapack(monkeypatch):
+    # such a system gets a NaN step before any solve: LAPACK's scaling routine would print an error
+    def refused(*args, **kwargs):
+        raise AssertionError("a non-finite system reached LAPACK")
+
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    monkeypatch.setattr(np.linalg, "lstsq", refused)
+    for bad in (math.inf, -math.inf, math.nan):
+        for size in (1, 3):
+            for in_matrix in (True, False):
+                H, rhs = np.eye(size), np.ones(size)
+                if in_matrix:
+                    H[0, -1] = bad
+                else:
+                    rhs[-1] = bad
+                for full_rank in (True, False):
+                    step = _model_step(H, rhs, full_rank)
+                    assert step.shape == (size,) and np.isnan(step).all(), (bad, size, in_matrix)
+
+
+def test_chart_constants_are_built_once_and_keep_every_bit(monkeypatch):
+    # answers on one set, projected many times, equal answers on fresh copies of it
+    rng = np.random.default_rng(67)
+    S = LpSpace(4, 3.0, weights=[0.5, 1.0, 1.5, 2.0])
+    data = [rng.normal(size=4) * 3.0 for _ in range(5)]
+
+    def cone():
+        return FinitelyGeneratedCone(S.point([0.5, -1.0, 0.0, 0.2]), [S.point(v) for v in np.eye(4)[:3] + 0.3])
+
+    def polytope():
+        return Polytope([S.point(v) for v in ([1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 1.0, 0.0], [-1.0, 0.5, 0.0, 1.0])])
+
+    def segment():
+        return Segment(S.point([1.0, -2.0, 0.5, 3.0]), S.point([0.3, 1.0, -1.0, 0.2]))
+
+    chart = _Polyhedral.__dict__["_chart"]
+    builds = []
+    build = chart.func
+
+    def counted(C):
+        builds.append(C)
+        return build(C)
+
+    monkeypatch.setattr(chart, "func", counted)
+    for make in (cone, polytope, segment):
+        C = make()
+        builds.clear()
+        for v in data:
+            for project, arg in ((metric_project, S.point), (generalized_project, S.functional)):
+                kept, fresh = project(C, arg(v)), project(make(), arg(v))
+                assert np.array_equal(kept.point.coords, fresh.point.coords), (make, v)
+                assert (kept.objective, kept.vi_residual, kept.iterations, kept.stop_reason) == (
+                    fresh.objective,
+                    fresh.vi_residual,
+                    fresh.iterations,
+                    fresh.stop_reason,
+                )
+        assert builds.count(C) == 1, make

@@ -184,6 +184,14 @@ def test_a_crashing_trial_is_a_hit_and_the_run_goes_on(target):
         assert isinstance(hit["trial"], int) and 0 <= hit["trial"] < 300
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_no_non_finite_system_reaches_lapack(capfd):
+    # LAPACK's scaling routine prints "On entry to DLASCL ..." for a system with inf or NaN entries
+    run_fuzz("metric-projection-homogeneity", trials=300, seed=0, p=200.0)
+    out, err = capfd.readouterr()
+    assert "DLASCL" not in out + err
+
+
 def test_a_crash_fails_even_a_witness_seeking_property(monkeypatch):
     name = "metric-dual-convexity"
     prop = _PROPERTIES[name]
