@@ -10,123 +10,20 @@ setting and the Hilbert-space identities that fail in it.
 # the one copy of the version: pyproject.toml and the emitted documents read it
 __version__ = "0.1.0"
 
-from .spaces import (
-    LpSpace,
-    PrimalVec,
-    DualVec,
-    conjugate_exponent,
-    norm,
-    pair,
-    duality_map,
-    duality_map_inv,
-    lyapunov,
-    window_functional,
-)
-from .sets import (
-    ConvexSet,
-    Segment,
-    Ray,
-    Line,
-    FinitelyGeneratedCone,
-    Polytope,
-    Ball,
-    Subspace,
-)
-from .projections import (
-    ProjectionResult,
-    metric_project,
-    generalized_project,
-    vi_residual_metric,
-    vi_residual_generalized,
-    inverse_image_member_metric,
-)
-from .cones import (
-    Witness,
-    member_metric_dual,
-    member_generalized_dual,
-    probe_nonconvexity_metric_dual,
-    metric_double_dual_violation,
-    generalized_double_dual_member,
-    find_double_dual_certificate,
-    IntersectionDualReport,
-    intersection_dual_check_family,
-    hilbert_identity_violation,
-)
-from .faces import (
-    FaceDescription,
-    face,
-    face_membership,
-    vision_dual_member,
-    vision_primal_member,
-    ClassifyResult,
-    classify_point,
-    FixedPointReport,
-    fixed_point_check,
-    VISolution,
-    solve_vi,
-    DualVisionIdentityReport,
-    dual_vision_identity_check,
-)
-
-__all__ = [
-    "LpSpace",
-    "PrimalVec",
-    "DualVec",
-    "conjugate_exponent",
-    "norm",
-    "pair",
-    "duality_map",
-    "duality_map_inv",
-    "lyapunov",
-    "window_functional",
-    "ConvexSet",
-    "Segment",
-    "Ray",
-    "Line",
-    "FinitelyGeneratedCone",
-    "Polytope",
-    "Ball",
-    "Subspace",
-    "ProjectionResult",
-    "metric_project",
-    "generalized_project",
-    "vi_residual_metric",
-    "vi_residual_generalized",
-    "inverse_image_member_metric",
-    "Witness",
-    "member_metric_dual",
-    "member_generalized_dual",
-    "probe_nonconvexity_metric_dual",
-    "metric_double_dual_violation",
-    "generalized_double_dual_member",
-    "find_double_dual_certificate",
-    "IntersectionDualReport",
-    "intersection_dual_check_family",
-    "hilbert_identity_violation",
-    "FaceDescription",
-    "face",
-    "face_membership",
-    "vision_dual_member",
-    "vision_primal_member",
-    "ClassifyResult",
-    "classify_point",
-    "FixedPointReport",
-    "fixed_point_check",
-    "VISolution",
-    "solve_vi",
-    "DualVisionIdentityReport",
-    "dual_vision_identity_check",
-    "CheckRecord",
-    "SuiteReport",
-    "run_verification_suite",
-    "run_fuzz",
-    "fuzz_target_ids",
-    "__version__",
-]
+from . import cones, faces, projections, sets, spaces
+from .spaces import *  # noqa: F403 -- each module's __all__ is the one list of its public names
+from .sets import *  # noqa: F403
+from .projections import *  # noqa: F403
+from .cones import *  # noqa: F403
+from .faces import *  # noqa: F403
 
 # the suite's names resolve on first use (PEP 562), so that a single
 # command, which runs no check, never imports the suite
 _SUITE_NAMES = ("CheckRecord", "SuiteReport", "run_verification_suite", "run_fuzz", "fuzz_target_ids")
+
+__all__ = [
+    *spaces.__all__, *sets.__all__, *projections.__all__, *cones.__all__, *faces.__all__, *_SUITE_NAMES, "__version__"
+]
 
 
 def __getattr__(name):

@@ -39,7 +39,7 @@ import numpy as np
 
 from .polyhedra import _nnls, _polar_rows, intersect_cone_generators
 from .projections import _VI_TOL, metric_project
-from .spaces import DualVec, PrimalVec, duality_map, norm, pair
+from .spaces import DualVec, PrimalVec, _finite_image
 
 __all__ = [
     "Witness",
@@ -82,16 +82,16 @@ class Witness:
         return math.isfinite(fresh) and fresh > 0.0
 
 
-def _vertex_and_generators(K) -> tuple[PrimalVec, np.ndarray]:
-    """(vertex, generator rows) of a set with one vertex, some rays and no lineality."""
+def _vertex_and_generators(K) -> tuple[np.ndarray, np.ndarray]:
+    """(vertex row, generator rows) of a set with one vertex, some rays and no lineality."""
     V, R, L = (getattr(K, name, ()) for name in ("V", "R", "L"))
     if len(V) != 1 or not len(R) or len(L):
         raise TypeError("expected a ray or a finitely generated cone")
-    return K.space.point(V[0]), R
+    return V[0], R
 
 
-def _require_origin_vertex(v: PrimalVec):
-    if not np.all(v.coords == 0.0):
+def _require_origin_vertex(v: np.ndarray):
+    if not np.all(v == 0.0):
         raise ValueError("this check is defined for cones with vertex at the origin")
 
 
@@ -121,13 +121,15 @@ def _polar_members(K) -> np.ndarray:
 def member_metric_dual(K, x: PrimalVec, tol: float = 1e-9) -> bool:
     """Membership of x in the metric dual cone of K."""
     _vertex_and_generators(K)  # a ray or a cone, else TypeError
+    K._check_point(x)
     return bool(_margins(K, x.coords) <= tol)
 
 
 def member_generalized_dual(K, psi: DualVec, tol: float = 1e-9) -> bool:
     """Membership of psi in the generalized dual cone of K: psi - J(v) is bounded on K, by ``faces.face``'s rule."""
     v, _ = _vertex_and_generators(K)
-    return math.isfinite(K.support(psi - duality_map(v), tol))
+    K._check_functional(psi)
+    return math.isfinite(K._support(psi.coords - _finite_image(K.space.jmap(v)), tol))
 
 
 def probe_nonconvexity_metric_dual(K) -> Witness | None:
@@ -163,12 +165,13 @@ def probe_nonconvexity_metric_dual(K) -> Witness | None:
     if not escaped.size:
         return None
     k, j = divmod(int(escaped[0]), len(_LAMBDAS))
-    x, y, lam = space.point(X[pairs[k, 0]]), space.point(X[pairs[k, 1]]), float(_LAMBDAS[j])
-    h = lam * x + (1.0 - lam) * y
-    gaps = tuple((R @ (space.weights * duality_map(h - v).coords)).tolist())
+    lam = float(_LAMBDAS[j])
+    xyh = np.array([X[pairs[k, 0]], X[pairs[k, 1]], lam * X[pairs[k, 0]] + (1.0 - lam) * X[pairs[k, 1]]])
+    x, y, h = (space.point(row) for row in xyh)
+    gaps = tuple((R @ (space.weights * _finite_image(space.jmap(xyh[2] - v)))).tolist())
 
     def check() -> float:
-        m = _margins(K, np.array([x.coords, y.coords, (lam * x + (1.0 - lam) * y).coords]))
+        m = _margins(K, xyh)
         return float(m[2]) if max(m[0], m[1]) <= _SEARCH_TOL else -math.inf
 
     return Witness(
@@ -204,15 +207,17 @@ def metric_double_dual_violation(K) -> Witness | None:
     if not len(hits):
         return None
     i, j = hits[0]
-    z, x = space.point(Z[i]), space.point(X[j])
+    z, x = Z[i], X[j]
 
     def check() -> float:
-        if _margins(K, x.coords) > _SEARCH_TOL or not K.contains(z):
+        if _margins(K, x) > _SEARCH_TOL or not K._contains(z, 1e-9):
             return -math.inf
-        return pair(duality_map(z), x)
+        return space.pairing(_finite_image(space.jmap(z)), x)
 
     # the value as the validator recomputes it, not the product's roundoff
-    return Witness(kind="double-dual-gap", data={"z": z, "x": x}, value=pair(duality_map(z), x), _validator=check)
+    value = space.pairing(_finite_image(space.jmap(z)), x)
+    data = {"z": space.point(z), "x": space.point(x)}
+    return Witness(kind="double-dual-gap", data=data, value=value, _validator=check)
 
 
 def generalized_double_dual_member(K, x: PrimalVec, tol: float = 1e-8) -> bool:
@@ -225,13 +230,13 @@ def generalized_double_dual_member(K, x: PrimalVec, tol: float = 1e-8) -> bool:
     """
     v, _ = _vertex_and_generators(K)
     primal = K.contains(x, tol)
-    d = x.coords - v.coords
+    d = x.coords - v
     cert = bool(np.all(K._polar @ d <= tol * (1.0 + float(np.linalg.norm(d)))))
     if primal != cert:
         raise RuntimeError(
             "double-dual routes disagree: "
             f"primal membership {primal}, certificate {cert}, "
-            f"distance {K.distance(x):.3e}"
+            f"distance {K._distance(x.coords):.3e}"
         )
     return cert
 
@@ -243,7 +248,8 @@ def find_double_dual_certificate(K, x: PrimalVec, tol: float = 1e-8) -> Witness 
     x - v, the first one when several tie.
     """
     v, R = _vertex_and_generators(K)
-    d = x.coords - v.coords
+    K._check_point(x)
+    d = x.coords - v
     vals = K._polar @ d
     if not np.any(vals > tol * (1.0 + float(np.linalg.norm(d)))):
         return None
@@ -255,7 +261,7 @@ def find_double_dual_certificate(K, x: PrimalVec, tol: float = 1e-8) -> Witness 
     def check() -> float:
         if np.max(R @ best) > 1e-10 * (1.0 + float(np.linalg.norm(best))):
             return -math.inf  # not actually in the polar cone
-        return float(np.dot(best, x.coords - v.coords))
+        return float(np.dot(best, x.coords - v))
 
     return Witness(
         kind="separating-functional",
@@ -288,11 +294,10 @@ def intersection_dual_check_family(cones, tol: float = 1e-8) -> IntersectionDual
     data = [_vertex_and_generators(K) for K in cones]
     if len(data) < 2:
         raise ValueError("need at least two cones")
-    v0 = data[0][0]
-    for v, _ in data[1:]:
-        if v.space != v0.space or not np.array_equal(v.coords, v0.coords):
+    space, v0 = cones[0].space, data[0][0]
+    for K, (v, _) in zip(cones[1:], data[1:]):
+        if K.space != space or not np.array_equal(v, v0):
             raise ValueError("cones must share one vertex in one space")
-    space = v0.space
 
     H = data[0][1].T
     for _, R in data[1:]:
@@ -335,8 +340,8 @@ def _identity_defect(K, w: PrimalVec, vi_tol: float) -> tuple[float, PrimalVec]:
     res = metric_project(K, w, vi_tol)
     if not res.converged:
         raise RuntimeError("projection did not certify; defect value would be unreliable")
-    u = res.point
-    return pair(duality_map(w), u) - norm(u) ** 2, u
+    u = res.point.coords
+    return K.space.pairing(_finite_image(K.space.jmap(w.coords)), u) - K.space.norm_of(u) ** 2, res.point
 
 
 def hilbert_identity_violation(K, w: PrimalVec) -> float:

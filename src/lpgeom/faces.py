@@ -36,7 +36,7 @@ import numpy as np
 from .cones import _vertex_and_generators, member_generalized_dual
 from .projections import generalized_project, metric_project
 from .sets import ConvexSet
-from .spaces import DualVec, PrimalVec, duality_map, duality_map_inv, pair
+from .spaces import DualVec, PrimalVec, _finite_image, duality_map, duality_map_inv
 
 __all__ = [
     "FaceDescription",
@@ -87,23 +87,25 @@ def face(C: ConvexSet, psi: DualVec, tol: float = 1e-9) -> FaceDescription:
     pairing.  On a ball only psi = 0 has the whole ball as its face.
     """
     C._check_functional(psi)
-    return FaceDescription(*C._face(psi, tol))
+    level, kind, reps, gaps = C._face(psi.coords, tol)
+    return FaceDescription(level, kind, tuple(C.space.point(r) for r in reps), gaps)
 
 
-def _attains(C: ConvexSet, psi: DualVec, y: PrimalVec, tol: float) -> bool:
+def _attains(C: ConvexSet, psi: np.ndarray, y: np.ndarray, tol: float) -> bool:
     """Whether the member y reaches the face of psi on C, within tol (1 + |level| + |psi| |y|)."""
-    level = C.support(psi, tol)  # the face's level bit for bit, infinite exactly when the face is empty
+    level = C._support(psi, tol)  # the face's level bit for bit, infinite exactly when the face is empty
     if level == math.inf:
         return False
-    scale = tol * (1.0 + abs(level) + float(np.linalg.norm(psi.coords)) * float(np.linalg.norm(y.coords)))
-    return pair(psi, y) >= level - scale
+    scale = tol * (1.0 + abs(level) + float(np.linalg.norm(psi)) * float(np.linalg.norm(y)))
+    return C.space.pairing(psi, y) >= level - scale
 
 
 def face_membership(C: ConvexSet, psi: DualVec, y: PrimalVec, tol: float = 1e-9) -> bool:
     """Whether the member y attains the supremum of psi on C."""
     if not C.contains(y, max(tol, 1e-9)):
         raise ValueError("y is not a member of the set")
-    return _attains(C, psi, y, tol)
+    C._check_functional(psi)
+    return _attains(C, psi.coords, y.coords, tol)
 
 
 def vision_dual_member(C: ConvexSet, y: PrimalVec, psi: DualVec, tol: float = 1e-9) -> bool:
@@ -132,13 +134,14 @@ def classify_point(C: ConvexSet, y: PrimalVec, tol: float = 1e-9) -> ClassifyRes
     """
     if not C.contains(y, max(tol, 1e-9)):
         raise ValueError("y is not a member of the set")
-    psi, method = C._supporting_functional(y, tol)
-    if psi is None:
+    c, method = C._supporting_functional(y.coords, tol)
+    if c is None:
         return ClassifyResult("internal", None, method)
+    witness = C.space.functional(c)
     # second route: the witness must put y, fitted above, in its own face
-    if not _attains(C, psi, y, max(tol, 1e-7)):
+    if not _attains(C, c, y.coords, max(tol, 1e-7)):
         raise RuntimeError("classification witness does not support the set at the point")
-    return ClassifyResult("cuticle", psi, method)
+    return ClassifyResult("cuticle", witness, method)
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,7 @@ def dual_vision_identity_check(K) -> DualVisionIdentityReport:
     """
     v, R = _vertex_and_generators(K)
     space, tol = K.space, _DUAL_VISION_TOL
-    jv = duality_map(v)
+    jv = _finite_image(space.jmap(v))
     lengths = np.linalg.norm(R, axis=1)
     cases = []
     for c in np.vstack([np.zeros(space.n), K._polar / np.linalg.norm(K._polar, axis=1, keepdims=True)]):
@@ -235,7 +238,7 @@ def dual_vision_identity_check(K) -> DualVisionIdentityReport:
         cases += [(c, True)] + [(c + g / length, False) for g, length in zip(R[on_facet], lengths[on_facet])]
     disagreements = 0
     for c, member in cases:
-        psi = jv + DualVec(space.dual(), c / space.weights)
-        sides = (member_generalized_dual(K, psi, tol), _attains(K, psi - jv, v, tol))
+        psi = space.functional(jv + c / space.weights)
+        sides = (member_generalized_dual(K, psi, tol), _attains(K, psi.coords - jv, v, tol))
         disagreements += sides != (member, member)
     return DualVisionIdentityReport(len(cases), disagreements, disagreements == 0)

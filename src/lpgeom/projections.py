@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sets import ConvexSet
-from .spaces import DualVec, PrimalVec, _image, _SqNormAt, duality_map_inv, lyapunov
+from .spaces import DualVec, PrimalVec, _finite_image, _SqNormAt
 
 __all__ = [
     "ProjectionResult",
@@ -244,7 +244,7 @@ def _arc_search(F, project, t, fval, g, gap, d, step, flat):
     return None
 
 
-def _warm_start(C: ConvexSet, y: PrimalVec) -> np.ndarray:
+def _warm_start(C: ConvexSet, y: np.ndarray) -> np.ndarray:
     """Chart coefficients of the weighted least-squares fit of y, projected onto the domain.
 
     The fit's normal equations A^T A t = A^T sqrt(w) (y - base), with
@@ -255,11 +255,11 @@ def _warm_start(C: ConvexSet, y: PrimalVec) -> np.ndarray:
     otherwise.
     """
     chart = C._chart
-    rhs = chart.A.T @ (chart.sqrt_weights * (y.coords - C._base))
+    rhs = chart.A.T @ (chart.sqrt_weights * (y - C._base))
     return chart.clamp(_model_step(chart.gram, rhs, chart.independent))
 
 
-def _member_witness(C: ConvexSet, y: PrimalVec, t: np.ndarray) -> tuple[bool, np.ndarray | None]:
+def _member_witness(C: ConvexSet, y: np.ndarray, t: np.ndarray) -> tuple[bool, np.ndarray | None]:
     """Whether the unconstrained minimizer y lies in C, and coefficients witnessing it.
 
     The warm start t is y's fit.  When it rebuilds y within the shortcut's
@@ -267,12 +267,12 @@ def _member_witness(C: ConvexSet, y: PrimalVec, t: np.ndarray) -> tuple[bool, np
     chart's directions are independent; otherwise a nonnegative
     least-squares fit decides, and there is no witness.
     """
-    tol = 1e-12 * (1.0 + float(np.abs(y.coords).max()))
+    tol = 1e-12 * (1.0 + float(np.abs(y).max()))
     if C._fits(y, t, tol):
         return True, t
     if C._chart.independent:
         return False, None
-    return C.contains(y, tol), None
+    return C._contains(y, tol), None
 
 
 def _solve_on_chart(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.ndarray):
@@ -383,10 +383,10 @@ def _solve_on_chart(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.ndarray)
     return x.u, x.t, x.f, iters, stop, (F.evaluations, F.gradients)
 
 
-def _certified(point, objective, res, vi_tol, iters=0, stop="closed-form", evaluations=(0, 0)) -> ProjectionResult:
-    """A candidate with its VI residual; closed forms take no solver steps and no evaluations."""
+def _certified(C, u, objective, res, vi_tol, iters=0, stop="closed-form", evaluations=(0, 0)) -> ProjectionResult:
+    """The candidate u with its VI residual; closed forms take no solver steps and no evaluations."""
     return ProjectionResult(
-        point=point,
+        point=C.space.point(u),
         objective=objective,
         vi_residual=res,
         iterations=iters,
@@ -398,54 +398,60 @@ def _certified(point, objective, res, vi_tol, iters=0, stop="closed-form", evalu
     )
 
 
-def _project(C: ConvexSet, data, y: PrimalVec, c, ell, objective, residual, vi_tol) -> ProjectionResult:
-    """Minimize ||u - c||^2 - 2 <ell, u> over C, from the unconstrained minimizer y.
+def _project(C: ConvexSet, y: np.ndarray, c, ell, vi_tol: float) -> ProjectionResult:
+    """Minimize ||u - c||^2 - 2 <ell, u> over C, from the unconstrained minimizer y = c + J*(ell).
 
-    ``data`` is x or psi, ``objective(data, u)`` the projection's own
-    objective and ``residual(C, data, u, witness=...)`` its certificate.
-    The set's closed form comes first; then the fit of y warm-starts the
-    chart.  A member y is its own projection once its residual passes,
-    which holds exactly for the metric projection, where phi = J(0) = 0.
+    c = x and ell None for the metric projection, c None and ell = psi for
+    the generalized one.  The set's closed form comes first; then the fit
+    of y warm-starts the chart.  A member y is its own projection once its
+    residual passes, which holds exactly for the metric projection, where
+    phi = J(0) = 0.  The result's point is the one vector built here.
     """
     if not 0.0 < vi_tol < math.inf:  # false for NaN too
         raise ValueError("vi_tol must be positive and finite")
-    u = C._closed_form(y, data)
+    u = C._closed_form(y, c, ell)
     if u is not None:
-        return _certified(u, objective(data, u), residual(C, data, u), vi_tol)
+        return _certified(C, u, _objective(C, u, c, ell), _residual(C, u, None, c, ell), vi_tol)
     t = _warm_start(C, y)
     member, witness = _member_witness(C, y, t)
     if member:
-        res = residual(C, data, y, witness=witness)
+        res = _residual(C, y, witness, c, ell)
         if res <= vi_tol:
-            return _certified(y, objective(data, y), res, vi_tol)
-    u_arr, t, fval, iters, stop, evaluations = _solve_on_chart(C, c, ell, t)
-    u = C.space.point(u_arr)
-    return _certified(u, fval, residual(C, data, u, witness=t), vi_tol, iters, stop, evaluations)
+            return _certified(C, y, _objective(C, y, c, ell), res, vi_tol)
+    u, t, fval, iters, stop, evaluations = _solve_on_chart(C, c, ell, t)
+    return _certified(C, u, fval, _residual(C, u, t, c, ell), vi_tol, iters, stop, evaluations)
 
 
-def _sq_distance(x: PrimalVec, u: PrimalVec) -> float:
-    return x.space.norm_of(x.coords - u.coords) ** 2
+def _objective(C: ConvexSet, u: np.ndarray, c, ell) -> float:
+    """||x - u||^2 for the metric projection, V(psi, u) = ||psi||_*^2 - 2 <psi, u> + ||u||^2 for the generalized."""
+    space = C.space
+    if ell is None:
+        return space.norm_of(c - u) ** 2
+    return space.dual().norm_of(ell) ** 2 - 2.0 * space.pairing(ell, u) + space.norm_of(u) ** 2
+
+
+def _residual(C: ConvexSet, u: np.ndarray, witness: np.ndarray | None, c, ell) -> float:
+    """The worst violation over C of the VI for phi = J(c - u) + ell, once u is a member (``vi_residual_metric``)."""
+    if not (C._contains(u, _MEMBERSHIP_TOL) if witness is None else C._fits(u, witness, _MEMBERSHIP_TOL)):
+        raise ValueError("candidate projection is not a member of the set")
+    jmap = C.space.jmap
+    phi = jmap(c - u) if ell is None else ell - jmap(u)
+    return C._vi_violation(_finite_image(phi), u)
 
 
 def metric_project(C: ConvexSet, x: PrimalVec, vi_tol: float = _VI_TOL) -> ProjectionResult:
     """Nearest point of C to x in the space's norm, certified when its VI residual is at most ``vi_tol``."""
     _require_smooth(C.space)
     C._check_point(x)
-    return _project(C, x, x, x.coords, None, _sq_distance, vi_residual_metric, vi_tol)
+    return _project(C, x.coords, x.coords, None, vi_tol)
 
 
 def generalized_project(C: ConvexSet, psi: DualVec, vi_tol: float = _VI_TOL) -> ProjectionResult:
     """Minimizer of V(psi, .) over C, certified when its VI residual is at most ``vi_tol``."""
     _require_smooth(C.space)
     C._check_functional(psi)
-    y = duality_map_inv(psi)
-    return _project(C, psi, y, None, psi.coords, lyapunov, vi_residual_generalized, vi_tol)
-
-
-def _require_member(C: ConvexSet, u: PrimalVec, witness: np.ndarray | None) -> None:
-    member = C.contains(u, _MEMBERSHIP_TOL) if witness is None else C._fits(u, witness, _MEMBERSHIP_TOL)
-    if not member:
-        raise ValueError("candidate projection is not a member of the set")
+    y = _finite_image(C.space.dual().jmap(psi.coords))  # J*(psi)
+    return _project(C, y, None, psi.coords, vi_tol)
 
 
 def vi_residual_metric(C: ConvexSet, x: PrimalVec, u: PrimalVec, witness: np.ndarray | None = None) -> float:
@@ -457,28 +463,25 @@ def vi_residual_metric(C: ConvexSet, x: PrimalVec, u: PrimalVec, witness: np.nda
     rays and lineality (``sets._Polyhedral``), from which the solver built
     u: then u is a member when t lies in the chart's domain and base + D t
     reproduces u within that tolerance, and nothing is fitted.  A witness
-    that passes always passes ``C.contains`` too.  J(x - u) is formed on
-    the coordinates and wrapped once; OverflowError when it is not finite.
+    that passes always passes ``C.contains`` too.  OverflowError when
+    J(x - u) is not finite.
     """
     _require_smooth(C.space)
     C._check_point(x)
-    _require_member(C, u, witness)
-    space = C.space
-    return C._vi_violation(_image(DualVec, space.dual(), space.jmap(x.coords - u.coords)), u)
+    C._check_point(u)
+    return _residual(C, u.coords, witness, x.coords, None)
 
 
 def vi_residual_generalized(C: ConvexSet, psi: DualVec, y: PrimalVec, witness: np.ndarray | None = None) -> float:
     """Certificate for y = generalized projection of psi onto C.
 
     Membership is decided as in ``vi_residual_metric``, by the ``witness``
-    coefficients when given, and psi - J(y) is formed on the coordinates
-    and wrapped once; OverflowError when it is not finite.
+    coefficients when given; OverflowError when psi - J(y) is not finite.
     """
     _require_smooth(C.space)
     C._check_functional(psi)
-    _require_member(C, y, witness)
-    space = C.space
-    return C._vi_violation(_image(DualVec, space.dual(), psi.coords - space.jmap(y.coords)), y)
+    C._check_point(y)
+    return _residual(C, y.coords, witness, None, psi.coords)
 
 
 def inverse_image_member_metric(C: ConvexSet, y: PrimalVec, x: PrimalVec) -> bool:

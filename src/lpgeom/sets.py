@@ -15,7 +15,10 @@ polyhedral set reads from (V, R, L) the affine chart the projection
 solver works on: base + D t, with per-coefficient bounds lo <= t <= hi,
 or the probability simplex over the vertices.  It forms the solver's
 constants for that chart on the first projection and keeps them
-(``_Polyhedral._chart``).
+(``_Polyhedral._chart``).  Typed vectors enter and leave a set only
+through its public methods (``contains``, ``distance``, ``support``,
+``sample``), each checked once; every private method takes and returns
+coordinate arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .polyhedra import _nnls, _null_space, _polar_rows, _rank
-from .spaces import DualVec, LpSpace, PrimalVec, duality_map, duality_map_inv
+from .spaces import DualVec, LpSpace, PrimalVec, _finite_image
 
 __all__ = [
     "ConvexSet",
@@ -62,7 +65,11 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     u = np.sort(v)[::-1]
     cssv = np.cumsum(u) - 1.0
     k = np.arange(1, v.size + 1)
-    rho = int(np.nonzero(u * k > cssv)[0][-1])
+    hits = np.nonzero(u * k > cssv)[0]
+    if not hits.size and math.isfinite(u[0]):
+        # k = 1 holds exactly, but u0 - 1 rounds to u0 once |u0| >= 2^53; v - u0 projects to the same point
+        return _project_simplex(v - u[0])
+    rho = int(hits[-1])
     theta = cssv[rho] / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
 
@@ -84,14 +91,14 @@ def _frozen_rows(rows, n: int) -> np.ndarray:
 
 
 class ConvexSet:
-    """Base class; subclasses fix the geometry."""
+    """Base class; subclasses fix the geometry in ``_distance``, ``_support`` and the array methods below."""
 
     space: LpSpace
 
     def contains(self, x: PrimalVec, tol: float = 1e-9) -> bool:
         """True when x is within ``tol`` (scaled by magnitude) of the set."""
         self._check_point(x)
-        return self.distance(x) <= self._slack(x, tol)
+        return self._contains(x.coords, tol)
 
     def distance(self, x: PrimalVec) -> float:
         """Distance from x to the set in the Euclidean coefficient sense.
@@ -102,7 +109,8 @@ class ConvexSet:
         nonnegative least-squares coefficient fit, which vanishes exactly
         on members.
         """
-        raise NotImplementedError
+        self._check_point(x)
+        return self._distance(x.coords)
 
     def support(self, psi: DualVec, tol: float = 0.0) -> float:
         """sup_{x in C} <psi, x>; +inf when the functional is unbounded above.
@@ -111,40 +119,44 @@ class ConvexSet:
         unit pairing <psi, d> / (|psi| |d|) (Euclidean norms) is within tol
         of zero is flat.  A ball has none, so its support is exact.
         """
-        raise NotImplementedError
-
-    def _closed_form(self, y: PrimalVec, data) -> PrimalVec | None:
-        """The projection in closed form, or None when the set has none.
-
-        y is the unconstrained minimizer (x, or J*(psi)), and ``data`` the
-        x or psi it came from, whose norm is the norm of y.
-        """
-        return None
-
-    def _vi_violation(self, phi: DualVec, u: PrimalVec) -> float:
-        """Worst violation of <phi, u - z> >= 0 over z in the set."""
-        raise NotImplementedError
-
-    def _face(self, psi: DualVec, tol: float) -> tuple:
-        """(level, kind, representatives, gaps) of the face of psi, as ``faces.face`` reports it."""
-        raise NotImplementedError
-
-    def _supporting_functional(self, y: PrimalVec, tol: float) -> tuple[DualVec | None, str]:
-        """A nonzero functional whose face holds the member y, or None when y is internal; and the method."""
-        raise NotImplementedError
+        self._check_functional(psi)
+        return self._support(psi.coords, tol)
 
     def sample(self, count: int, seed: int = 0) -> list[PrimalVec]:
         """Deterministic members; unbounded coefficients are log-uniform in [1e-2, 1e2]."""
         raise NotImplementedError
 
+    def _contains(self, x: np.ndarray, tol: float) -> bool:
+        return self._distance(x) <= self._slack(x, tol)
+
+    def _closed_form(self, y: np.ndarray, c: np.ndarray | None, ell: np.ndarray | None) -> np.ndarray | None:
+        """The projection in closed form, or None when the set has none.
+
+        y is the unconstrained minimizer c + J*(ell): c = x and ell None for
+        the metric projection, c None and ell = psi for the generalized one.
+        """
+        return None
+
+    def _vi_violation(self, phi: np.ndarray, u: np.ndarray) -> float:
+        """Worst violation of <phi, u - z> >= 0 over z in the set."""
+        raise NotImplementedError
+
+    def _face(self, psi: np.ndarray, tol: float) -> tuple:
+        """(level, kind, representatives, gaps) of the face of psi, as ``faces.face`` reports it."""
+        raise NotImplementedError
+
+    def _supporting_functional(self, y: np.ndarray, tol: float) -> tuple[np.ndarray | None, str]:
+        """A nonzero functional whose face holds the member y, or None when y is internal; and the method."""
+        raise NotImplementedError
+
     def _scale(self) -> float:
         raise NotImplementedError
 
-    def _slack(self, x: PrimalVec, tol: float) -> float:
+    def _slack(self, x: np.ndarray, tol: float) -> float:
         """The distance ``contains`` allows: tol scaled by the sizes of x and the set."""
-        return tol * (1.0 + math.sqrt(float(x.coords.dot(x.coords))) + self._scale())
+        return tol * (1.0 + math.sqrt(float(x.dot(x))) + self._scale())
 
-    def _fits(self, x: PrimalVec, t, tol: float) -> bool:
+    def _fits(self, x: np.ndarray, t, tol: float) -> bool:
         """True when chart coefficients t witness that x is a member within ``tol``."""
         raise TypeError(f"{type(self).__name__} has no chart coefficients to witness membership")
 
@@ -222,9 +234,8 @@ class _Polyhedral(ConvexSet):
             return lambda t: np.minimum(np.maximum(t, 0.0), 1.0)
         return lambda t: np.maximum(t, 0.0)
 
-    def distance(self, x: PrimalVec) -> float:
-        self._check_point(x)
-        r = x.coords - self._base
+    def _distance(self, x: np.ndarray) -> float:
+        r = x - self._base
         D = self._D
         if self._simplex:
             # Convex-combination fit: stack the affine constraint sum(c) = 1 as
@@ -244,7 +255,7 @@ class _Polyhedral(ConvexSet):
             return float(np.linalg.norm(r - D @ coef))
         return float(_nnls(D, r)[1])
 
-    def _fits(self, x: PrimalVec, t, tol: float) -> bool:
+    def _fits(self, x: np.ndarray, t, tol: float) -> bool:
         """True when chart coefficients t witness that x is a member within ``tol``.
 
         t must lie within the chart's bounds (the simplex's sum is judged by
@@ -254,13 +265,12 @@ class _Polyhedral(ConvexSet):
         exceeds it and a pass here implies contains(x, tol).  Nothing is
         fitted.
         """
-        self._check_point(x)
         t = np.asarray(t, dtype=float)
         if t.shape != self._lo.shape:
             raise ValueError(f"a witness needs {self._lo.size} chart coefficients, got shape {t.shape}")
         if not ((t >= self._lo) & (t <= self._hi)).all():
             return False
-        miss = self._D @ t - (x.coords - self._base)
+        miss = self._D @ t - (x - self._base)
         res = math.sqrt(float(miss.dot(miss)))
         if self._simplex:
             res = math.hypot(res, self._sum_weight(x) * (float(np.sum(t)) - 1.0))
@@ -305,23 +315,22 @@ class _Polyhedral(ConvexSet):
         """
         return _polar_rows(self.R)
 
-    def _sum_weight(self, x: PrimalVec) -> float:
+    def _sum_weight(self, x: np.ndarray) -> float:
         # weight of the simplex's sum row in a fit of x: on the scale of x and the set
-        return max(1.0, float(np.linalg.norm(x.coords)), self._scale())
+        return max(1.0, float(np.linalg.norm(x)), self._scale())
 
-    def support(self, psi: DualVec, tol: float = 0.0) -> float:
-        self._check_functional(psi)
+    def _support(self, psi: np.ndarray, tol: float) -> float:
         vals, rays, lines = self._pairings(psi)
         return math.inf if self._escapes(rays, lines, tol) else float(np.max(vals))
 
-    def _pairings(self, psi: DualVec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _pairings(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """<psi, v> per vertex, and <psi, d> / (|psi| |d|) in Euclidean norms per ray and lineality direction.
 
         One product of the stacked rows with w psi gives them all.
         """
-        vals = self._rows @ (self.space.weights * psi.coords)
+        vals = self._rows @ (self.space.weights * psi)
         nv, nr = len(self.V), len(self.R)
-        denom = float(np.linalg.norm(psi.coords)) * self._lengths
+        denom = float(np.linalg.norm(psi)) * self._lengths
         unit = np.divide(vals[nv:], denom, out=np.zeros(denom.size), where=denom > 0.0)
         return vals[:nv], unit[:nr], unit[nr:]
 
@@ -330,21 +339,21 @@ class _Polyhedral(ConvexSet):
         """psi is unbounded above: a ray's unit pairing exceeds tol, or a lineality direction's |pairing| does."""
         return bool(np.any(rays > tol) or np.any(np.abs(lines) > tol))
 
-    def _vi_violation(self, phi: DualVec, u: PrimalVec) -> float:
+    def _vi_violation(self, phi: np.ndarray, u: np.ndarray) -> float:
         """Over the vertices; per unit coefficient along rays and lineality, so it stays finite.
 
         max <phi, r> over rays and |<phi, l>| over lineality directions
         replace the unbounded supremum.
         """
-        wphi = self.space.weights * phi.coords
+        wphi = self.space.weights * phi
         vals = self._rows @ wphi
         nv, nr = len(self.V), len(self.R)
-        vals[:nv] -= float(wphi.dot(u.coords))
+        vals[:nv] -= float(wphi.dot(u))
         if len(self.L):
             vals[nv + nr:] = np.abs(vals[nv + nr:])
         return float(vals.max())
 
-    def _face(self, psi: DualVec, tol: float) -> tuple:
+    def _face(self, psi: np.ndarray, tol: float) -> tuple:
         """As ``faces.face`` states it; a vertex within tol (1 + max |<psi, v>|) of the level is on it."""
         vals, rays, lines = self._pairings(psi)
         level = float(np.max(vals))
@@ -360,10 +369,9 @@ class _Polyhedral(ConvexSet):
             kind = "singleton"
         else:
             kind = "vertex-subset"
-        point = self.space.point
-        return level, kind, tuple([point(v) for v in hits] + [point(hits[0] + d) for d in flat]), gaps
+        return level, kind, np.vstack([hits, hits[0] + flat]), gaps
 
-    def _supporting_functional(self, y: PrimalVec, tol: float) -> tuple[DualVec | None, str]:
+    def _supporting_functional(self, y: np.ndarray, tol: float) -> tuple[np.ndarray | None, str]:
         """Linear algebra on the unit difference rows W at y.
 
         A nonzero c with W c <= 0 supports the set at y.  A null vector of
@@ -373,13 +381,13 @@ class _Polyhedral(ConvexSet):
         misses, its residual is a solution: the fit's optimality
         conditions give W (b - W^T lam) <= 0.
         """
-        space, yc = self.space, y.coords
+        space = self.space
         # psi supports the set at y iff <psi, w> <= 0 for each w; lineality enters with both signs
-        W = np.vstack([self.V - yc, self.R, np.stack([self.L, -self.L], axis=1).reshape(-1, space.n)])
+        W = np.vstack([self.V - y, self.R, np.stack([self.L, -self.L], axis=1).reshape(-1, space.n)])
         # one norm per row, as a vector norm: on a null space of dimension > 1
         # the witness picked depends on the last bit of W
         lengths = np.array([np.linalg.norm(w) for w in W])
-        keep = lengths > 1e-12 * (1.0 + float(np.linalg.norm(yc)))
+        keep = lengths > 1e-12 * (1.0 + float(np.linalg.norm(y)))
         if not keep.any():
             # the set is the single point y; any nonzero functional supports it
             c, method = np.eye(space.n)[0], "null-space"
@@ -395,7 +403,7 @@ class _Polyhedral(ConvexSet):
                     return None, "least-squares"
                 c, method = b - W.T @ lam, "least-squares"
             c = c / np.linalg.norm(c)
-        return DualVec(space.dual(), c / space.weights), method
+        return c / space.weights, method
 
     def sample(self, count: int, seed: int = 0) -> list[PrimalVec]:
         rng = np.random.default_rng(seed)
@@ -500,61 +508,59 @@ class Ball(ConvexSet):
         self.space = space
         self.radius = radius
 
-    def distance(self, x: PrimalVec) -> float:
-        self._check_point(x)
-        return max(0.0, self.space.norm_of(x.coords) - self.radius)
-
     def support(self, psi: DualVec, tol: float = 0.0) -> float:
-        self._check_functional(psi)
-        return self.radius * psi.space.norm_of(psi.coords)
+        """Radius times the dual norm of psi, exact: a ball has no flat direction for ``tol`` to decide."""
+        return super().support(psi, tol)
 
-    def _closed_form(self, y: PrimalVec, data) -> PrimalVec:
-        """y, pulled in radially when the data is longer than the radius."""
-        level = data.space.norm_of(data.coords)
+    def _distance(self, x: np.ndarray) -> float:
+        return max(0.0, self.space.norm_of(x) - self.radius)
+
+    def _support(self, psi: np.ndarray, tol: float) -> float:
+        return self.radius * self.space.dual().norm_of(psi)
+
+    def _closed_form(self, y: np.ndarray, c: np.ndarray | None, ell: np.ndarray | None) -> np.ndarray:
+        """y, pulled in radially when the datum is longer than the radius; the norm of y is the datum's."""
+        level = self.space.norm_of(c) if ell is None else self.space.dual().norm_of(ell)
         return y if level <= self.radius else (self.radius / level) * y
 
-    def _vi_violation(self, phi: DualVec, u: PrimalVec) -> float:
+    def _vi_violation(self, phi: np.ndarray, u: np.ndarray) -> float:
         """The support function, radius times the dual norm, less <phi, u>."""
-        return self.radius * phi.space.norm_of(phi.coords) - self.space.pairing(phi.coords, u.coords)
+        return self._support(phi, 0.0) - self.space.pairing(phi, u)
 
-    def _face(self, psi: DualVec, tol: float) -> tuple:
+    def _face(self, psi: np.ndarray, tol: float) -> tuple:
         """Only psi = 0 has the whole ball as its face; ``tol``, relative, decides the ties of p = 1."""
         space, r = self.space, self.radius
-        level = psi.space.norm_of(psi.coords)  # the dual norm: sup norm at p = 1, weighted l_1 at oo
+        level = space.dual().norm_of(psi)  # the dual norm: sup norm at p = 1, weighted l_1 at oo
         if level == 0.0:
-            return 0.0, "whole-set", (space.zero(),), ()
-        mags = np.abs(psi.coords)
+            return 0.0, "whole-set", (np.zeros(space.n),), ()
+        mags = np.abs(psi)
         if space.p == 1.0:
             on = np.nonzero(mags >= level * (1.0 - tol))[0]
-            signs = np.sign(psi.coords[on])
-            uniform = np.zeros(space.n)
-            uniform[on] = (r / on.size) * signs / space.weights[on]
-            reps = [space.point(uniform)]
-            for i, s in zip(on, signs):
-                corner = np.zeros(space.n)
-                corner[i] = r * s / space.weights[i]
-                reps.append(space.point(corner))
+            signs = np.sign(psi[on])
+            reps = np.zeros((on.size + 1, space.n))
+            reps[0, on] = (r / on.size) * signs / space.weights[on]  # the uniform mix, then the corners
+            reps[np.arange(1, on.size + 1), on] = r * signs / space.weights[on]
             kind = "singleton" if on.size == 1 else "affine-slice"
-            return r * level, kind, tuple(reps), tuple(float(level - m) for m in mags)
+            return r * level, kind, reps, tuple(float(level - m) for m in mags)
         if math.isinf(space.p):
             kind = "singleton" if np.all(mags) else "affine-slice"
-            return r * level, kind, (space.point(r * np.sign(psi.coords)),), tuple(mags)
+            return r * level, kind, (r * np.sign(psi),), tuple(mags)
         # smooth range: the argmax is the scaled inverse duality image, alone
-        return r * level, "singleton", ((r / level) * duality_map_inv(psi),), ()
+        return r * level, "singleton", ((r / level) * _finite_image(space.dual().jmap(psi)),), ()
 
-    def _supporting_functional(self, y: PrimalVec, tol: float) -> tuple[DualVec | None, str]:
+    def _supporting_functional(self, y: np.ndarray, tol: float) -> tuple[np.ndarray | None, str]:
         """Inside the sphere none; on it J(y), or at p = 1 and oo a subgradient of the norm."""
         space, p = self.space, self.space.p
-        if space.norm_of(y.coords) < self.radius * (1.0 - 1e-9) - tol:
+        if space.norm_of(y) < self.radius * (1.0 - 1e-9) - tol:
             return None, "closed-form"
         if 1.0 < p < math.inf:
-            return duality_map(y), "closed-form"
+            return _finite_image(space.jmap(y)), "closed-form"
         if p == 1.0:
-            return DualVec(space.dual(), np.sign(y.coords)), "closed-form"
-        i = int(np.argmax(np.abs(y.coords)))
+            return np.sign(y), "closed-form"
+        i = int(np.argmax(np.abs(y)))
         c = np.zeros(space.n)
-        c[i] = math.copysign(1.0, y.coords[i]) / space.weights[i]
-        return DualVec(space.dual(), c), "closed-form"
+        c[i] = math.copysign(1.0, y[i]) / space.weights[i]
+        return c, "closed-form"
 
     def sample(self, count: int, seed: int = 0) -> list[PrimalVec]:
         rng = np.random.default_rng(seed)

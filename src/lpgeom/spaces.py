@@ -11,6 +11,10 @@ the space is uniformly convex and uniformly smooth and the normalized
 duality mapping between it and its dual has closed-form coordinates;
 p = 1 (and the sup-norm dual it induces) is supported for norms,
 pairings, support functions, and faces only.
+
+``PrimalVec`` and ``DualVec`` are checked where data enters the library
+or a result leaves it, and every routine behind that boundary works on
+coordinate arrays of one ``LpSpace``.
 """
 
 from __future__ import annotations
@@ -329,12 +333,11 @@ def pair(psi: DualVec, x: PrimalVec) -> float:
     return x.space.pairing(psi.coords, x.coords)
 
 
-def _image(cls, space: LpSpace, coords: np.ndarray):
+def _finite_image(coords: np.ndarray) -> np.ndarray:
     # the input was finite, so a non-finite image is an overflow (|x_i|^(p-1) at a large p), not a bad input
-    try:
-        return cls(space, coords)
-    except ValueError as exc:
-        raise OverflowError("the duality map overflowed on finite coordinates") from exc
+    if not np.isfinite(coords).all():
+        raise OverflowError("the duality map overflowed on finite coordinates")
+    return coords
 
 
 def duality_map(x: PrimalVec) -> DualVec:
@@ -347,7 +350,7 @@ def duality_map(x: PrimalVec) -> DualVec:
     """
     if not isinstance(x, PrimalVec):
         raise TypeError("duality_map expects a PrimalVec")
-    return _image(DualVec, x.space.dual(), x.space.jmap(x.coords))
+    return DualVec(x.space.dual(), _finite_image(x.space.jmap(x.coords)))
 
 
 def duality_map_inv(psi: DualVec) -> PrimalVec:
@@ -358,7 +361,7 @@ def duality_map_inv(psi: DualVec) -> PrimalVec:
     """
     if not isinstance(psi, DualVec):
         raise TypeError("duality_map_inv expects a DualVec")
-    return _image(PrimalVec, psi.space.dual(), psi.space.jmap(psi.coords))
+    return PrimalVec(psi.space.dual(), _finite_image(psi.space.jmap(psi.coords)))
 
 
 def lyapunov(psi: DualVec, x: PrimalVec) -> float:

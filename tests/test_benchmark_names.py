@@ -5,7 +5,8 @@ lists with ``getattr``, so a renamed or deleted function crashes every
 traced benchmark run, and ``perfbench/run.py`` refuses a ``verify`` round
 that is not one call per check and per fuzz target.  ``BENCHMARK.json``
 names a per-trial metric for each fuzz target, so a target id is part of
-the benchmark too.  These files are only read here.
+the benchmark too.  A traced method is wrapped in its base class only, so
+no subclass may override one.  These files are only read here.
 """
 
 import importlib.util
@@ -36,6 +37,20 @@ def test_every_traced_function_and_method_resolves():
         assert callable(getattr(module, attr, None)), span
     for cls, meth, span in spans.METHODS:
         assert callable(cls.__dict__.get(meth)), span
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_no_subclass_overrides_a_traced_method():
+    # the tracer wraps the method in the base class's own __dict__, so an override would run untraced
+    spans = _load("spans")
+    for cls, meth, span in spans.METHODS:
+        overrides = [sub.__name__ for sub in _subclasses(cls) if meth in sub.__dict__]
+        assert overrides == [], (span, overrides)
 
 
 def test_a_verify_round_is_one_call_per_check_and_fuzz_target():

@@ -469,7 +469,7 @@ def test_an_overflowed_objective_stops_the_loop_as_overflow_not_flat():
     S = LpSpace(3, doc["space"]["p"], weights=doc["space"]["weights"])
     K = sets.FinitelyGeneratedCone(S.point(doc["set"]["vertex"]), [S.point(g) for g in doc["set"]["generators"]])
     x = S.point(doc["point"])
-    t = projections._warm_start(K, x)
+    t = projections._warm_start(K, x.coords)
     with np.errstate(over="ignore", invalid="ignore"):
         u, t_end, f, iters, stop, evaluations = projections._solve_on_chart(K, x.coords, np.zeros(3), t)
     assert stop == "overflow" and f == math.inf

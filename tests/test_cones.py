@@ -37,6 +37,17 @@ def test_metric_dual_membership_depends_on_exponent():
     assert member_metric_dual(K2, S2.point([1.0, -3.0, 2.0]))
 
 
+def test_metric_dual_membership_and_the_certificate_refuse_a_foreign_point():
+    # both answered silently once: a point of another space, or a functional, read as coordinates
+    S, K = _canonical_ray(3.0)
+    other = LpSpace(3, 2.0, [1.0, 2.0, 3.0]).point([3.0, -2.0, -1.0])
+    for routine in (member_metric_dual, find_double_dual_certificate, generalized_double_dual_member):
+        with pytest.raises(ValueError, match="different space"):
+            routine(K, other)
+        with pytest.raises(TypeError, match="expected a PrimalVec"):
+            routine(K, S.functional([1.0, 1.0, 1.0]))
+
+
 def test_metric_dual_cone_is_not_convex_at_p_three():
     _, K = _canonical_ray(3.0)
     wit = probe_nonconvexity_metric_dual(K)

@@ -52,8 +52,8 @@ def test_classify_point(monkeypatch):
     S = LpSpace(3, 3.0)
     ball, y = Ball(S, 2.0), S.point([2.0, 0.0, 0.0])
     assert classify_point(ball, y).verdict == "cuticle"
-    support = Ball.support
-    monkeypatch.setattr(Ball, "support", lambda self, psi, tol=0.0: support(self, psi, tol) + 1.0)
+    support = Ball._support
+    monkeypatch.setattr(Ball, "_support", lambda self, psi, tol: support(self, psi, tol) + 1.0)
     with pytest.raises(RuntimeError, match="does not support"):
         classify_point(ball, y)
 

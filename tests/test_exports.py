@@ -133,3 +133,55 @@ def test_no_dual_cone_or_face_routine_samples():
         }
         assert sampling == set(), module.__name__
         assert "random" not in inspect.getsource(module), module.__name__
+
+
+# the typed boundary: a public routine that takes a set checks every vector it is given, once, and
+# the library behind it works on coordinate arrays
+_HERE = lpgeom.LpSpace(3, 3.0, weights=[0.5, 1.0, 2.0])
+_ELSEWHERE = lpgeom.LpSpace(3, 2.0, weights=[1.0, 2.0, 3.0])
+
+
+def _takes_a_set_and_a_vector(name: str) -> bool:
+    fn = getattr(lpgeom, name)
+    if not inspect.isfunction(fn):
+        return False
+    params = list(inspect.signature(fn).parameters.values())
+    if not params or params[0].name not in ("C", "K"):
+        return False
+    return any(p.annotation in ("PrimalVec", "DualVec") for p in params)
+
+
+BOUNDARY = [name for name in lpgeom.__all__ if _takes_a_set_and_a_vector(name)] + [
+    f"{cls}.{method}" for cls in ("FinitelyGeneratedCone", "Ball") for method in ("contains", "distance", "support")
+]
+
+
+def test_the_boundary_list_is_complete():
+    # 17 exported functions, and three methods on a polyhedral set and on the ball
+    assert len(BOUNDARY) == 17 + 6
+    assert {"member_metric_dual", "find_double_dual_certificate", "fixed_point_check", "solve_vi"} <= set(BOUNDARY)
+
+
+@pytest.mark.parametrize("name", BOUNDARY)
+def test_every_vector_given_with_a_set_is_checked(name):
+    S = _HERE
+    K = lpgeom.FinitelyGeneratedCone(S.zero(), [S.point([1.0, 0.0, 0.0]), S.point([0.0, 1.0, 0.0])])
+    owner, _, method = name.rpartition(".")
+    if owner:
+        fn = getattr(lpgeom.Ball(S, 2.0) if owner == "Ball" else K, method)
+    else:
+        fn = getattr(lpgeom, name)
+    # a member of K and of the ball for every point, so no membership test answers before a check
+    good = {"PrimalVec": S.point([1.0, 1.0, 0.0]), "DualVec": S.functional([0.5, -1.0, 2.0])}
+    required = [p for p in inspect.signature(fn).parameters.values() if p.default is p.empty]
+    args = [good.get(p.annotation, K) for p in required]
+    vectors = [i for i, p in enumerate(required) if p.annotation in good]
+    assert vectors, name
+    for i in vectors:
+        v = args[i]
+        wrong_kind = S.point(v.coords) if isinstance(v, lpgeom.DualVec) else S.functional(v.coords)
+        foreign = (_ELSEWHERE.functional if isinstance(v, lpgeom.DualVec) else _ELSEWHERE.point)(v.coords)
+        with pytest.raises(TypeError):
+            fn(*args[:i], wrong_kind, *args[i + 1 :])
+        with pytest.raises(ValueError, match="different space|does not pair"):
+            fn(*args[:i], foreign, *args[i + 1 :])

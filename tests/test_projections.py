@@ -388,6 +388,52 @@ def test_simplex_projection_certificate():
             assert np.dot(v - t, e - t) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "v, want",
+    [
+        ([9.1e15, 1.0, 0.5], [1.0, 0.0, 0.0]),
+        ([1e17, 1e17, 0.0], [0.5, 0.5, 0.0]),
+        ([-1e17, -1e17, -3e17], [0.5, 0.5, 0.0]),
+        ([1e300, 1e300, 1e300], [1.0 / 3.0] * 3),
+    ],
+)
+def test_simplex_projection_of_coordinates_beyond_two_to_the_53(v, want):
+    # u0 - 1 rounds to u0 there, so the sorting rule finds no support unless it shifts by u0 first
+    t = _project_simplex(np.array(v))
+    assert np.all(t >= 0.0)
+    assert abs(t.sum() - 1.0) <= 4 * np.finfo(float).eps
+    assert np.allclose(t, want, rtol=0.0, atol=4 * np.finfo(float).eps)
+
+
+def test_a_projection_builds_one_typed_vector_its_point(monkeypatch):
+    # arrays inside: the unconstrained minimizer, the closed form, the member
+    # shortcut and the certificate's functional are never wrapped
+    import lpgeom.spaces
+
+    built = []
+    init = lpgeom.spaces._CoordVec.__init__
+
+    def counted(self, space, coords):
+        built.append(type(self).__name__)
+        init(self, space, coords)
+
+    S = LpSpace(3, 3.0, weights=[0.5, 1.0, 2.0])
+    K = FinitelyGeneratedCone(S.point([0.5, -1.0, 0.0]), [S.point([1.0, 0.2, 0.0]), S.point([0.0, 1.0, 0.3])])
+    cases = [
+        (K, [3.0, -4.0, 2.0]),  # outside: the chart loop
+        (K, [2.0, 0.2, 0.3]),  # a member: the shortcut
+        (Ball(S, 1.5), [3.0, -4.0, 2.0]),  # outside: the radial closed form
+        (Ball(S, 1.5), [0.1, 0.2, -0.3]),  # inside: the point itself
+    ]
+    for C, v in cases:
+        for project, arg in ((metric_project, S.point(v)), (generalized_project, S.functional(v))):
+            with monkeypatch.context() as m:
+                m.setattr(lpgeom.spaces._CoordVec, "__init__", counted)
+                built.clear()
+                res = project(C, arg)
+            assert res.converged and built == ["PrimalVec"], (C, v, project.__name__, built)
+
+
 def test_line_and_polytope_round_trip():
     S = LpSpace(3, 3.0, weights=[1.0, 0.5, 1.5])
     line = Line(S.point([1.0, 0.0, 0.0]), S.point([0.0, 1.0, -1.0]))

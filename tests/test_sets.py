@@ -141,7 +141,7 @@ def test_row_product_matches_the_pairings_row_by_row():
                 ref = np.array([pair(psi, space.point(row)) for row in C._rows])
                 bound = 2 * n * eps * (np.abs(C._rows) @ np.abs(space.weights * psi.coords))
                 lengths = np.array([np.linalg.norm(psi.coords) * np.linalg.norm(d) for d in C._rows[nv:]])
-                vals, rays, lines = C._pairings(psi)
+                vals, rays, lines = C._pairings(psi.coords)
                 assert np.all(np.abs(vals - ref[:nv]) <= bound[:nv])
                 unit = np.concatenate([rays, lines])
                 assert np.all(np.abs(unit - ref[nv:] / lengths) <= bound[nv:] / lengths + 4 * eps * np.abs(unit))
