@@ -31,14 +31,17 @@ least-squares fit of the unconstrained minimizer c + J*(ell) comes
 first.  When it rebuilds that minimizer and its residual passes, the
 minimizer is its own projection, returned as a closed form.  Otherwise
 the fit is the warm start of one projected Newton loop on the chart
-coefficients: the exact Hessian of the squared norm, a projected
-gradient fallback, and Armijo backtracking that refuses full steps
-jumping across the minimum.  Each trial point of the loop is one
-evaluation: the residual r = u - c, its norm and |r|^(p-1) sign(r) are
-formed once there and shared by F, its gradient (the duality map J(r))
-and the Hessian, and the result counts the objective and gradient
-evaluations.  The zero datum of each projection (ell or c) enters no
-evaluation.  The set keeps what its chart needs across calls: sqrt(w),
+coefficients: coefficients held at their bound, a Newton step on the
+free block with the exact Hessian of the squared norm formed on the free
+columns of D alone, a projected gradient fallback, and Armijo
+backtracking that refuses full steps jumping across the minimum.  On
+large cones and polytopes most coefficients are held, so the free block
+is far smaller than the k x k matrix of every direction.  Each trial
+point of the loop is one evaluation: the residual r = u - c, its norm
+and |r|^(p-1) sign(r) are formed once there and shared by F, its
+gradient (the duality map J(r)) and the Hessian, and the result counts
+the objective and gradient evaluations.  The zero datum of each
+projection (ell or c) enters no evaluation.  The set keeps what its chart needs across calls: sqrt(w),
 A = sqrt(w) D, the Gram matrix A^T A of the fit and the clamp onto the
 coefficient domain (``sets._Polyhedral._chart``).  Segments, rays and
 lines have one coefficient, so their Newton systems are 1 x 1, and
@@ -148,6 +151,12 @@ def _model_step(H: np.ndarray, rhs: np.ndarray, full_rank: bool) -> np.ndarray:
         except np.linalg.LinAlgError:
             pass
     return np.linalg.lstsq(H, rhs, rcond=None)[0]
+
+
+def _newton_matrix(D: np.ndarray, h: np.ndarray, beta: float, a: np.ndarray) -> np.ndarray:
+    """D^T (diag(h) + beta a a^T) D: the Hessian of ||base + D t - c||^2 in the coefficients of D's columns."""
+    Da = D.T @ a
+    return D.T @ (h[:, None] * D) + beta * (Da[:, None] * Da)
 
 
 class _ChartPoint:
@@ -267,7 +276,7 @@ def _member_witness(C: ConvexSet, y: np.ndarray, t: np.ndarray) -> tuple[bool, n
     chart's directions are independent; otherwise a nonnegative
     least-squares fit decides, and there is no witness.
     """
-    tol = 1e-12 * (1.0 + float(np.abs(y).max()))
+    tol = 1e-12  # ``_slack`` scales it by the sizes of y and the set
     if C._fits(y, t, tol):
         return True, t
     if C._chart.independent:
@@ -281,14 +290,19 @@ def _solve_on_chart(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.ndarray)
     Projected Newton (Bertsekas 1982) on the coefficients, from the warm
     start t, the fit of the unconstrained minimizer c + J*(ell):
     coefficients at their bound whose gradient pushes outward go to the
-    bound, and the free block takes a Newton step with the exact Hessian
-    D^T (diag(h) + beta a a^T) D, bordered by the sum constraint on the
-    simplex.  Each trial point is one evaluation (``_ChartObjective``):
-    the residual, its norm and |r|^(p-1) sign(r) are formed once there and
-    shared by F, its gradient and, at an accepted point, the Hessian.
-    ``c`` or ``ell`` is None where it is zero.  Returns the point, its
-    coefficients, F there, the accepted steps, the stop reason and the
-    objective and gradient evaluation counts.
+    bound, and the free block takes a Newton step with the exact Hessian on
+    it, D_F^T (diag(h) + beta a a^T) D_F for the free columns D_F of D,
+    bordered by the sum constraint on the simplex.  The first pass of the
+    active set forms that matrix from D_F alone; a pass after one that
+    blocked more coefficients cuts it from the last pass's matrix.  The
+    k x k matrix of all of D is formed only when nothing is held, and for
+    the curvature of the gradient direction, the fallback when the Newton
+    direction does not descend.  Each trial point is one evaluation
+    (``_ChartObjective``): the residual, its norm and |r|^(p-1) sign(r) are
+    formed once there and shared by F, its gradient and, at an accepted
+    point, the Hessian.  ``c`` or ``ell`` is None where it is zero.
+    Returns the point, its coefficients, F there, the accepted steps, the
+    stop reason and the objective and gradient evaluation counts.
     """
     space = C.space
     D, lo, simplex = C._D, C._lo, C._simplex
@@ -314,8 +328,6 @@ def _solve_on_chart(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.ndarray)
             stop = "max-iters"
             break
         h, beta, a = x.sq.hessian()
-        Da = D.T @ a
-        hess = D.T @ (h[:, None] * D) + beta * (Da[:, None] * Da)
         # Bertsekas's active set: coefficients near their lower bound whose
         # gradient pushes outward; on the simplex the gradient is level across
         # the support at the optimum, so "outward" is measured from that level
@@ -328,25 +340,31 @@ def _solve_on_chart(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.ndarray)
                 if support.any():
                     level = float(np.mean(g[support]))
             active = near & (g > level)
+        hess = None  # the last pass's Newton matrix, on the coefficients ``cover`` (None: all)
         while True:
             held = can_hold and active.any()
-            if held:
-                free = ~active
-                H, g_free = hess[free][:, free], g[free]
+            if not held:
+                hess, cover, g_free = _newton_matrix(D, h, beta, a), None, g
             else:
-                H, g_free = hess, g
+                free = ~active
+                if hess is None:
+                    hess = _newton_matrix(D[:, free], h, beta, a)
+                else:
+                    # the coefficients just blocked leave the free block: drop their rows and columns
+                    keep = free if cover is None else free[cover]
+                    hess = hess[keep][:, keep]
+                cover, g_free = free, g[free]
             m = g_free.size
             if simplex:
                 # the free block bordered by the sum constraint
-                bordered = np.zeros((m + 1, m + 1))
-                bordered[:m, :m] = H
-                bordered[:m, m] = bordered[m, :m] = 1.0
-                H = bordered
+                H = np.zeros((m + 1, m + 1))
+                H[:m, :m] = hess
+                H[:m, m] = H[m, :m] = 1.0
                 rhs = np.empty(m + 1)
                 rhs[:m] = -g_free
                 rhs[m] = np.sum(t[active]) if held else 0.0
             else:
-                rhs = -g_free
+                H, rhs = hess, -g_free
             step = _model_step(H, rhs, rhs.size <= rank_cap)[:m]
             if held:
                 newton = -t  # active coefficients go to their bound
@@ -369,8 +387,8 @@ def _solve_on_chart(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.ndarray)
         if float(g.dot(newton)) < 0.0:
             moved = _arc_search(F, project, t, x.f, g, gap, newton, 1.0, flat)
         if moved is None:
-            # the Cauchy step along -g, the gradient direction
-            curv = float(g @ hess @ g)
+            # the Cauchy step along -g, the gradient direction, with the curvature of the full matrix
+            curv = float(g @ _newton_matrix(D, h, beta, a) @ g)
             cauchy = float(g.dot(g)) / curv if curv > 0.0 else 1.0
             d = -g
             if float(g.dot(d)) < 0.0:

@@ -163,7 +163,9 @@ class LpSpace:
         (Jx)_i = |x_i|^(p-1) sign(x_i) ||x||^(2-p).  The weights enter only
         through the pairing, not the formula: <Jx, x> = ||x||^2 and the dual
         norm of Jx equals ||x|| hold in any weighted l_p with p in (1, oo).
-        A stack of rows maps row by row.
+        A stack of rows maps row by row.  OverflowError when a norm is
+        not a finite float: ||x||^(2-p) would then be 0 or inf, and the
+        product no duality map.
         """
         if math.isinf(self.p) or self.p <= 1.0:
             raise ValueError("duality mapping requires exponent in (1, oo)")
@@ -171,9 +173,13 @@ class LpSpace:
             return np.array(coords, dtype=float)
         nrm = self.norm_of(coords)
         if not isinstance(nrm, float):  # one norm per row; a zero row maps to zero whatever its scale
+            if np.isinf(nrm).any():
+                raise OverflowError(_OVERFLOW)
             scale = np.where(nrm > 0.0, nrm, 1.0)[..., None] ** (2.0 - self.p)
         elif nrm == 0.0:
             return np.zeros(self.n)
+        elif nrm == math.inf:
+            raise OverflowError(_OVERFLOW)
         else:
             scale = nrm ** (2.0 - self.p)
         return _signed_power(coords, self.p - 1.0) * scale
@@ -333,10 +339,13 @@ def pair(psi: DualVec, x: PrimalVec) -> float:
     return x.space.pairing(psi.coords, x.coords)
 
 
+_OVERFLOW = "the duality map overflowed on finite coordinates"
+
+
 def _finite_image(coords: np.ndarray) -> np.ndarray:
     # the input was finite, so a non-finite image is an overflow (|x_i|^(p-1) at a large p), not a bad input
     if not np.isfinite(coords).all():
-        raise OverflowError("the duality map overflowed on finite coordinates")
+        raise OverflowError(_OVERFLOW)
     return coords
 
 

@@ -456,11 +456,38 @@ _P200_HOMOGENEITY_PROBLEM = {
 
 def test_a_duality_map_overflow_exits_3_not_as_a_usage_error(tmp_path, capsys):
     path = _write(tmp_path, _P200_HOMOGENEITY_PROBLEM)
-    code, out = _run(capsys, ["project", "--input", path, "--json"])
+    # ||x - u||^200 overflows a float; J then refuses the infinite norm
+    with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
+        code, out = _run(capsys, ["project", "--input", path, "--json"])
     assert code == 3
     doc = json.loads(out)
     assert doc["status"] == "error"
     assert doc["result"] == {"exception": "OverflowError", "message": "the duality map overflowed on finite coordinates"}
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("scale", [1e50, 1e100, 1e150])
+def test_the_readme_ray_at_huge_scales_is_never_a_false_certificate(tmp_path, capsys, scale, p):
+    # The member shortcut must scale its threshold once with the data: scaled twice, every y
+    # passes as a member here and the certificate then refuses it (exit 2).  And J of a finite x
+    # whose norm overflows must raise, not map x to 0, which certifies a point the loop never moved.
+    doc = {
+        "operation": "project",
+        "space": {"n": 3, "p": p},
+        "set": {"type": "ray", "vertex": [0, 0, 0], "direction": [-25 * scale, -37 * scale, -77 * scale]},
+        "point": [-28 * scale, -35 * scale, -76 * scale],
+    }
+    path = _write(tmp_path, doc)
+    # products of this size overflow on the way (ROADMAP item 2): the outcome is pinned, not the warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = _run(capsys, ["project", "--input", path, "--json"])
+    result = json.loads(out)["result"]
+    if p * math.log(77.0 * scale) > math.log(sys.float_info.max):  # |x_3|^p overflows, so J(x) cannot be formed
+        assert code == 3
+        assert result == {"exception": "OverflowError", "message": "the duality map overflowed on finite coordinates"}
+    else:
+        assert code == 1
+        assert result["converged"] is False
 
 
 def test_an_overflowed_objective_stops_the_loop_as_overflow_not_flat():

@@ -805,3 +805,98 @@ def test_chart_constants_are_built_once_and_keep_every_bit(monkeypatch):
                     fresh.stop_reason,
                 )
         assert builds.count(C) == 1, make
+
+
+@pytest.mark.parametrize("kind", ["cone", "polytope"])
+def test_large_projections_at_p_two_match_nonnegative_least_squares(kind, monkeypatch):
+    # At p = 2 both projections are bounded weighted least-squares fits: the metric one of x, the
+    # generalized one of the point with psi's coordinates, as J is the identity there.  A cone
+    # is NNLS on sqrt(w) D; a polytope is NNLS with the simplex's sum as one heavy row.
+    nnls = pytest.importorskip("scipy.optimize").nnls
+    n, k = 200, 50
+    newton_matrix = lpgeom.projections._newton_matrix
+    columns = []
+
+    def counted(D, *parts):
+        columns.append(D.shape[1])
+        return newton_matrix(D, *parts)
+
+    monkeypatch.setattr(lpgeom.projections, "_newton_matrix", counted)
+    for seed in range(2):
+        rng = np.random.default_rng([71, seed])
+        S = LpSpace(n, 2.0, weights=rng.uniform(0.3, 3.0, n))
+        G = rng.normal(size=(k, n))
+        A = np.sqrt(S.weights)[:, None] * G.T
+        if kind == "cone":
+            base = rng.normal(size=n)
+            C = FinitelyGeneratedCone(S.point(base), [S.point(g) for g in G])
+        else:
+            base = np.zeros(n)
+            C = Polytope([S.point(g) for g in G])
+            A = np.vstack([A, 1e6 * np.ones(k)])
+        for _ in range(2):
+            for project, arg in ((metric_project, S.point), (generalized_project, S.functional)):
+                v = 3.0 * rng.normal(size=n)
+                res = project(C, arg(v))
+                rhs = np.sqrt(S.weights) * (v - base)
+                t = nnls(A, rhs if kind == "cone" else np.append(rhs, 1e6))[0]
+                want = base + G.T @ t
+                assert res.converged, (seed, res.vi_residual)
+                assert np.linalg.norm(res.point.coords - want) <= 1e-8 * np.linalg.norm(want), seed
+    # most coefficients are held at these sizes, so the Newton passes solve on the free block
+    assert columns and max(columns) < k
+
+
+def test_the_gradient_direction_alone_reaches_the_newton_answers(monkeypatch):
+    # A NaN Newton step fails every descent test, so with one at every pass the loop takes the
+    # Cauchy step along -g each time: the fallback that forms the full matrix for its curvature.
+    rng = np.random.default_rng(73)
+    cases = []
+    while len(cases) < 40:
+        p = (1.5, 2.0, 3.0, 4.0)[len(cases) % 4]
+        n = int(rng.integers(2, 6))
+        S = LpSpace(n, p, weights=rng.uniform(0.5, 2.0, n))
+        gens = [S.point(g) for g in rng.normal(size=(int(rng.integers(2, n + 2)), n))]
+        C = FinitelyGeneratedCone(S.point(rng.normal(size=n)), gens) if len(cases) % 2 else Polytope(gens)
+        project, arg = ((metric_project, S.point), (generalized_project, S.functional))[len(cases) // 2 % 2]
+        v = arg(3.0 * rng.normal(size=n))
+        free = project(C, v)
+        if free.iterations > 0:  # the loop ran, not the closed form or the warm start alone
+            cases.append((C, project, v, free))
+
+    model_step, warm_start, arc_search = (
+        lpgeom.projections._model_step,
+        lpgeom.projections._warm_start,
+        lpgeom.projections._arc_search,
+    )
+    in_warm_start, directions = [False], []
+
+    def nan_step(H, rhs, full_rank):
+        return model_step(H, rhs, full_rank) if in_warm_start[0] else np.full(rhs.size, math.nan)
+
+    def fit(C, y):
+        in_warm_start[0] = True
+        try:
+            return warm_start(C, y)
+        finally:
+            in_warm_start[0] = False
+
+    def searched(F, project, t, fval, g, gap, d, step, flat):
+        directions.append(np.array_equal(d, -g))
+        return arc_search(F, project, t, fval, g, gap, d, step, flat)
+
+    monkeypatch.setattr(lpgeom.projections, "_model_step", nan_step)
+    monkeypatch.setattr(lpgeom.projections, "_warm_start", fit)
+    monkeypatch.setattr(lpgeom.projections, "_arc_search", searched)
+    certified = 0
+    for i, (C, project, v, free) in enumerate(cases):
+        directions.clear()
+        forced = project(C, v)
+        assert directions and all(directions), i
+        if forced.converged:
+            certified += 1
+            want = free.point.coords
+            # a residual within vi_tol bounds no distance (ROADMAP item 18): case 34 certifies a
+            # flat stop at residual 4.8e-7 that sits 1.4e-6 (relative) from the Newton answer
+            assert np.linalg.norm(forced.point.coords - want) <= 1e-5 * np.linalg.norm(want), i
+    assert certified >= 30

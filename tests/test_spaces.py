@@ -218,6 +218,17 @@ class TestDualityMap:
         with pytest.raises(ValueError):
             LpSpace(2, 200.0).point([math.inf, 1.0])
 
+    def test_an_overflowed_norm_is_an_overflow_error_not_a_zero_map(self):
+        # at p = 4 the norm of (1e100, 1) overflows, and ||x||^(2-p) = inf^(-2) would map x to 0
+        space = LpSpace(2, 4.0)
+        x = np.array([1e100, 1.0])
+        with np.errstate(over="ignore"):
+            with pytest.raises(OverflowError, match="the duality map overflowed on finite coordinates"):
+                space.jmap(x)
+            with pytest.raises(OverflowError):
+                space.jmap(np.array([[1.0, 2.0], x]))  # one such row in a stack
+        assert np.array_equal(space.jmap(np.array([[1.0, 2.0], [0.0, 0.0]]))[1], [0.0, 0.0])
+
     def test_identity_suite(self):
         # <Jx,x> = ||x||^2 = ||Jx||^2, J* o J = id, V(Jx, x) = 0
         rng = np.random.default_rng(20260819)
