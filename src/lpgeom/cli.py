@@ -1,16 +1,21 @@
 """Command-line front end: JSON problems in, schema-checked JSON out.
 
 Problem documents validate against ``schemas/problem.schema.json`` before
-anything runs; unknown fields are rejected.  Every emitted document is
-validated against the matching published schema before printing, and
-numbers ride through ``json`` with shortest round-trip formatting, so a
-document read back reproduces the exact floats.  The package's own
-validator, ``_schemacheck``, does both checks; it implements just the
-keywords the three schemas use, so no command imports jsonschema.  Exit
-codes: 0 all pass, 1 a check failed, 2 usage or schema error, 3 any other
-exception, which ``--json`` reports in a result document of status "error",
-as for a duality map that overflows.  Problem documents are standard
-JSON: NaN and Infinity are refused, with exit 2.
+anything runs; unknown fields are rejected.  Each operation returns the
+library's record (a ``ProjectionResult``, ``ClassifyResult``,
+``IntersectionDualReport`` or ``Witness``) or a dict of library values,
+and ``encoding._jsonable`` writes it field by field, once; the text lines
+print the encoded fields.  So a new record field must join
+``schemas/result.schema.json``, which refuses unknown fields.  Every
+emitted document is validated against the matching published schema
+before printing, and numbers ride through ``json`` with shortest
+round-trip formatting, so a document read back reproduces the exact
+floats.  The package's own validator, ``_schemacheck``, does both checks;
+it implements just the keywords the three schemas use, so no command
+imports jsonschema.  Exit codes: 0 all pass, 1 a check failed, 2 usage or
+schema error, 3 any other exception, which ``--json`` reports in a result
+document of status "error", as for a duality map that overflows.  Problem
+documents are standard JSON: NaN and Infinity are refused, with exit 2.
 
 A single operation's tolerance is the document's ``tol`` field, which the
 schema keeps positive; no command takes a ``--tol`` option.  It is the
@@ -40,7 +45,7 @@ from .cones import (
     metric_double_dual_violation,
     probe_nonconvexity_metric_dual,
 )
-from .encoding import TOOLKIT_VERSION, _jsonable, _witness_json
+from .encoding import TOOLKIT_VERSION, _jsonable
 from .faces import classify_point, face, vision_dual_member, vision_primal_member
 from .projections import generalized_project, metric_project
 from .sets import Ball, FinitelyGeneratedCone, Line, Polytope, Ray, Segment, Subspace
@@ -94,14 +99,6 @@ def _space_from(doc: dict) -> LpSpace:
     return LpSpace(int(doc["n"]), p, weights=doc.get("weights"))
 
 
-def _space_echo(space: LpSpace) -> dict:
-    return {
-        "n": space.n,
-        "p": "inf" if math.isinf(space.p) else float(space.p),
-        "weights": [float(w) for w in space.weights],
-    }
-
-
 def _set_from(space: LpSpace, d: dict):
     t = d["type"]
     if t == "segment":
@@ -121,10 +118,6 @@ def _set_from(space: LpSpace, d: dict):
     return Subspace(space, [space.point(b) for b in d["basis"]])
 
 
-def _vec(v) -> list[float]:
-    return [float(c) for c in v.coords]
-
-
 def _need(doc: dict, field: str):
     if field not in doc:
         raise _UsageError(f"operation requires the '{field}' field")
@@ -135,31 +128,18 @@ def _the_set(space, doc):
     return _set_from(space, _need(doc, "set"))
 
 
-def _projection_result(res) -> tuple[dict, str]:
-    out = {
-        "point": _vec(res.point),
-        "objective": float(res.objective),
-        "vi_residual": float(res.vi_residual),
-        "iterations": int(res.iterations),
-        "converged": bool(res.converged),
-        "method": res.method,
-        "stop_reason": res.stop_reason,
-        "objective_evaluations": int(res.objective_evaluations),
-        "gradient_evaluations": int(res.gradient_evaluations),
-    }
-    return out, "pass" if res.converged else "fail"
-
-
 def _op_project(space, doc, tol):
     C = _the_set(space, doc)
     x = space.point(_need(doc, "point"))
-    return _projection_result(metric_project(C, x, tol))
+    res = metric_project(C, x, tol)
+    return res, "pass" if res.converged else "fail"
 
 
 def _op_gproject(space, doc, tol):
     C = _the_set(space, doc)
     psi = space.functional(_need(doc, "functional"))
-    return _projection_result(generalized_project(C, psi, tol))
+    res = generalized_project(C, psi, tol)
+    return res, "pass" if res.converged else "fail"
 
 
 def _op_face(space, doc, tol):
@@ -168,13 +148,13 @@ def _op_face(space, doc, tol):
     desc = face(C, psi, tol=tol)
     unbounded = math.isinf(desc.level)
     out = {
-        "level": None if unbounded else float(desc.level),
+        "level": None if unbounded else desc.level,
         "unbounded": unbounded,
         "kind": desc.kind,
-        "representatives": [_vec(r) for r in desc.representatives],
+        "representatives": desc.representatives,
     }
     if all(math.isfinite(g) for g in desc.gaps):
-        out["gaps"] = [float(g) for g in desc.gaps]
+        out["gaps"] = desc.gaps
     return out, "pass"
 
 
@@ -187,21 +167,15 @@ def _op_vision(space, doc, tol):
         raise _UsageError("vision takes exactly one of 'functional' or 'probe_point'")
     if has_dual:
         member = vision_dual_member(C, y, space.functional(doc["functional"]), tol=tol)
-        return {"member": bool(member), "route": "dual"}, "pass"
+        return {"member": member, "route": "dual"}, "pass"
     member = vision_primal_member(C, y, space.point(doc["probe_point"]), tol=tol)
-    return {"member": bool(member), "route": "primal"}, "pass"
+    return {"member": member, "route": "primal"}, "pass"
 
 
 def _op_classify(space, doc, tol):
     C = _the_set(space, doc)
     y = space.point(_need(doc, "point"))
-    res = classify_point(C, y, tol=tol)
-    out = {
-        "verdict": res.verdict,
-        "witness": None if res.witness is None else _vec(res.witness),
-        "method": res.method,
-    }
-    return out, "pass"
+    return classify_point(C, y, tol=tol), "pass"
 
 
 def _op_dualcone(space, doc, tol, kind, check):
@@ -209,13 +183,7 @@ def _op_dualcone(space, doc, tol, kind, check):
         sets_doc = _need(doc, "sets")
         cones = [_set_from(space, d) for d in sets_doc]
         rep = intersection_dual_check_family(cones, tol=tol)
-        out = {
-            "ok": bool(rep.ok),
-            "forward_margin": float(rep.forward_margin),
-            "backward_residual": float(rep.backward_residual),
-            "intersection_generators": [_vec(g) for g in rep.intersection_generators],
-        }
-        return out, "pass" if rep.ok else "fail"
+        return rep, "pass" if rep.ok else "fail"
 
     K = _the_set(space, doc)
     if check == "member":
@@ -223,11 +191,11 @@ def _op_dualcone(space, doc, tol, kind, check):
             member = member_metric_dual(K, space.point(_need(doc, "point")), tol=tol)
         else:
             member = member_generalized_dual(K, space.functional(_need(doc, "functional")), tol=tol)
-        return {"member": bool(member), "certificate": None}, "pass"
+        return {"member": member, "certificate": None}, "pass"
 
     if kind == "metric" and check in ("convexity", "double-dual"):
         w = (probe_nonconvexity_metric_dual if check == "convexity" else metric_double_dual_violation)(K)
-        return {"witness_found": w is not None, "witness": None if w is None else _witness_json(w)}, "pass"
+        return {"witness_found": w is not None, "witness": w}, "pass"
 
     if check == "convexity":
         # {psi : <psi - J(v), g_i> <= 0 for every i} is one half-space per generator, so it is convex
@@ -237,16 +205,12 @@ def _op_dualcone(space, doc, tol, kind, check):
         z = space.point(_need(doc, "point"))
         member = generalized_double_dual_member(K, z, tol=tol)
         cert = None if member else find_double_dual_certificate(K, z, tol=tol)
-        out = {
-            "member": bool(member),
-            "certificate": None if cert is None else _witness_json(cert),
-        }
-        return out, "pass"
+        return {"member": member, "certificate": cert}, "pass"
 
     # identity, metric kind: the inner-product defect of the projection
     w = space.point(_need(doc, "point"))
     defect, u = _identity_defect(K, w, min(tol, 1e-6))
-    return {"defect": float(defect), "point": _vec(u)}, "pass"
+    return {"defect": defect, "point": u}, "pass"
 
 
 _SINGLE_OPS = {
@@ -281,14 +245,16 @@ def _run_single(args, operation: str) -> int:
         "version": TOOLKIT_VERSION,
         "operation": operation,
         "status": status,
-        "space": _space_echo(space),
-        "result": _jsonable(result),
+        "space": {"n": space.n, "p": "inf" if math.isinf(space.p) else space.p, "weights": space.weights},
+        "result": result,
         "elapsed_seconds": elapsed,
     }
     if operation == "dualcone":
         out["kind"] = args.kind
         out["check"] = args.check
-    lines = [f"{key}: {val}" for key, val in result.items()] + [f"status: {status}"]
+    # one encoding of the library's record; the text lines read the same values the document holds
+    out = _jsonable(out)
+    lines = [f"{key}: {val}" for key, val in out["result"].items()] + [f"status: {status}"]
     return _emit(args, out, "result.schema.json", lines, status == "pass")
 
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .polyhedra import _nnls, _polar_rows, intersect_cone_generators
 from .projections import _VI_TOL, metric_project
-from .spaces import DualVec, PrimalVec, _finite_image
+from .spaces import DualVec, PrimalVec
 
 __all__ = [
     "Witness",
@@ -73,8 +73,8 @@ class Witness:
     """A concrete counterexample with a recomputable positive margin."""
 
     kind: str
-    data: dict
     value: float
+    data: dict
     _validator: Callable[[], float] = field(repr=False, compare=False)
 
     def revalidate(self) -> bool:
@@ -129,7 +129,7 @@ def member_generalized_dual(K, psi: DualVec, tol: float = 1e-9) -> bool:
     """Membership of psi in the generalized dual cone of K: psi - J(v) is bounded on K, by ``faces.face``'s rule."""
     v, _ = _vertex_and_generators(K)
     K._check_functional(psi)
-    return math.isfinite(K._support(psi.coords - _finite_image(K.space.jmap(v)), tol))
+    return math.isfinite(K._support(psi.coords - K.space.jmap(v), tol))
 
 
 def probe_nonconvexity_metric_dual(K) -> Witness | None:
@@ -168,7 +168,7 @@ def probe_nonconvexity_metric_dual(K) -> Witness | None:
     lam = float(_LAMBDAS[j])
     xyh = np.array([X[pairs[k, 0]], X[pairs[k, 1]], lam * X[pairs[k, 0]] + (1.0 - lam) * X[pairs[k, 1]]])
     x, y, h = (space.point(row) for row in xyh)
-    gaps = tuple((R @ (space.weights * _finite_image(space.jmap(xyh[2] - v)))).tolist())
+    gaps = tuple((R @ (space.weights * space.jmap(xyh[2] - v))).tolist())
 
     def check() -> float:
         m = _margins(K, xyh)
@@ -176,8 +176,8 @@ def probe_nonconvexity_metric_dual(K) -> Witness | None:
 
     return Witness(
         kind="convex-combination-escape",
-        data={"x": x, "y": y, "lam": lam, "h": h, "generator_gaps": gaps},
         value=max(gaps),
+        data={"x": x, "y": y, "lam": lam, "h": h, "generator_gaps": gaps},
         _validator=check,
     )
 
@@ -212,12 +212,12 @@ def metric_double_dual_violation(K) -> Witness | None:
     def check() -> float:
         if _margins(K, x) > _SEARCH_TOL or not K._contains(z, 1e-9):
             return -math.inf
-        return space.pairing(_finite_image(space.jmap(z)), x)
+        return space.pairing(space.jmap(z), x)
 
     # the value as the validator recomputes it, not the product's roundoff
-    value = space.pairing(_finite_image(space.jmap(z)), x)
+    value = space.pairing(space.jmap(z), x)
     data = {"z": space.point(z), "x": space.point(x)}
-    return Witness(kind="double-dual-gap", data=data, value=value, _validator=check)
+    return Witness(kind="double-dual-gap", value=value, data=data, _validator=check)
 
 
 def generalized_double_dual_member(K, x: PrimalVec, tol: float = 1e-8) -> bool:
@@ -265,8 +265,8 @@ def find_double_dual_certificate(K, x: PrimalVec, tol: float = 1e-8) -> Witness 
 
     return Witness(
         kind="separating-functional",
-        data={"functional": phi, "point": x},
         value=float(np.dot(best, d)),
+        data={"functional": phi, "point": x},
         _validator=check,
     )
 
@@ -341,7 +341,7 @@ def _identity_defect(K, w: PrimalVec, vi_tol: float) -> tuple[float, PrimalVec]:
     if not res.converged:
         raise RuntimeError("projection did not certify; defect value would be unreliable")
     u = res.point.coords
-    return K.space.pairing(_finite_image(K.space.jmap(w.coords)), u) - K.space.norm_of(u) ** 2, res.point
+    return K.space.pairing(K.space.jmap(w.coords), u) - K.space.norm_of(u) ** 2, res.point
 
 
 def hilbert_identity_violation(K, w: PrimalVec) -> float:

@@ -1,11 +1,15 @@
-"""Plain-JSON encoding shared by the CLI's results and the suite's reports.
+"""Plain-JSON encoding of every result record the CLI and the suite emit.
 
-Kept apart from ``suite`` so that a single CLI command, which emits a
-result but runs no check, never imports the suite.
+A record is written field by field, in field order, so a result document
+is the library's record as it stands; a field whose name starts with
+``_`` (a witness's validator) is not written.  Kept apart from ``suite``
+so that a single CLI command, which emits a result but runs no check,
+never imports the suite.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,8 +36,7 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        names = (f.name for f in dataclasses.fields(value) if not f.name.startswith("_"))
+        return {name: _jsonable(getattr(value, name)) for name in names}
     return value
-
-
-def _witness_json(w) -> dict:
-    return {"kind": w.kind, "value": float(w.value), "data": _jsonable(w.data)}

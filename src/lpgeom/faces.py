@@ -36,7 +36,7 @@ import numpy as np
 from .cones import _vertex_and_generators, member_generalized_dual
 from .projections import generalized_project, metric_project
 from .sets import ConvexSet
-from .spaces import DualVec, PrimalVec, _finite_image, duality_map, duality_map_inv
+from .spaces import DualVec, PrimalVec, duality_map, duality_map_inv
 
 __all__ = [
     "FaceDescription",
@@ -230,7 +230,7 @@ def dual_vision_identity_check(K) -> DualVisionIdentityReport:
     """
     v, R = _vertex_and_generators(K)
     space, tol = K.space, _DUAL_VISION_TOL
-    jv = _finite_image(space.jmap(v))
+    jv = space.jmap(v)
     lengths = np.linalg.norm(R, axis=1)
     cases = []
     for c in np.vstack([np.zeros(space.n), K._polar / np.linalg.norm(K._polar, axis=1, keepdims=True)]):

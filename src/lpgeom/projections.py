@@ -273,15 +273,16 @@ def _member_witness(C: ConvexSet, y: np.ndarray, t: np.ndarray) -> tuple[bool, n
 
     The warm start t is y's fit.  When it rebuilds y within the shortcut's
     threshold it is the witness.  A miss proves y is outside only when the
-    chart's directions are independent; otherwise a nonnegative
-    least-squares fit decides, and there is no witness.
+    chart's directions are independent; otherwise the set's own fit
+    decides, by ``contains``'s rule, and its coefficients are the witness.
     """
     tol = 1e-12  # ``_slack`` scales it by the sizes of y and the set
     if C._fits(y, t, tol):
         return True, t
     if C._chart.independent:
         return False, None
-    return C._contains(y, tol), None
+    coef, residual = C._fit(y)
+    return (True, coef) if residual <= C._slack(y, tol) else (False, None)
 
 
 def _solve_on_chart(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.ndarray):
@@ -468,7 +469,7 @@ def generalized_project(C: ConvexSet, psi: DualVec, vi_tol: float = _VI_TOL) -> 
     """Minimizer of V(psi, .) over C, certified when its VI residual is at most ``vi_tol``."""
     _require_smooth(C.space)
     C._check_functional(psi)
-    y = _finite_image(C.space.dual().jmap(psi.coords))  # J*(psi)
+    y = C.space.dual().jmap(psi.coords)  # J*(psi)
     return _project(C, y, None, psi.coords, vi_tol)
 
 

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .polyhedra import _nnls, _null_space, _polar_rows, _rank
-from .spaces import DualVec, LpSpace, PrimalVec, _finite_image
+from .spaces import DualVec, LpSpace, PrimalVec
 
 __all__ = [
     "ConvexSet",
@@ -235,6 +235,10 @@ class _Polyhedral(ConvexSet):
         return lambda t: np.maximum(t, 0.0)
 
     def _distance(self, x: np.ndarray) -> float:
+        return self._fit(x)[1]
+
+    def _fit(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """(t, residual): chart coefficients in the domain that fit x, and the residual ``distance`` reports."""
         r = x - self._base
         D = self._D
         if self._simplex:
@@ -243,17 +247,17 @@ class _Polyhedral(ConvexSet):
             # The blended residual vanishes exactly on members.
             rho = self._sum_weight(x)
             A = np.vstack([D, rho * np.ones(D.shape[1])])
-            return float(_nnls(A, np.concatenate([r, [rho]]))[1])
+            return _nnls(A, np.concatenate([r, [rho]]))
         if D.shape[1] == 1:
             # one direction on an interval: the fit is a clamped projection
             d = D[:, 0]
             dd = np.dot(d, d)  # zero only for a polytope with two equal vertices
             t = np.minimum(np.maximum(np.dot(r, d) / dd if dd else 0.0, self._lo[0]), self._hi[0])
-            return float(np.linalg.norm(r - t * d))
+            return np.array([t]), float(np.linalg.norm(r - t * d))
         if np.all(np.isinf(self._lo)):
             coef, *_ = np.linalg.lstsq(D, r, rcond=None)
-            return float(np.linalg.norm(r - D @ coef))
-        return float(_nnls(D, r)[1])
+            return coef, float(np.linalg.norm(r - D @ coef))
+        return _nnls(D, r)
 
     def _fits(self, x: np.ndarray, t, tol: float) -> bool:
         """True when chart coefficients t witness that x is a member within ``tol``.
@@ -508,10 +512,6 @@ class Ball(ConvexSet):
         self.space = space
         self.radius = radius
 
-    def support(self, psi: DualVec, tol: float = 0.0) -> float:
-        """Radius times the dual norm of psi, exact: a ball has no flat direction for ``tol`` to decide."""
-        return super().support(psi, tol)
-
     def _distance(self, x: np.ndarray) -> float:
         return max(0.0, self.space.norm_of(x) - self.radius)
 
@@ -546,7 +546,7 @@ class Ball(ConvexSet):
             kind = "singleton" if np.all(mags) else "affine-slice"
             return r * level, kind, (r * np.sign(psi),), tuple(mags)
         # smooth range: the argmax is the scaled inverse duality image, alone
-        return r * level, "singleton", ((r / level) * _finite_image(space.dual().jmap(psi)),), ()
+        return r * level, "singleton", ((r / level) * space.dual().jmap(psi),), ()
 
     def _supporting_functional(self, y: np.ndarray, tol: float) -> tuple[np.ndarray | None, str]:
         """Inside the sphere none; on it J(y), or at p = 1 and oo a subgradient of the norm."""
@@ -554,7 +554,7 @@ class Ball(ConvexSet):
         if space.norm_of(y) < self.radius * (1.0 - 1e-9) - tol:
             return None, "closed-form"
         if 1.0 < p < math.inf:
-            return _finite_image(space.jmap(y)), "closed-form"
+            return space.jmap(y), "closed-form"
         if p == 1.0:
             return np.sign(y), "closed-form"
         i = int(np.argmax(np.abs(y)))

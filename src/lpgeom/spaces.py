@@ -164,8 +164,11 @@ class LpSpace:
         through the pairing, not the formula: <Jx, x> = ||x||^2 and the dual
         norm of Jx equals ||x|| hold in any weighted l_p with p in (1, oo).
         A stack of rows maps row by row.  OverflowError when a norm is
-        not a finite float: ||x||^(2-p) would then be 0 or inf, and the
-        product no duality map.
+        not a finite float, tested before the image is formed:
+        ||x||^(2-p) would then be 0 or inf, and the product no duality map.
+        OverflowError too when the image is not finite, as |x_i|^(p-1) can
+        overflow at a large p: the input was finite, so that is an overflow,
+        not a bad input.
         """
         if math.isinf(self.p) or self.p <= 1.0:
             raise ValueError("duality mapping requires exponent in (1, oo)")
@@ -182,7 +185,10 @@ class LpSpace:
             raise OverflowError(_OVERFLOW)
         else:
             scale = nrm ** (2.0 - self.p)
-        return _signed_power(coords, self.p - 1.0) * scale
+        image = _signed_power(coords, self.p - 1.0) * scale
+        if not np.isfinite(image).all():
+            raise OverflowError(_OVERFLOW)
+        return image
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -343,7 +349,7 @@ _OVERFLOW = "the duality map overflowed on finite coordinates"
 
 
 def _finite_image(coords: np.ndarray) -> np.ndarray:
-    # the input was finite, so a non-finite image is an overflow (|x_i|^(p-1) at a large p), not a bad input
+    # for a sum of finite terms that overflowed, such as psi - J(u)
     if not np.isfinite(coords).all():
         raise OverflowError(_OVERFLOW)
     return coords
@@ -359,7 +365,7 @@ def duality_map(x: PrimalVec) -> DualVec:
     """
     if not isinstance(x, PrimalVec):
         raise TypeError("duality_map expects a PrimalVec")
-    return DualVec(x.space.dual(), _finite_image(x.space.jmap(x.coords)))
+    return DualVec(x.space.dual(), x.space.jmap(x.coords))
 
 
 def duality_map_inv(psi: DualVec) -> PrimalVec:
@@ -370,7 +376,7 @@ def duality_map_inv(psi: DualVec) -> PrimalVec:
     """
     if not isinstance(psi, DualVec):
         raise TypeError("duality_map_inv expects a DualVec")
-    return PrimalVec(psi.space.dual(), _finite_image(psi.space.jmap(psi.coords)))
+    return PrimalVec(psi.space.dual(), psi.space.jmap(psi.coords))
 
 
 def lyapunov(psi: DualVec, x: PrimalVec) -> float:

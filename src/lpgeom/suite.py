@@ -55,7 +55,7 @@ from .cones import (
     metric_double_dual_violation,
     probe_nonconvexity_metric_dual,
 )
-from .encoding import TOOLKIT_VERSION, _jsonable, _witness_json
+from .encoding import TOOLKIT_VERSION, _jsonable
 from .faces import (
     classify_point,
     dual_vision_identity_check,
@@ -121,14 +121,7 @@ class CheckRecord:
     witnesses: tuple[dict, ...] = ()
 
     def to_json(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "claim": self.claim,
-            "status": self.status,
-            "values": _jsonable(self.values),
-            "notes": list(self.notes),
-            "witnesses": [_jsonable(w) for w in self.witnesses],
-        }
+        return _jsonable(self)
 
 
 @dataclass(frozen=True)
@@ -419,7 +412,7 @@ def _witness_search(name: str) -> Property:
 
     def holds(K):
         w = globals()[name](K)
-        return None if w is None or not w.revalidate() else {"witness": _witness_json(w)}
+        return None if w is None or not w.revalidate() else {"witness": _jsonable(w)}
 
     def pinned(p):
         return [(_pinned_ray(p)[1],)]

@@ -3,10 +3,12 @@
 ``perfbench/spans.py`` wraps every entry of its ``FUNCTIONS`` and ``METHODS``
 lists with ``getattr``, so a renamed or deleted function crashes every
 traced benchmark run, and ``perfbench/run.py`` refuses a ``verify`` round
-that is not one call per check and per fuzz target.  ``BENCHMARK.json``
-names a per-trial metric for each fuzz target, so a target id is part of
-the benchmark too.  A traced method is wrapped in its base class only, so
-no subclass may override one.  These files are only read here.
+that is not one call per check and per fuzz target.  ``run.py`` also reads
+fields of the results it judges, so a renamed field crashes a run too.
+``BENCHMARK.json`` names a per-trial metric for each fuzz target, so a
+target id is part of the benchmark too.  A traced method is wrapped in its
+base class only, so no subclass may override one.  These files are only
+read here.
 """
 
 import importlib.util
@@ -15,8 +17,8 @@ import os
 import re
 import sys
 
-from lpgeom import fuzz_target_ids
-from lpgeom.suite import _CHECKS
+from lpgeom import LpSpace, Ray, fuzz_target_ids, metric_project, run_fuzz
+from lpgeom.suite import _CHECKS, check_duality_map_regression
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -65,3 +67,27 @@ def test_every_benchmarked_fuzz_target_exists():
     targets = [m.group(1) for m in map(re.compile(r"suite\.fuzz\.(.+)_ms_per_trial").fullmatch, names) if m]
     assert targets
     assert sorted(set(targets) - set(fuzz_target_ids())) == []
+
+
+def test_every_result_field_the_benchmark_reads_exists():
+    # a projection is judged by converged, vi_residual, iterations and point.coords; a verify call by
+    # the to_json() of its check record, told apart by check_id, or of a fuzz report's records[0]
+    with open(os.path.join(PERFBENCH, "run.py"), encoding="utf-8") as fh:
+        source = fh.read()
+    reads = ("out.converged", "out.vi_residual", "out.iterations", "out.point.coords",
+             'hasattr(out, "check_id")', "out.to_json()", "out.records[0].to_json()")
+    assert [read for read in reads if read not in source] == []
+
+    S = LpSpace(2, 3.0)
+    res = metric_project(Ray(S.zero(), S.point([1.0, 2.0])), S.point([3.0, 1.0]))
+    assert res.converged is True
+    assert res.vi_residual <= 1e-6
+    assert res.iterations >= 0
+    assert res.point.coords.shape == (2,)
+
+    record = check_duality_map_regression()
+    assert record.to_json()["check_id"] == record.check_id
+    report = run_fuzz("set-sampling", trials=2)
+    assert not hasattr(report, "check_id")
+    fuzz = report.records[0].to_json()
+    assert (fuzz["status"], fuzz["values"]["trials"]) == ("pass", 2)

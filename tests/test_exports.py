@@ -15,7 +15,9 @@ DELETED = {
     # dual cones are read from one product over the generator or polar generator rows; generalized
     # convexity is decided by the half-space form, and the family check takes any number of cones
     "cones": ("_stacked_polar", "_dual_margin", "_pairings", "_generalized_convexity_probe", "intersection_dual_check"),
-    "cli": ("_human_lines", "_run_verify", "_run_fuzz"),
+    # the last three of cli's and encoding's: a result document is the library's record, written by one encoder
+    "cli": ("_human_lines", "_run_verify", "_run_fuzz", "_vec", "_projection_result", "_space_echo"),
+    "encoding": ("_witness_json",),
     # its two routes read one level twice, so it could not fail; visions answer through the face
     "faces": ("vision_conjugation_check",),
 }
@@ -29,7 +31,6 @@ KNOBS = [
     "ConvexSet.contains(tol)",
     "ConvexSet.support(tol)",
     "ConvexSet.sample(seed)",
-    "Ball.support(tol)",
     "Ball.sample(seed)",
     "Subspace.__init__(basis)",
     "metric_project(vi_tol)",
