@@ -36,7 +36,12 @@ free block with the exact Hessian of the squared norm formed on the free
 columns of D alone, a projected gradient fallback, and Armijo
 backtracking that refuses full steps jumping across the minimum.  On
 large cones and polytopes most coefficients are held, so the free block
-is far smaller than the k x k matrix of every direction.  Each trial
+is far smaller than the k x k matrix of every direction.  A coefficient
+is held when it is near its bound and its gradient pushes outward; on the
+simplex "outward" is measured from the level, the mean gradient over the
+coefficients the rule leaves free, which estimates the multiplier of the
+sum constraint.  So after the first step from the warm start, a step
+rarely solves more than one Newton system.  Each trial
 point of the loop is one evaluation: the residual r = u - c, its norm
 and |r|^(p-1) sign(r) are formed once there and shared by F, its
 gradient (the duality map J(r)) and the Hessian, and the result counts
@@ -293,10 +298,19 @@ def _solve_on_chart(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.ndarray)
     coefficients at their bound whose gradient pushes outward go to the
     bound, and the free block takes a Newton step with the exact Hessian on
     it, D_F^T (diag(h) + beta a a^T) D_F for the free columns D_F of D,
-    bordered by the sum constraint on the simplex.  The first pass of the
-    active set forms that matrix from D_F alone; a pass after one that
-    blocked more coefficients cuts it from the last pass's matrix.  The
-    k x k matrix of all of D is formed only when nothing is held, and for
+    bordered by the sum constraint on the simplex.  Held are the
+    coefficients within min(gap, 1e-3) of their bound, gap the unit-step
+    gradient mapping, whose gradient exceeds the level: 0 on a box, and on
+    the simplex the mean gradient over the coefficients left free, where
+    the gradient is level at the optimum.  Taken over those coefficients it
+    exists at every gap; taken over t > gap alone, it would be empty on a
+    large simplex while the gap exceeds 1e-3, and the passes of such a step
+    would rediscover the held set one block at a time.  A free coefficient
+    near its bound that the Newton step pushes outward is held too, and the
+    step is solved again.  The first pass of the active set forms the
+    matrix from D_F alone; a pass after one that blocked more coefficients
+    cuts it from the last pass's matrix.  The k x k matrix of all of D is
+    formed only when nothing is held, and for
     the curvature of the gradient direction, the fallback when the Newton
     direction does not descend.  Each trial point is one evaluation
     (``_ChartObjective``): the residual, its norm and |r|^(p-1) sign(r) are
@@ -331,15 +345,12 @@ def _solve_on_chart(C: ConvexSet, c: np.ndarray, ell: np.ndarray, t: np.ndarray)
         h, beta, a = x.sq.hessian()
         # Bertsekas's active set: coefficients near their lower bound whose
         # gradient pushes outward; on the simplex the gradient is level across
-        # the support at the optimum, so "outward" is measured from that level
+        # the support at the optimum, so "outward" is measured from that level,
+        # estimated over the coefficients not near their bound
         near = t - lo <= min(gap, _ACTIVE_WIDTH)
         can_hold = near.any()  # else the active set is empty, whatever the step
         if can_hold:
-            level = 0.0
-            if simplex:
-                support = t > gap
-                if support.any():
-                    level = float(np.mean(g[support]))
+            level = float(np.mean(g[~near])) if simplex and not near.all() else 0.0
             active = near & (g > level)
         hess = None  # the last pass's Newton matrix, on the coefficients ``cover`` (None: all)
         while True:

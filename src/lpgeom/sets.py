@@ -330,13 +330,25 @@ class _Polyhedral(ConvexSet):
     def _pairings(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """<psi, v> per vertex, and <psi, d> / (|psi| |d|) in Euclidean norms per ray and lineality direction.
 
-        One product of the stacked rows with w psi gives them all.
+        One product of the stacked rows with w psi gives them all, taken on
+        psi scaled by a power of two to a largest coordinate below 1.  The
+        scaling is exact, so wherever the unscaled product neither overflows
+        nor underflows its bits are kept, but |psi|, which squares the
+        coordinates, no longer overflows above about 1e154.  OverflowError when a vertex's pairing is past the largest
+        float: a support, level or face read from it would be wrong, not
+        merely rounded.
         """
-        vals = self._rows @ (self.space.weights * psi)
+        e = math.frexp(float(np.max(np.abs(psi), initial=0.0)))[1]
+        small = np.ldexp(psi, -e)
+        vals = self._rows @ (self.space.weights * small)
         nv, nr = len(self.V), len(self.R)
-        denom = float(np.linalg.norm(psi)) * self._lengths
+        with np.errstate(over="ignore"):
+            at_vertices = np.ldexp(vals[:nv], e)
+        if not np.isfinite(at_vertices).all():
+            raise OverflowError("a pairing of the functional with a vertex is past the largest float")
+        denom = float(np.linalg.norm(small)) * self._lengths
         unit = np.divide(vals[nv:], denom, out=np.zeros(denom.size), where=denom > 0.0)
-        return vals[:nv], unit[:nr], unit[nr:]
+        return at_vertices, unit[:nr], unit[nr:]
 
     @staticmethod
     def _escapes(rays: np.ndarray, lines: np.ndarray, tol: float) -> bool:

@@ -490,6 +490,32 @@ def test_the_readme_ray_at_huge_scales_is_never_a_false_certificate(tmp_path, ca
         assert result["converged"] is False
 
 
+# every pairing of the functional with a vertex is 1e400 or -1e400, past the largest float
+_OVERFLOWING_FACE_PROBLEM = {
+    "operation": "face",
+    "space": {"n": 2, "p": 3},
+    "set": {"type": "polytope", "vertices": [[1e200, 0], [0, 1e200], [-1e200, 0]]},
+    "functional": [1e200, 1e200],
+}
+
+
+def test_an_overflowing_pairing_exits_3_not_as_an_unbounded_face(tmp_path, capsys):
+    # a polytope's support is finite: an overflowed pairing must not come back as level None,
+    # unbounded, and the vertex with the lowest pairing as a singleton face
+    path = _write(tmp_path, _OVERFLOWING_FACE_PROBLEM)
+    with np.errstate(over="ignore"):  # the set's own extent overflows when it is built (ROADMAP item 2)
+        code, out = _run(capsys, ["face", "--input", path, "--json"])
+    assert code == 3
+    doc = json.loads(out)
+    assert (doc["operation"], doc["status"]) == ("face", "error")
+    assert doc["result"] == {"exception": "OverflowError", "message": "a pairing of the functional with a vertex is past the largest float"}
+    S = LpSpace(2, 3.0)
+    with np.errstate(over="ignore"):
+        C = sets.Polytope([S.point(v) for v in _OVERFLOWING_FACE_PROBLEM["set"]["vertices"]])
+    with pytest.raises(OverflowError):
+        C.support(S.functional(_OVERFLOWING_FACE_PROBLEM["functional"]))
+
+
 def test_an_overflowed_objective_stops_the_loop_as_overflow_not_flat():
     # ||x|| at p = 200 exceeds a float here, so F is inf at the warm start, before any step
     doc = _P200_HOMOGENEITY_PROBLEM

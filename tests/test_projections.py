@@ -900,3 +900,90 @@ def test_the_gradient_direction_alone_reaches_the_newton_answers(monkeypatch):
             # flat stop at residual 4.8e-7 that sits 1.4e-6 (relative) from the Newton answer
             assert np.linalg.norm(forced.point.coords - want) <= 1e-5 * np.linalg.norm(want), i
     assert certified >= 30
+
+
+def _project_large_polytope_case(seed: int, rnd: int, index: int):
+    # The draws of perfbench's project-large round ``rnd`` at ``seed``, up to operation ``index``:
+    # per n in (50, 200), p in (3, 4) and set type (cone, polytope), weights, then the set's
+    # n/4 rows (a cone's vertex first), then 4 (n = 50) or 2 (n = 200) points, each a metric
+    # point (scale 3) and a generalized functional (scale 2).
+    rng = np.random.default_rng([seed, 2, rnd])
+    op = 0
+    for n in (50, 200):
+        for p in (3.0, 4.0):
+            for kind in ("cone", "polytope"):
+                S = LpSpace(n, p, weights=rng.uniform(0.3, 3.0, n))
+                rows = [rng.normal(size=n) for _ in range(n // 4 + (kind == "cone"))]
+                for _ in range({50: 4, 200: 2}[n]):
+                    for project, scale, arg in ((metric_project, 3.0, S.point), (generalized_project, 2.0, S.functional)):
+                        v = rng.normal(size=n) * scale
+                        if op == index:
+                            assert kind == "polytope"
+                            return Polytope([S.point(r) for r in rows]), project, arg(v)
+                        op += 1
+    raise IndexError(index)
+
+
+def test_project_large_seed_60_op_957_certifies():
+    # a generalized projection onto a 50-vertex polytope in R^200 (round 19, index 45).  While
+    # the gap exceeded the active width, the simplex level fell back to 0 and the loop stopped
+    # flat at residual 1.6e-6; with the level taken over the free coefficients it certifies.
+    C, project, psi = _project_large_polytope_case(60, 19, 45)
+    res = project(C, psi)
+    assert project is generalized_project
+    assert res.converged, res.vi_residual
+    assert res.stop_reason == "grad-tol"
+
+
+def test_polytope_steps_solve_few_newton_systems(monkeypatch):
+    # A count, not a timing.  Each pass of a step's active set solves one Newton system, so the
+    # systems per accepted step measure how well the set is held at the first pass.
+    model_step, warm_start, arc_search = (
+        lpgeom.projections._model_step,
+        lpgeom.projections._warm_start,
+        lpgeom.projections._arc_search,
+    )
+    log, in_warm_start = [], [False]
+
+    def counted(H, rhs, full_rank):
+        if not in_warm_start[0]:
+            log.append("system")
+        return model_step(H, rhs, full_rank)
+
+    def fit(C, y):
+        in_warm_start[0] = True
+        try:
+            return warm_start(C, y)
+        finally:
+            in_warm_start[0] = False
+
+    def searched(*args):
+        log.append("search")
+        return arc_search(*args)
+
+    monkeypatch.setattr(lpgeom.projections, "_model_step", counted)
+    monkeypatch.setattr(lpgeom.projections, "_warm_start", fit)
+    monkeypatch.setattr(lpgeom.projections, "_arc_search", searched)
+    rng = np.random.default_rng(30)
+    systems = later_systems = steps = later_steps = 0
+    for i in range(16):
+        n = 200
+        S = LpSpace(n, (3.0, 4.0)[i % 2], weights=rng.uniform(0.3, 3.0, n))
+        C = Polytope([S.point(v) for v in rng.normal(size=(50, n))])
+        for project, scale, arg in ((metric_project, 3.0, S.point), (generalized_project, 2.0, S.functional)):
+            log.clear()
+            res = project(C, arg(rng.normal(size=n) * scale))
+            assert res.converged, (i, res.vi_residual)
+            if res.iterations == 0:
+                continue
+            systems += log.count("system")
+            steps += res.iterations
+            # the first step starts from the clamped fit and may block a few coefficients in turn
+            later = log[log.index("search"):]
+            later_systems += later.count("system")
+            later_steps += res.iterations - 1
+    assert steps >= 100 and later_steps >= 60
+    # about 1.3 and 1.0 here; with the simplex level taken over t > gap alone, about 2.4 and 2.0,
+    # as the passes of each step above the active width rediscover the held set
+    assert systems / steps <= 1.5
+    assert later_systems / later_steps <= 1.25

@@ -240,3 +240,23 @@ def test_trivial_subspace(l3):
     assert not sub.contains(l3.point([0.1, 0, 0]))
     assert sub.support(l3.functional([5, 5, 5])) == 0.0
     assert all(np.all(s.coords == 0.0) for s in sub.sample(3, seed=0))
+
+
+def test_a_huge_functional_keeps_its_unit_pairings_with_rays():
+    # |psi| squares the coordinates and overflows above about 1.3e154, but no pairing here does:
+    # the ray's unit pairing <w psi, d> / (|psi| |d|) is -w_1 or +w_1, and the vertex pairings are finite
+    from lpgeom.faces import face
+
+    S = LpSpace(2, 3.0, weights=[0.5, 3.0])
+    ray = Ray(S.zero(), S.point([1.0, 0.0]))
+    assert ray.support(S.functional([-1e160, 0.0])) == 0.0
+    assert ray.support(S.functional([1e160, 0.0])) == math.inf
+    desc = face(ray, S.functional([-1e160, 0.0]))
+    assert (desc.level, desc.kind, desc.gaps) == (0.0, "singleton", (-0.5,))
+    line = Line(S.point([2.0, 1.0]), S.point([1.0, 0.0]))
+    assert line.support(S.functional([0.0, 1e300])) == 3e300
+    assert line.support(S.functional([1e300, 0.0])) == math.inf
+    # a vertex pairing of 1.5e300 is computed as the unscaled product would, bit for bit
+    tri = Polytope([S.point(v) for v in ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0])])
+    psi = S.functional([1e300, 5e299])
+    assert tri.support(psi) == float(np.max(tri.V @ (S.weights * psi.coords))) == 1.5e300
